@@ -6,6 +6,8 @@ extrapolation, and cross-checks every headline constant with independent
 oracles (time quadrature, two-mode closed forms, the straight-line limit).
 """
 
+__version__ = "0.1.0"
+
 from .eigen import EigenResult, EigenSolveError, min_eigen
 from .extrapolate import (
     DEFAULT_SWEEP_SCHEDULE,
@@ -40,8 +42,6 @@ from .twomode import (
     two_mode_p,
     two_mode_p_min,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BackflowKernel",

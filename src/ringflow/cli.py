@@ -27,7 +27,7 @@ from .extrapolate import (
     extrapolated_infimum,
     fit_quadratic,
 )
-from .kernel import RingConfig, build_kernel
+from .kernel import RingConfig, build_kernel, canonicalize
 from .linelimit import line_limit_min, ring_small_alpha_limit
 from .manifest import RunManifest
 from .state import (
@@ -99,55 +99,58 @@ def _require(args, *names) -> None:
             raise SystemExit2(f"--{name.replace('_', '-')} is required")
 
 
-def _start(args, name) -> tuple[RunManifest, Path]:
+def _start(args) -> RunManifest:
     args.outdir.mkdir(parents=True, exist_ok=True)
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
         if k not in ("func", "config") and v is not None
     }
-    return RunManifest(command=name, parameters=params), args.outdir
+    return RunManifest(command=args.subcommand, parameters=params)
+
+
+def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
+    """Write each named output into outdir, then the manifest with their digests.
+
+    A dict is written as indented, key-sorted JSON; a callable is called with
+    the target path and writes the file itself.
+    """
+    for name, content in outputs.items():
+        path = outdir / name
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        manifest.add_output(path)
+    manifest.write(outdir / f"{manifest.command}.manifest.json")
 
 
 def cmd_eigen(args) -> int:
     _require(args, "n")
     alpha = _resolve_alpha(args)
-    manifest, outdir = _start(args, "eigen")
+    manifest = _start(args)
     kernel = build_kernel(RingConfig(alpha, args.beta, args.n))
-    result = min_eigen(kernel, args.method)
+    result = min_eigen(kernel)
     record = result.to_record()
     record.update({"alpha": alpha, "beta": kernel.config.beta})
-    out = outdir / "eigen.json"
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(out)
-    manifest.write(outdir / "eigen.manifest.json")
+    _emit(manifest, args.outdir, {"eigen.json": record})
     print(f"lambda_min = {_fmt(result.lambda_min)}")
     return 0
 
 
 def cmd_extrapolate(args) -> int:
     alpha = _resolve_alpha(args)
-    manifest, outdir = _start(args, "extrapolate")
-    p, fit = extrapolated_infimum(alpha, args.beta, args.schedule, args.method)
+    manifest = _start(args)
+    p, fit = extrapolated_infimum(alpha, args.beta, args.schedule)
     record = fit.to_record()
-    record.update({"alpha": alpha, "beta": args.beta, "p_estimate": p})
-    out = outdir / "extrapolation.json"
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(out)
-    manifest.write(outdir / "extrapolate.manifest.json")
+    record.update({"alpha": alpha, "beta": canonicalize(args.beta)[0], "p_estimate": p})
+    _emit(manifest, args.outdir, {"extrapolation.json": record})
     print(f"P estimate = {_fmt(p)}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    _require(args, "alpha_over_pi_min", "alpha_over_pi_max", "steps")
-    manifest, outdir = _start(args, "sweep")
-    grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
-    records = sweep_alpha(
-        args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs
-    )
-    out = outdir / "sweep.csv"
-    with open(out, "w") as fh:
+def _write_sweep_csv(records, path) -> None:
+    with open(path, "w") as fh:
         fh.write("alpha_over_pi,beta,p,residual\n")
         for rec in records:
             if rec.error is not None:
@@ -157,16 +160,24 @@ def cmd_sweep(args) -> int:
                     f"{_fmt(rec.alpha / math.pi)},{_fmt(rec.beta)},"
                     f"{_fmt(rec.p_estimate)},{_fmt(rec.fit_residual)}\n"
                 )
-    manifest.add_output(out)
-    manifest.write(outdir / "sweep.manifest.json")
+
+
+def cmd_sweep(args) -> int:
+    _require(args, "alpha_over_pi_min", "alpha_over_pi_max", "steps")
+    manifest = _start(args)
+    grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
+    records = sweep_alpha(
+        args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs
+    )
+    _emit(manifest, args.outdir, {"sweep.csv": lambda path: _write_sweep_csv(records, path)})
     failures = sum(1 for r in records if r.error is not None)
-    print(f"wrote {out} ({len(records)} points, {failures} failed)")
+    print(f"wrote {args.outdir / 'sweep.csv'} ({len(records)} points, {failures} failed)")
     return 0 if failures == 0 else 1
 
 
 def cmd_infimum(args) -> int:
     _require(args, "alpha_over_pi_min", "alpha_over_pi_max")
-    manifest, outdir = _start(args, "infimum")
+    manifest = _start(args)
     result = find_infimum(
         (args.alpha_over_pi_min * math.pi, args.alpha_over_pi_max * math.pi),
         (args.beta_min, args.beta_max),
@@ -181,10 +192,7 @@ def cmd_infimum(args) -> int:
         "budget_exhausted": result.budget_exhausted,
         "stages": result.stages,
     }
-    out = outdir / "infimum.json"
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(out)
-    manifest.write(outdir / "infimum.manifest.json")
+    _emit(manifest, args.outdir, {"infimum.json": record})
     print(
         f"alpha/pi* = {_fmt(result.alpha / math.pi)}  beta* = {_fmt(result.beta)}  "
         f"p* = {_fmt(result.p)}"
@@ -192,8 +200,15 @@ def cmd_infimum(args) -> int:
     return 0
 
 
+def _write_twomode_csv(rows, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("alpha_over_pi,beta,p_min\n")
+        for aop, b, p in rows:
+            fh.write(f"{_fmt(aop)},{_fmt(b)},{_fmt(p)}\n")
+
+
 def cmd_twomode(args) -> int:
-    manifest, outdir = _start(args, "twomode")
+    manifest = _start(args)
     if args.global_opt:
         alpha_s, beta_s, p_s = global_two_mode_min(args.m1, args.m2)
         record = {
@@ -203,33 +218,21 @@ def cmd_twomode(args) -> int:
             "beta": beta_s,
             "p_min": p_s,
         }
-        out = outdir / "twomode_global.json"
-        out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        manifest.add_output(out)
-        manifest.write(outdir / "twomode.manifest.json")
+        _emit(manifest, args.outdir, {"twomode_global.json": record})
         print(f"p* = {_fmt(p_s)} at alpha/pi = {_fmt(alpha_s / math.pi)}, beta = {_fmt(beta_s)}")
         return 0
     grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
     rows = two_mode_curve(args.m1, args.m2, grid)
-    out = outdir / "twomode_curve.csv"
-    with open(out, "w") as fh:
-        fh.write("alpha_over_pi,beta,p_min\n")
-        for aop, b, p in rows:
-            fh.write(f"{_fmt(aop)},{_fmt(b)},{_fmt(p)}\n")
-    manifest.add_output(out)
-    manifest.write(outdir / "twomode.manifest.json")
-    print(f"wrote {out}")
+    _emit(manifest, args.outdir, {"twomode_curve.csv": lambda path: _write_twomode_csv(rows, path)})
+    print(f"wrote {args.outdir / 'twomode_curve.csv'}")
     return 0
 
 
 def cmd_state(args) -> int:
     _require(args, "n")
     alpha = _resolve_alpha(args)
-    manifest, outdir = _start(args, "state")
-    state = maximizing_state(alpha, args.beta, args.n, args.method)
-    out = outdir / "state.csv"
-    write_state_csv(state, out)
-    manifest.add_output(out)
+    manifest = _start(args)
+    state = maximizing_state(alpha, args.beta, args.n)
     c0 = abs(state.coeffs[0])
     m = np.arange(1, len(state.coeffs))
     decay_ok = bool(np.all(np.abs(state.coeffs[1:]) < c0 / m**2))
@@ -238,10 +241,11 @@ def cmd_state(args) -> int:
         "mean_energy": mean_energy(state),
         "coefficient_decay_below_c0_over_m2": decay_ok,
     }
-    rep = outdir / "state_report.json"
-    rep.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(rep)
-    manifest.write(outdir / "state.manifest.json")
+    _emit(
+        manifest,
+        args.outdir,
+        {"state.csv": lambda path: write_state_csv(state, path), "state_report.json": report},
+    )
     print(f"lambda_min = {_fmt(state.lambda_min)}  <E>T/hbar = {_fmt(report['mean_energy'])}")
     return 0
 
@@ -261,23 +265,20 @@ def _load_state_csv(path):
 
 
 def cmd_current(args) -> int:
-    manifest, outdir = _start(args, "current")
+    manifest = _start(args)
     if args.state_file is not None:
         state = _load_state_csv(args.state_file)
     else:
         alpha = _resolve_alpha(args)
-        state = maximizing_state(alpha, args.beta, args.n, args.method)
+        state = maximizing_state(alpha, args.beta, args.n)
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
-    out = outdir / "current.csv"
-    write_series_csv(series, out)
-    manifest.add_output(out)
-    manifest.write(outdir / "current.manifest.json")
-    print(f"wrote {out}")
+    _emit(manifest, args.outdir, {"current.csv": lambda path: write_series_csv(series, path)})
+    print(f"wrote {args.outdir / 'current.csv'}")
     return 0
 
 
 def cmd_linelimit(args) -> int:
-    manifest, outdir = _start(args, "linelimit")
+    manifest = _start(args)
     if args.ring_route:
         alpha = _resolve_alpha(args)
         value = ring_small_alpha_limit(alpha, args.beta, args.n)
@@ -290,10 +291,7 @@ def cmd_linelimit(args) -> int:
             "n_points": args.n_points,
             "lambda_min": value,
         }
-    out = outdir / "linelimit.json"
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(out)
-    manifest.write(outdir / "linelimit.manifest.json")
+    _emit(manifest, args.outdir, {"linelimit.json": record})
     print(f"lambda_min = {_fmt(value)}")
     return 0
 
@@ -314,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="smallest kernel eigenvalue at one (alpha, beta, N)")
     _add_alpha_beta(p, beta_default=0.0)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_eigen)
 
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", type=_schedule_arg, default=list(DEFAULT_SWEEP_SCHEDULE))
     p.add_argument("--reference-schedule", action="store_true",
                    help="use the 15-point high-accuracy schedule")
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_extrapolate)
 
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("state", help="backflow-maximizing state and decay report")
     _add_alpha_beta(p, beta_default=0.0)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_state)
 
@@ -370,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=-1.5)
     p.add_argument("--tau-max", type=float, default=1.5)
     p.add_argument("--samples", type=int, default=4001)
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_current)
 

@@ -1,9 +1,9 @@
-"""Smallest eigenpair of a truncated backflow kernel.
+"""Smallest eigenpair of a real symmetric matrix: the package's one eigensolver.
 
-Two paths: a dense symmetric solver (LAPACK, the workhorse for N up to a few
-thousand) and an iterative Lanczos path (ARPACK, smallest-algebraic mode) for
-larger truncations.  Both certify the result by an explicit residual instead
-of trusting backend defaults.
+Every eigenvalue in the package comes from here: truncated backflow kernels,
+and the half-line Nystrom matrix of the line limit.  The solve is a dense
+LAPACK subset eigh for the lowest eigenpair, and the result is certified by an
+explicit residual instead of trusting backend defaults.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .kernel import BackflowKernel
-
-# Dense above this size gets slow and memory-hungry; switch to Lanczos.
-_AUTO_ITERATIVE_THRESHOLD = 4000
 
 _RESIDUAL_FACTOR = 1e-10
 
@@ -54,54 +50,35 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def min_eigen(kernel: BackflowKernel, method: str = "auto") -> EigenResult:
-    """Smallest eigenvalue and eigenvector of the kernel.
+def min_eigen(matrix: BackflowKernel | np.ndarray) -> EigenResult:
+    """Smallest eigenvalue and eigenvector of a kernel or real symmetric matrix.
 
-    method: "dense", "iterative", or "auto" (dense up to N = 4000).
     The eigenvector is unit-norm with its first nonzero component positive.
+    n_trunc is the highest index, size - 1 (the kernel's truncation N).  The
+    residual |A v - lambda v| must stay below 1e-10 times the largest
+    diagonal magnitude, otherwise EigenSolveError is raised.
     """
-    if method == "auto":
-        method = "dense" if kernel.size <= _AUTO_ITERATIVE_THRESHOLD else "iterative"
-    if method not in ("dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
+    a = matrix.entries if isinstance(matrix, BackflowKernel) else np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"need a nonempty square matrix, got shape {a.shape}")
+    n_trunc = a.shape[0] - 1
 
-    k = kernel.entries
-    iterations = None
-    if method == "dense":
-        vals, vecs = scipy.linalg.eigh(k, subset_by_index=(0, 0))
-        lam = float(vals[0])
-        vec = vecs[:, 0]
-    else:
-        n = kernel.size
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                k, k=1, which="SA", v0=v0, maxiter=50 * n
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigenSolveError(
-                f"Lanczos did not converge at N={kernel.config.n_trunc}: {exc}; "
-                "fall back to method='dense'"
-            ) from exc
-        lam = float(vals[0])
-        vec = vecs[:, 0]
-        iterations = -1  # ARPACK does not expose its iteration count
-
-    vec = _sign_normalize(np.ascontiguousarray(vec))
+    vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))
+    lam = float(vals[0])
+    vec = _sign_normalize(np.ascontiguousarray(vecs[:, 0]))
     vec = vec / np.linalg.norm(vec)
-    residual = float(np.linalg.norm(k @ vec - lam * vec))
-    scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
+    residual = float(np.linalg.norm(a @ vec - lam * vec))
+    scale = float(np.max(np.abs(np.diagonal(a)))) or 1.0
     if residual > _RESIDUAL_FACTOR * scale:
         raise EigenSolveError(
             f"residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * {scale:.3e} "
-            f"(method={method}, N={kernel.config.n_trunc})"
+            f"(N={n_trunc})"
         )
     vec.setflags(write=False)
     return EigenResult(
         lambda_min=lam,
         eigenvector=vec,
-        n_trunc=kernel.config.n_trunc,
+        n_trunc=n_trunc,
         residual_norm=residual,
-        method=method,
-        iterations=iterations,
+        method="dense",
     )

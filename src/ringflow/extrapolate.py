@@ -113,7 +113,6 @@ def extrapolated_infimum(
     alpha: float,
     beta: float,
     schedule=DEFAULT_SWEEP_SCHEDULE,
-    method: str = "auto",
     eigen_cache: dict | None = None,
 ) -> tuple[float, ExtrapolationFit]:
     """Estimate inf_Psi P at (alpha, beta) by solving along a truncation schedule.
@@ -130,7 +129,7 @@ def extrapolated_infimum(
         cached = eigen_cache.get(n) if eigen_cache is not None else None
         if cached is None:
             try:
-                cached = min_eigen(build_kernel(RingConfig(alpha, beta, n)), method)
+                cached = min_eigen(build_kernel(RingConfig(alpha, beta, n)))
             except Exception as exc:
                 raise ExtrapolationError(n, exc) from exc
             if eigen_cache is not None:

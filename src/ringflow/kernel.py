@@ -114,8 +114,9 @@ def build_kernel(config: RingConfig) -> BackflowKernel:
 def integrated_current(coeffs: np.ndarray, kernel: BackflowKernel) -> float:
     """Quadratic form sum_{m,n} conj(c_m) K[m,n] c_n for a normalized state.
 
-    Row order is fixed (ascending m) and the row contributions are combined
-    with Kahan compensation, so the result is reproducible across runs.
+    One matrix-vector product per real and imaginary part and one dot
+    product, all in fixed BLAS order, so the result is reproducible across
+    runs.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.shape[0] != kernel.size:
@@ -126,22 +127,8 @@ def integrated_current(coeffs: np.ndarray, kernel: BackflowKernel) -> float:
     if abs(norm_sq - 1.0) > 1e-10:
         raise ValueError(f"state not normalized: sum |c_m|^2 = {norm_sq!r}")
 
-    total = 0.0 + 0.0j
-    carry = 0.0 + 0.0j
-    for m in range(kernel.size):
-        term = np.conj(c[m]) * np.dot(kernel.entries[m], c) + carry
-        new_total = total + term
-        carry = term - (new_total - total)
-        total = new_total
+    k = kernel.entries
+    total = np.vdot(c, k @ c.real + 1j * (k @ c.imag))
     if abs(total.imag) > 1e-12:
         raise ArithmeticError(f"quadratic form has imaginary part {total.imag!r}")
-    return total.real
-
-
-def write_kernel_csv(kernel: BackflowKernel, path) -> None:
-    """Dump the kernel row-major at 17 significant digits (debugging aid)."""
-    cfg = kernel.config
-    with open(path, "w") as fh:
-        fh.write(f"# alpha={cfg.alpha:.17g} beta={cfg.beta:.17g} n={cfg.n_trunc}\n")
-        for row in kernel.entries:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return float(total.real)

@@ -18,8 +18,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from .eigen import min_eigen
 from .kernel import RingConfig, build_kernel, sinc
 
 
@@ -58,9 +58,7 @@ def line_kernel(grid: LineGrid) -> np.ndarray:
 def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> float:
     """Smallest eigenvalue of the Nystrom matrix; approaches -c_line as the
     grid is refined and u_max grows."""
-    a = line_kernel(LineGrid(u_max, n_points))
-    vals = scipy.linalg.eigh(a, subset_by_index=(0, 0), eigvals_only=True)
-    return float(vals[0])
+    return min_eigen(line_kernel(LineGrid(u_max, n_points))).lambda_min
 
 
 def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
@@ -75,9 +73,7 @@ def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
             "u-coverage too small for the line limit",
             stacklevel=2,
         )
-    kernel = build_kernel(RingConfig(alpha, beta, n_trunc))
-    vals = scipy.linalg.eigh(kernel.entries, subset_by_index=(0, 0), eigvals_only=True)
-    return float(vals[0])
+    return min_eigen(build_kernel(RingConfig(alpha, beta, n_trunc))).lambda_min
 
 
 def convergence_study(

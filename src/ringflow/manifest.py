@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
 
 
 def sha256_of(path) -> str:
@@ -23,7 +23,7 @@ def sha256_of(path) -> str:
 class RunManifest:
     command: str
     parameters: dict
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     started: str = field(
         default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
     )
@@ -50,6 +50,3 @@ class RunManifest:
             )
             + "\n"
         )
-
-    def verify_outputs(self) -> bool:
-        return all(sha256_of(o["path"]) == o["sha256"] for o in self.outputs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import EigenResult, min_eigen
-from .kernel import RingConfig, build_kernel
+from .kernel import RingConfig, build_kernel, canonicalize
 
 _CHUNK = 512
 
@@ -66,21 +66,17 @@ def make_state(coeffs, alpha: float, beta: float) -> ModeAmplitudes:
     n = np.linalg.norm(c)
     if n == 0:
         raise ValueError("zero coefficient vector")
-    from .kernel import canonicalize
-
     beta, _ = canonicalize(beta)
     return ModeAmplitudes(coeffs=c / n, alpha=alpha, beta=beta)
 
 
-def maximizing_state(
-    alpha: float, beta: float, n_trunc: int, method: str = "auto"
-) -> ModeAmplitudes:
+def maximizing_state(alpha: float, beta: float, n_trunc: int) -> ModeAmplitudes:
     """Eigenvector of the smallest kernel eigenvalue as a mode-amplitude state.
 
     The kernel is real symmetric, so the coefficients come out real.
     """
     config = RingConfig(alpha, beta, n_trunc)
-    result = min_eigen(build_kernel(config), method)
+    result = min_eigen(build_kernel(config))
     return ModeAmplitudes(
         coeffs=result.eigenvector.astype(complex),
         alpha=config.alpha,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extrapolate import DEFAULT_SWEEP_SCHEDULE, extrapolated_infimum
+from .kernel import canonicalize
 
 
 @dataclass(frozen=True)
@@ -23,15 +24,6 @@ class SweepRecord:
     schedule: tuple[int, ...]
     fit_residual: float
     error: str | None = None
-
-    def to_row(self) -> dict:
-        return {
-            "alpha_over_pi": self.alpha / np.pi,
-            "beta": self.beta,
-            "p": self.p_estimate,
-            "residual": self.fit_residual,
-            "error": self.error,
-        }
 
 
 @dataclass(frozen=True)
@@ -44,9 +36,9 @@ class InfimumResult:
     stages: int
 
 
-def _one_point(alpha, beta, schedule, method):
+def _one_point(alpha, beta, schedule):
     try:
-        p, fit = extrapolated_infimum(alpha, beta, schedule, method)
+        p, fit = extrapolated_infimum(alpha, beta, schedule)
         return SweepRecord(alpha, beta, p, tuple(schedule), fit.residual)
     except Exception as exc:  # per-point failures stay in-band
         return SweepRecord(alpha, beta, float("nan"), tuple(schedule), float("nan"), str(exc))
@@ -56,20 +48,21 @@ def sweep_alpha(
     beta: float,
     alpha_grid,
     schedule=DEFAULT_SWEEP_SCHEDULE,
-    method: str = "auto",
     jobs: int = 1,
 ) -> list[SweepRecord]:
     """One extrapolated-infimum record per grid alpha, in grid order.
 
-    LAPACK releases the GIL, so thread workers parallelize the eigensolves.
+    Records carry beta canonicalized to (-1, 0].  LAPACK releases the GIL, so
+    thread workers parallelize the eigensolves.
     """
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("empty alpha grid")
+    beta, _ = canonicalize(beta)
     if jobs <= 1:
-        return [_one_point(a, beta, schedule, method) for a in alpha_grid]
+        return [_one_point(a, beta, schedule) for a in alpha_grid]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_one_point, a, beta, schedule, method) for a in alpha_grid]
+        futures = [pool.submit(_one_point, a, beta, schedule) for a in alpha_grid]
         return [f.result() for f in futures]
 
 
@@ -116,11 +109,9 @@ def find_infimum(
         used += len(points)
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                recs = list(
-                    pool.map(lambda ab: _one_point(*ab, schedule, "auto"), points)
-                )
+                recs = list(pool.map(lambda ab: _one_point(*ab, schedule), points))
         else:
-            recs = [_one_point(a, b, schedule, "auto") for a, b in points]
+            recs = [_one_point(a, b, schedule) for a, b in points]
         for r in recs:
             if r.error is None and (best is None or r.p_estimate < best[0]):
                 best = (r.p_estimate, r.alpha, r.beta)

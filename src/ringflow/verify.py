@@ -10,9 +10,24 @@ import numpy as np
 
 from .eigen import min_eigen
 from .extrapolate import fit_quadratic
-from .kernel import RingConfig, build_kernel, canonicalize, integrated_current
+from .kernel import RingConfig, build_kernel, canonicalize, integrated_current, sinc
 from .state import make_state, time_quadrature_p
 from .twomode import minimize_two_mode, two_mode_p, two_mode_p_min
+
+
+class CheckFailed(Exception):
+    """A verification check found a wrong value."""
+
+
+def _expect(ok, what: str) -> None:
+    # explicit raise rather than assert, so the checks also run under python -O
+    if not ok:
+        raise CheckFailed(what)
+
+
+def _expect_close(got, want, tol: float, what: str) -> None:
+    if not abs(got - want) < tol:
+        raise CheckFailed(f"{what}: got {got!r}, want {want!r} within {tol:.0e}")
 
 
 def _random_state(rng, n_modes):
@@ -21,20 +36,21 @@ def _random_state(rng, n_modes):
 
 
 def check_canonicalize():
-    assert canonicalize(0.0) == (0.0, 0)
-    assert canonicalize(-0.5) == (-0.5, 0)
+    _expect(canonicalize(0.0) == (0.0, 0), "canonicalize(0.0) == (0.0, 0)")
+    _expect(canonicalize(-0.5) == (-0.5, 0), "canonicalize(-0.5) == (-0.5, 0)")
     beta, shift = canonicalize(1.75)
-    assert shift == 2 and abs(beta + 0.25) < 1e-15
+    _expect(shift == 2, "canonicalize(1.75) shifts by 2")
+    _expect_close(beta, -0.25, 1e-15, "canonicalize(1.75) beta")
     return "beta canonicalization"
 
 
 def check_kernel_entries():
     k = build_kernel(RingConfig(np.pi, 0.0, 4)).entries
-    assert k[0, 0] == 0.0
-    assert abs(k[0, 1]) < 1e-12
-    assert abs(k[1, 1] - 2.0) < 1e-14
+    _expect(k[0, 0] == 0.0, "K[0,0] == 0 at alpha = pi")
+    _expect_close(k[0, 1], 0.0, 1e-12, "K[0,1] at alpha = pi")
+    _expect_close(k[1, 1], 2.0, 1e-14, "K[1,1] at alpha = pi")
     k2 = build_kernel(RingConfig(np.pi / 2, -0.5, 2)).entries
-    assert abs(k2[0, 0] - 0.5) < 1e-15
+    _expect_close(k2[0, 0], 0.5, 1e-15, "K[0,0] at alpha = pi/2, beta = -1/2")
     return "kernel entries at reference points"
 
 
@@ -43,7 +59,7 @@ def check_kernel_symmetry():
     for _ in range(5):
         cfg = RingConfig(float(rng.uniform(0.1, 6)), float(rng.uniform(-0.99, 0)), 40)
         k = build_kernel(cfg).entries
-        assert np.array_equal(k, k.T)
+        _expect(np.array_equal(k, k.T), f"kernel bitwise symmetric at {cfg}")
     return "kernel symmetry (bitwise)"
 
 
@@ -55,7 +71,7 @@ def check_single_mode_unboundedness():
         c = np.zeros(kern.size, dtype=complex)
         c[m1] = 1.0
         p = integrated_current(c, kern)
-        assert abs(p - 2 * alpha * (m1 - beta) / np.pi) < 1e-12
+        _expect_close(p, 2 * alpha * (m1 - beta) / np.pi, 1e-12, f"current of mode {m1}")
     return "single-mode current 2*alpha*(m-beta)/pi"
 
 
@@ -69,13 +85,11 @@ def check_beta_shift_invariance():
     m = np.arange(n + 2.0)
     s = m[:, None] + m[None, :] - 2.0 * (beta + 1.0)
     d = m[:, None] - m[None, :]
-    from .kernel import sinc
-
     raw = (alpha / np.pi) * s * sinc(alpha * s * d)
     c_shift = np.concatenate([[0.0], c])
     p1 = (np.conj(c_shift) @ raw @ c_shift).real
-    assert abs(p0 - p1) <= 1e-12 * max(1.0, abs(p0))
-    assert shifted.config.beta_shift == 1
+    _expect_close(p1, p0, 1e-12 * max(1.0, abs(p0)), "current after beta -> beta + 1")
+    _expect(shifted.config.beta_shift == 1, "beta + 1 canonicalizes with shift 1")
     return "beta -> beta + 1 index-shift invariance"
 
 
@@ -88,14 +102,14 @@ def check_quadrature_oracle():
         kern = build_kernel(RingConfig(alpha, beta, 7))
         p_form = integrated_current(state.coeffs, kern)
         p_quad = time_quadrature_p(state, 16385)
-        assert abs(p_form - p_quad) < 1e-8
+        _expect_close(p_quad, p_form, 1e-8, f"Simpson quadrature at alpha = {alpha!r}")
     return "quadratic form vs Simpson time quadrature"
 
 
 def check_two_mode():
-    assert abs(two_mode_p(0, 1, np.pi, 0.0, np.pi / 2, 0.0) - 1.0) < 1e-12
+    _expect_close(two_mode_p(0, 1, np.pi, 0.0, np.pi / 2, 0.0), 1.0, 1e-12, "two-mode P")
     res = minimize_two_mode(0, 1, np.pi, 0.0)
-    assert abs(res.p_min) < 1e-12
+    _expect_close(res.p_min, 0.0, 1e-12, "two-mode minimum at alpha = pi")
     rng = np.random.default_rng(5)
     for _ in range(20):
         alpha = float(rng.uniform(0.1, 5.0))
@@ -105,21 +119,23 @@ def check_two_mode():
         lhs = two_mode_p_min(m1, m2, alpha, beta)
         b = m2 - m1
         rhs = two_mode_p_min(0, 1, alpha * b * b, (beta - m1) / b) / b
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        _expect_close(rhs, lhs, 1e-12 * max(1.0, abs(lhs)), f"scaling of pair ({m1}, {m2})")
     return "two-mode closed form and scaling relation"
 
 
 def check_zero_at_pi():
     res = min_eigen(build_kernel(RingConfig(np.pi, 0.0, 200)))
-    assert abs(res.lambda_min) < 1e-12
+    _expect_close(res.lambda_min, 0.0, 1e-12, "lambda_min at alpha = pi")
     return "lambda_min = 0 at alpha = pi, beta = 0"
 
 
 def check_fit_roundtrip():
     ns = [100, 200, 400, 800]
     fit = fit_quadratic([(n, 2.0 + 3.0 / n - 1.0 / n**2) for n in ns])
-    assert abs(fit.a0 - 2) < 1e-10 and abs(fit.a1 - 3) < 1e-8 and abs(fit.a2 + 1) < 1e-6
-    assert fit.residual < 1e-24
+    _expect_close(fit.a0, 2.0, 1e-10, "fit a0")
+    _expect_close(fit.a1, 3.0, 1e-8, "fit a1")
+    _expect_close(fit.a2, -1.0, 1e-6, "fit a2")
+    _expect(fit.residual < 1e-24, f"fit residual {fit.residual!r} < 1e-24")
     return "quadratic fit recovers exact data"
 
 

@@ -1,15 +1,32 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringflow
 from ringflow.cli import main
 from ringflow.manifest import sha256_of
 
 
 def run(args):
     return main(args)
+
+
+def check_manifest(outdir, command, data_files):
+    """The manifest names the command and holds one valid digest per data file."""
+    manifest = json.loads((outdir / f"{command}.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["tool_version"] == ringflow.__version__
+    written = {p.name for p in outdir.iterdir() if not p.name.endswith(".manifest.json")}
+    assert written == set(data_files)
+    assert sorted(Path(o["path"]).name for o in manifest["outputs"]) == sorted(data_files)
+    for output in manifest["outputs"]:
+        assert sha256_of(output["path"]) == output["sha256"]
 
 
 class TestEigenCommand:
@@ -79,10 +96,61 @@ class TestSweepCommand:
                 "--outdir", str(tmp_path),
             ]
         )
-        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["command"] == "sweep"
-        for output in manifest["outputs"]:
-            assert sha256_of(output["path"]) == output["sha256"]
+        check_manifest(tmp_path, "sweep", ["sweep.csv"])
+
+
+# every other file-writing subcommand; sweep is TestSweepCommand's case
+MANIFEST_CASES = {
+    "eigen": (["eigen", "--alpha", "1.0", "--n", "20"], ["eigen.json"]),
+    "extrapolate": (
+        ["extrapolate", "--alpha-over-pi", "1", "--schedule", "50,60,70,80"],
+        ["extrapolation.json"],
+    ),
+    "twomode-curve": (["twomode", "--steps", "5"], ["twomode_curve.csv"]),
+    "twomode-global": (["twomode", "--global"], ["twomode_global.json"]),
+    "state": (["state", "--alpha", "1.0", "--n", "20"], ["state.csv", "state_report.json"]),
+    "current": (
+        ["current", "--alpha", "1.0", "--n", "20", "--samples", "11"],
+        ["current.csv"],
+    ),
+    "linelimit-nystrom": (["linelimit", "--n-points", "100"], ["linelimit.json"]),
+    "linelimit-ring": (
+        ["linelimit", "--ring-route", "--alpha", "0.1", "--n", "100"],
+        ["linelimit.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_digests(tmp_path, case):
+    argv, data_files = MANIFEST_CASES[case]
+    assert run(argv + ["--outdir", str(tmp_path)]) == 0
+    check_manifest(tmp_path, argv[0], data_files)
+
+
+class TestCanonicalBeta:
+    def test_extrapolate_reports_reduced_beta(self, tmp_path):
+        args = ["extrapolate", "--alpha-over-pi", "0.5", "--schedule", "50,60,70,80"]
+        assert run(args + ["--beta", "0.5", "--outdir", str(tmp_path / "raw")]) == 0
+        assert run(args + ["--beta", "-0.5", "--outdir", str(tmp_path / "canon")]) == 0
+        raw = json.loads((tmp_path / "raw" / "extrapolation.json").read_text())
+        canon = json.loads((tmp_path / "canon" / "extrapolation.json").read_text())
+        assert raw["beta"] == -0.5
+        assert raw == canon
+
+    def test_sweep_rows_carry_reduced_beta(self, tmp_path):
+        args = [
+            "sweep",
+            "--alpha-over-pi-min", "0.5",
+            "--alpha-over-pi-max", "1",
+            "--steps", "2",
+            "--schedule", "50,60,70,80",
+        ]
+        assert run(args + ["--beta", "1.5", "--outdir", str(tmp_path / "raw")]) == 0
+        assert run(args + ["--beta", "-0.5", "--outdir", str(tmp_path / "canon")]) == 0
+        raw = (tmp_path / "raw" / "sweep.csv").read_bytes()
+        assert raw == (tmp_path / "canon" / "sweep.csv").read_bytes()
+        assert all(line.split(",")[1] == "-0.5" for line in raw.decode().splitlines()[1:])
 
 
 class TestExtrapolateCommand:
@@ -219,3 +287,24 @@ class TestVerifyCommand:
         assert run(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_broken_kernel_caught_under_optimize(self):
+        # python -O strips assert statements; the checks must still fail
+        script = (
+            "import sys\n"
+            "import ringflow.verify as v\n"
+            "from ringflow.kernel import BackflowKernel, build_kernel\n"
+            "def broken(cfg):\n"
+            "    return BackflowKernel(cfg, build_kernel(cfg).entries + 0.5)\n"
+            "v.build_kernel = broken\n"
+            "print(sys.flags.optimize, v.run_all(out=lambda line: None))\n"
+        )
+        src = str(Path(ringflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        optimize, failures = map(int, proc.stdout.split())
+        assert optimize == 1
+        assert failures > 0

@@ -39,34 +39,35 @@ def test_residual_certified():
 
 
 def test_dense_vs_iterative_agree():
+    # subset solve against the full spectrum of an independent LAPACK driver
     rng = np.random.default_rng(123)
     for _ in range(20):
         alpha = float(rng.uniform(0.2, 6.0))
         beta = float(rng.uniform(-0.99, 0.0))
         n = int(rng.integers(50, 300))
         kern = build_kernel(RingConfig(alpha, beta, n))
-        dense = min_eigen(kern, "dense")
-        iterative = min_eigen(kern, "iterative")
-        assert iterative.lambda_min == pytest.approx(dense.lambda_min, abs=1e-10)
-        assert iterative.method == "iterative"
+        full = np.linalg.eigvalsh(kern.entries)[0]
+        assert min_eigen(kern).lambda_min == pytest.approx(full, abs=1e-10)
 
 
 def test_iterative_matches_at_moderate_size():
     kern = build_kernel(RingConfig(ALPHA_STAR, 0.0, 800))
-    dense = min_eigen(kern, "dense")
-    iterative = min_eigen(kern, "iterative")
-    assert iterative.lambda_min == pytest.approx(dense.lambda_min, abs=1e-10)
+    full = np.linalg.eigvalsh(kern.entries)[0]
+    assert min_eigen(kern).lambda_min == pytest.approx(full, abs=1e-10)
 
 
-def test_auto_method_selection():
-    kern = build_kernel(RingConfig(1.0, 0.0, 50))
-    assert min_eigen(kern, "auto").method == "dense"
+def test_plain_matrix_same_path_as_kernel():
+    kern = build_kernel(RingConfig(1.3, -0.2, 120))
+    via_kernel = min_eigen(kern)
+    via_matrix = min_eigen(kern.entries)
+    assert via_matrix.lambda_min == via_kernel.lambda_min
+    assert np.array_equal(via_matrix.eigenvector, via_kernel.eigenvector)
+    assert via_matrix.n_trunc == 120
 
 
-def test_unknown_method_rejected():
-    kern = build_kernel(RingConfig(1.0, 0.0, 10))
+def test_non_square_rejected():
     with pytest.raises(ValueError):
-        min_eigen(kern, "qr")
+        min_eigen(np.zeros((3, 4)))
 
 
 def test_variational_bound_via_unit_vectors():

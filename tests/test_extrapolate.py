@@ -75,7 +75,7 @@ class TestExtrapolatedInfimum:
     def test_solver_failure_carries_n(self, monkeypatch):
         import ringflow.extrapolate as ex
 
-        def boom(kernel, method="auto"):
+        def boom(kernel):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(ex, "min_eigen", boom)

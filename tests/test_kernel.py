@@ -12,7 +12,6 @@ from ringflow import (
     integrated_current,
     sinc,
 )
-from ringflow.kernel import write_kernel_csv
 
 from conftest import random_state
 
@@ -160,6 +159,18 @@ class TestIntegratedCurrent:
         with pytest.raises(ValueError, match="normalized"):
             integrated_current(np.ones(6, dtype=complex), kern)
 
+    def test_deterministic_and_matches_row_ordered_sum(self):
+        rng = np.random.default_rng(17)
+        kern = build_kernel(RingConfig(0.3703965 * math.pi, -0.3, 3000))
+        c = random_state(rng, kern.size)
+        first = integrated_current(c, kern)
+        for _ in range(3):
+            assert integrated_current(c, kern) == first
+        rows = 0.0 + 0.0j
+        for m in range(kern.size):
+            rows += np.conj(c[m]) * np.dot(kern.entries[m], c)
+        assert first == pytest.approx(rows.real, rel=1e-14)
+
     def test_beta_shift_invariance(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -177,14 +188,3 @@ class TestIntegratedCurrent:
             c_shift = np.concatenate([[0.0], c])
             p1 = float((np.conj(c_shift) @ raw @ c_shift).real)
             assert p1 == pytest.approx(p0, rel=1e-12, abs=1e-12)
-
-
-class TestKernelCsv:
-    def test_header_and_roundtrip(self, tmp_path):
-        kern = build_kernel(RingConfig(1.25, -0.3, 4))
-        path = tmp_path / "kernel.csv"
-        write_kernel_csv(kern, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# alpha=1.25 beta=-0.29999999999999999 n=4"
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(data, kern.entries)

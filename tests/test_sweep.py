@@ -41,11 +41,11 @@ class TestSweepAlpha:
         calls = {"n": 0}
         real = sw.extrapolated_infimum
 
-        def flaky(alpha, beta, schedule, method="auto"):
+        def flaky(alpha, beta, schedule):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("synthetic")
-            return real(alpha, beta, schedule, method)
+            return real(alpha, beta, schedule)
 
         monkeypatch.setattr(sw, "extrapolated_infimum", flaky)
         records = sweep_alpha(0.0, [math.pi, 2 * math.pi], FAST)
