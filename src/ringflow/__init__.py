@@ -22,9 +22,10 @@ from .kernel import (
     build_kernel,
     canonicalize,
     integrated_current,
+    kernel_entries,
     sinc,
 )
-from .linelimit import LineGrid, line_kernel, line_limit_min, ring_small_alpha_limit
+from .linelimit import LineLimitResult, line_limit_min, ring_small_alpha_limit
 from .state import (
     CurrentSeries,
     ModeAmplitudes,
@@ -51,7 +52,7 @@ __all__ = [
     "EigenSolveError",
     "ExtrapolationFit",
     "InfimumResult",
-    "LineGrid",
+    "LineLimitResult",
     "ModeAmplitudes",
     "REFERENCE_SCHEDULE",
     "RingConfig",
@@ -65,7 +66,7 @@ __all__ = [
     "fit_quadratic",
     "global_two_mode_min",
     "integrated_current",
-    "line_kernel",
+    "kernel_entries",
     "line_limit_min",
     "make_state",
     "maximizing_state",

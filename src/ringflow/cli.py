@@ -11,6 +11,7 @@ file supplies defaults, and flags win over the config file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,9 +33,9 @@ from .linelimit import line_limit_min, ring_small_alpha_limit
 from .manifest import RunManifest
 from .state import (
     current_series,
-    make_state,
     maximizing_state,
     mean_energy,
+    read_state_csv,
     write_series_csv,
     write_state_csv,
 )
@@ -153,13 +154,11 @@ def _write_sweep_csv(records, path) -> None:
     with open(path, "w") as fh:
         fh.write("alpha_over_pi,beta,p,residual\n")
         for rec in records:
-            if rec.error is not None:
-                fh.write(f"{_fmt(rec.alpha / math.pi)},{_fmt(rec.beta)},nan,nan\n")
-            else:
-                fh.write(
-                    f"{_fmt(rec.alpha / math.pi)},{_fmt(rec.beta)},"
-                    f"{_fmt(rec.p_estimate)},{_fmt(rec.fit_residual)}\n"
-                )
+            # a failed point carries nan for both, which formats as "nan"
+            fh.write(
+                f"{_fmt(rec.alpha / math.pi)},{_fmt(rec.beta)},"
+                f"{_fmt(rec.p_estimate)},{_fmt(rec.fit_residual)}\n"
+            )
 
 
 def cmd_sweep(args) -> int:
@@ -250,24 +249,10 @@ def cmd_state(args) -> int:
     return 0
 
 
-def _load_state_csv(path):
-    header = None
-    coeffs = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            header = dict(tok.split("=") for tok in line[1:].split())
-        elif line and not line.startswith("m,"):
-            _, re_c, im_c = line.split(",")
-            coeffs.append(complex(float(re_c), float(im_c)))
-    if header is None:
-        raise ValueError(f"state file {path} has no header line")
-    return make_state(np.array(coeffs), float(header["alpha"]), float(header["beta"]))
-
-
 def cmd_current(args) -> int:
     manifest = _start(args)
     if args.state_file is not None:
-        state = _load_state_csv(args.state_file)
+        state = read_state_csv(args.state_file)
     else:
         alpha = _resolve_alpha(args)
         state = maximizing_state(alpha, args.beta, args.n)
@@ -284,13 +269,10 @@ def cmd_linelimit(args) -> int:
         value = ring_small_alpha_limit(alpha, args.beta, args.n)
         record = {"route": "ring", "alpha": alpha, "n_trunc": args.n, "lambda_min": value}
     else:
-        value = line_limit_min(args.u_max, args.n_points)
-        record = {
-            "route": "nystrom",
-            "u_max": args.u_max,
-            "n_points": args.n_points,
-            "lambda_min": value,
-        }
+        result = line_limit_min(args.u_max, args.n_points)
+        value = result.lambda_min
+        record = {"route": "nystrom", "u_max": args.u_max, "n_points": args.n_points}
+        record.update(dataclasses.asdict(result))
     _emit(manifest, args.outdir, {"linelimit.json": record})
     print(f"lambda_min = {_fmt(value)}")
     return 0

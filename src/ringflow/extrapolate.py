@@ -44,9 +44,6 @@ class ExtrapolationFit:
     lambda_values: tuple[float, ...]
     band_ok: bool = field(default=True, compare=False)
 
-    def evaluate(self, n: float) -> float:
-        return self.a0 + self.a1 / n + self.a2 / n**2
-
     def to_record(self) -> dict:
         return {
             "schedule": list(self.n_values),

@@ -96,17 +96,25 @@ class BackflowKernel:
         return np.diagonal(self.entries)
 
 
-def build_kernel(config: RingConfig) -> BackflowKernel:
-    """Construct the (n_trunc+1) x (n_trunc+1) backflow kernel.
+def kernel_entries(alpha: float, beta: float, size: int) -> np.ndarray:
+    """K[m, n] for m, n = 0..size-1, the package's one evaluation of the formula.
 
-    Bitwise symmetric by construction: the sinc argument enters through its
-    absolute value, which is identical for (m, n) and (n, m).
+    beta is taken as given, not canonicalized.  Bitwise symmetric: the sinc
+    argument enters through its absolute value, identical for (m, n) and
+    (n, m).  Formed in place, so only s and the sinc values outlive sinc.
     """
-    alpha, beta = config.alpha, config.beta
-    m = np.arange(config.size, dtype=float)
-    s = m[:, None] + m[None, :] - 2.0 * beta
-    d = m[:, None] - m[None, :]
-    entries = (alpha / np.pi) * s * sinc(alpha * s * d)
+    m = np.arange(size, dtype=float)
+    s = m[:, None] + m[None, :]
+    s -= 2.0 * beta
+    z = sinc(alpha * s * (m[:, None] - m[None, :]))
+    s *= alpha / np.pi
+    s *= z
+    return s
+
+
+def build_kernel(config: RingConfig) -> BackflowKernel:
+    """Construct the (n_trunc+1) x (n_trunc+1) backflow kernel."""
+    entries = kernel_entries(config.alpha, config.beta, config.size)
     entries.setflags(write=False)
     return BackflowKernel(config=config, entries=entries)
 

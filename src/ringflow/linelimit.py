@@ -1,80 +1,70 @@
 """Recovery of the straight-line backflow constant from the ring problem.
 
-Two independent routes:
-  * direct Nystrom discretization of the half-line integral eigenproblem
-    (1/pi) int_0^inf dv (u + v) sinc(u^2 - v^2) f(v) = lambda f(u),
-  * the small-alpha limit of the ring kernel, where u = m*sqrt(alpha) turns
-    the mode sum into a Riemann sum over the same equation.
+Two routes to the half-line eigenproblem
+(1/pi) int_0^inf dv (u + v) sinc(u^2 - v^2) f(v) = lambda f(u), both through
+the ring kernel: with u_m = (m - beta) h and alpha = h^2,
+K[m, n] = (h/pi)(u_m + u_n) sinc(u_m^2 - u_n^2) up to rounding (under 3e-13
+of the largest entry at n = 4000).  beta = -1/2 is the midpoint Nystrom rule
+on (0, (N+1) h], which line_limit_min uses; the small-alpha ring route at
+beta = 0 is the left-endpoint rule, with a node at u = 0.
 
 The eigenfunction decays slowly, so the half-line truncation u_max dominates
 the error of the Nystrom route: the smallest eigenvalue of the operator cut
 off at (0, u_max] follows lambda(U) ~ lambda_inf + a/U + b/U^2 with
 a ~ 0.0336, however fine the grid.  line_limit_min removes the leading a/U
-term by a two-point Richardson step at fixed spacing: on the midpoint grid
-the first k = n//2 nodes span (0, U*k/n], and their Nystrom matrix is the
-leading k x k block of the full one, so the second eigenvalue needs no second
-kernel build.  What remains is O(1/U^2).  The raw interval eigenvalue is
-min_eigen(line_kernel(LineGrid(u_max, n_points))).  Convergence is reported
-rather than assumed.
+term by a two-point Richardson step at fixed spacing: the first k = n//2
+midpoint nodes span (0, U*k/n], and their Nystrom matrix is the leading k x k
+block of the full one, so the second eigenvalue needs no second kernel build.
+What remains is O(1/U^2).  The raw interval eigenvalue,
+ring_small_alpha_limit((u_max/n)**2, -0.5, n - 1), is reported beside it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .eigen import min_eigen
-from .kernel import RingConfig, build_kernel, sinc
+from .kernel import RingConfig, build_kernel
 
 
 @dataclass(frozen=True)
-class LineGrid:
-    """Uniform midpoint grid on (0, u_max]; keeps the Nystrom matrix symmetric
-    with uniform weights and avoids the u = 0 endpoint."""
+class LineLimitResult:
+    """The Richardson estimate and the interval eigenvalues on (0, u_max] and
+    (0, u_half] that it combines."""
 
-    u_max: float
-    n_points: int
-    spacing: float = field(init=False)
-    nodes: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not (self.u_max > 0):
-            raise ValueError("u_max must be positive")
-        if self.n_points < 2:
-            raise ValueError("need at least 2 grid points")
-        spacing = self.u_max / self.n_points
-        nodes = (np.arange(self.n_points) + 0.5) * spacing
-        nodes.setflags(write=False)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "nodes", nodes)
+    lambda_min: float
+    lambda_interval: float
+    lambda_half_interval: float
+    u_half: float
 
 
-def line_kernel(grid: LineGrid) -> np.ndarray:
-    """Nystrom matrix A_ij = (spacing/pi) (u_i + u_j) sinc(u_i^2 - u_j^2)."""
-    u = grid.nodes
-    usq = u * u
-    arg = usq[:, None] - usq[None, :]
-    a = (grid.spacing / np.pi) * (u[:, None] + u[None, :]) * sinc(arg)
-    a.setflags(write=False)
-    return a
-
-
-def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> float:
+def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult:
     """Half-line smallest eigenvalue, with the leading 1/u_max truncation term
     removed; approaches -c_line as the grid is refined and u_max grows.
 
-    lambda(U) on (0, u_max] and lambda(U') on the first k = n_points//2 nodes,
-    U' = u_max*k/n_points, at the same spacing, give the Richardson estimate
-    (n_points*lambda(U) - k*lambda(U')) / (n_points - k).
+    The Nystrom matrix on n_points midpoint nodes of (0, u_max] is the ring
+    kernel at alpha = (u_max/n_points)^2, beta = -1/2.  lambda(U) on all nodes
+    and lambda(U') on the first k = n_points//2, U' = u_max*k/n_points, give
+    lambda_min = (n_points*lambda(U) - k*lambda(U')) / (n_points - k).
     """
-    a = line_kernel(LineGrid(u_max, n_points))
+    # checked here: a negative u_max would square to a valid alpha
+    if not 0 < u_max < math.inf:
+        raise ValueError(f"u_max must be positive and finite, got {u_max!r}")
+    if n_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {n_points!r}")
+    h = u_max / n_points
+    kernel = build_kernel(RingConfig(h * h, -0.5, n_points - 1))
     k = n_points // 2
-    lam_full = min_eigen(a).lambda_min
-    lam_half = min_eigen(a[:k, :k]).lambda_min
-    return (n_points * lam_full - k * lam_half) / (n_points - k)
+    lam_full = min_eigen(kernel).lambda_min
+    lam_half = min_eigen(kernel.entries[:k, :k]).lambda_min
+    return LineLimitResult(
+        lambda_min=(n_points * lam_full - k * lam_half) / (n_points - k),
+        lambda_interval=lam_full,
+        lambda_half_interval=lam_half,
+        u_half=u_max * k / n_points,
+    )
 
 
 def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
@@ -82,6 +72,11 @@ def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
 
     The mode index covers u = m*sqrt(alpha) up to n_trunc*sqrt(alpha), so
     n_trunc must grow like 1/sqrt(alpha) for the limit to be visible.
+
+    beta = 0 is the left-endpoint rule, O(sqrt(alpha)) below the beta = -1/2
+    midpoint rule: at alpha = 1e-3, n_trunc = 1000 it gives -0.0394142,
+    2.04e-3 below the midpoint value -0.0373757, which lies 1.08e-3 above
+    -c_line from truncation at u ~ 31.6; the two errors partly cancel.
     """
     if n_trunc * math.sqrt(alpha) < 8.0:
         warnings.warn(
@@ -103,12 +98,5 @@ def convergence_study(
     rows = []
     for k in range(doublings + 1):
         um, n = u_max * 2**k, n_points * 2**k
-        rows.append((um, n, line_limit_min(um, n)))
+        rows.append((um, n, line_limit_min(um, n).lambda_min))
     return rows
-
-
-def write_convergence_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("u_max,n_points,lambda_min\n")
-        for um, n, lam in rows:
-            fh.write(f"{um:.17g},{n},{lam:.17g}\n")

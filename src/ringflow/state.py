@@ -14,6 +14,7 @@ algebraically identical to the double sum over (m, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -146,6 +147,20 @@ def write_state_csv(state: ModeAmplitudes, path) -> None:
         fh.write("m,re_c,im_c\n")
         for m, c in enumerate(state.coeffs):
             fh.write(f"{m},{c.real:.17g},{c.imag:.17g}\n")
+
+
+def read_state_csv(path) -> ModeAmplitudes:
+    header = None
+    coeffs = []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            header = dict(tok.split("=") for tok in line[1:].split())
+        elif line and not line.startswith("m,"):
+            _, re_c, im_c = line.split(",")
+            coeffs.append(complex(float(re_c), float(im_c)))
+    if header is None:
+        raise ValueError(f"state file {path} has no header line")
+    return make_state(np.array(coeffs), float(header["alpha"]), float(header["beta"]))
 
 
 def write_series_csv(series: CurrentSeries, path) -> None:

@@ -44,6 +44,15 @@ def _one_point(alpha, beta, schedule):
         return SweepRecord(alpha, beta, float("nan"), tuple(schedule), float("nan"), str(exc))
 
 
+def _evaluate(points, schedule, jobs: int) -> list[SweepRecord]:
+    """One record per (alpha, beta) point, in the order given; jobs > 1 spreads
+    the points over a thread pool."""
+    if jobs <= 1:
+        return [_one_point(a, b, schedule) for a, b in points]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(lambda ab: _one_point(*ab, schedule), points))
+
+
 def sweep_alpha(
     beta: float,
     alpha_grid,
@@ -59,11 +68,7 @@ def sweep_alpha(
     if not alpha_grid:
         raise ValueError("empty alpha grid")
     beta, _ = canonicalize(beta)
-    if jobs <= 1:
-        return [_one_point(a, beta, schedule) for a in alpha_grid]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_one_point, a, beta, schedule) for a in alpha_grid]
-        return [f.result() for f in futures]
+    return _evaluate([(a, beta) for a in alpha_grid], schedule, jobs)
 
 
 def find_infimum(
@@ -77,13 +82,12 @@ def find_infimum(
     refine_schedule=DEFAULT_SWEEP_SCHEDULE,
     final_schedule=(800, 1000, 1200, 1600, 2000),
     jobs: int = 1,
-    pin_beta_final: bool = True,
 ) -> InfimumResult:
     """Locate the minimum of the extrapolated infimum over a parameter box.
 
     Coarse grid scan at a fast truncation schedule, then successive local grid
     refinement (factor 10 per stage) around the incumbent with increasingly
-    accurate schedules.  The final stage pins beta to the incumbent by default.
+    accurate schedules.  The final stage pins beta to the incumbent.
     Budget counts extrapolated-infimum evaluations; on exhaustion the incumbent
     is returned with budget_exhausted set.
     """
@@ -107,12 +111,7 @@ def find_infimum(
         if not points:
             return
         used += len(points)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                recs = list(pool.map(lambda ab: _one_point(*ab, schedule), points))
-        else:
-            recs = [_one_point(a, b, schedule) for a, b in points]
-        for r in recs:
+        for r in _evaluate(points, schedule, jobs):
             if r.error is None and (best is None or r.p_estimate < best[0]):
                 best = (r.p_estimate, r.alpha, r.beta)
 
@@ -132,9 +131,7 @@ def find_infimum(
         span_b = 2.0 * db / 10 ** (stage - 1)
         _, a0, b0 = best
         alphas = np.linspace(max(a0 - span_a, a_lo), min(a0 + span_a, a_hi), refine_points)
-        if final and pin_beta_final:
-            betas = np.array([b0])
-        elif span_b > 0:
+        if span_b > 0 and not final:
             betas = np.linspace(max(b0 - span_b, b_lo), min(b0 + span_b, b_hi), n_beta)
         else:
             betas = np.array([b0])

@@ -10,7 +10,7 @@ import numpy as np
 
 from .eigen import min_eigen
 from .extrapolate import fit_quadratic
-from .kernel import RingConfig, build_kernel, canonicalize, integrated_current, sinc
+from .kernel import RingConfig, build_kernel, canonicalize, integrated_current, kernel_entries
 from .state import make_state, time_quadrature_p
 from .twomode import minimize_two_mode, two_mode_p, two_mode_p_min
 
@@ -75,21 +75,28 @@ def check_single_mode_unboundedness():
     return "single-mode current 2*alpha*(m-beta)/pi"
 
 
+def beta_shift_currents(alpha: float, beta: float, coeffs) -> tuple[float, float]:
+    """Integrated current of coeffs at (alpha, beta), and of the same
+    coefficients moved up one index at the raw, uncanonicalized beta + 1.
+
+    m - beta, and with it every kernel entry, is unchanged by beta -> beta + 1
+    together with m -> m + 1, so the two currents agree up to rounding.
+    """
+    n = len(coeffs) - 1
+    p0 = integrated_current(coeffs, build_kernel(RingConfig(alpha, beta, n)))
+    raw = kernel_entries(alpha, beta + 1.0, n + 2)
+    c_shift = np.concatenate([[0.0], coeffs])
+    p1 = float((np.conj(c_shift) @ raw @ c_shift).real)
+    return p0, p1
+
+
 def check_beta_shift_invariance():
     rng = np.random.default_rng(11)
     alpha, beta, n = 1.7, -0.4, 12
-    c = _random_state(rng, n + 1)
-    p0 = integrated_current(c, build_kernel(RingConfig(alpha, beta, n)))
-    shifted = build_kernel(RingConfig(alpha, beta + 1.0, n + 1))
-    # RingConfig canonicalizes, so rebuild the raw-beta kernel by hand
-    m = np.arange(n + 2.0)
-    s = m[:, None] + m[None, :] - 2.0 * (beta + 1.0)
-    d = m[:, None] - m[None, :]
-    raw = (alpha / np.pi) * s * sinc(alpha * s * d)
-    c_shift = np.concatenate([[0.0], c])
-    p1 = (np.conj(c_shift) @ raw @ c_shift).real
+    p0, p1 = beta_shift_currents(alpha, beta, _random_state(rng, n + 1))
     _expect_close(p1, p0, 1e-12 * max(1.0, abs(p0)), "current after beta -> beta + 1")
-    _expect(shifted.config.beta_shift == 1, "beta + 1 canonicalizes with shift 1")
+    shift = RingConfig(alpha, beta + 1.0, n + 1).beta_shift
+    _expect(shift == 1, "beta + 1 canonicalizes with shift 1")
     return "beta -> beta + 1 index-shift invariance"
 
 

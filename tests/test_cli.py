@@ -247,6 +247,9 @@ class TestLinelimitCommand:
         assert code == 0
         record = json.loads((tmp_path / "linelimit.json").read_text())
         assert record["route"] == "nystrom"
+        result = ringflow.line_limit_min(10.0, 400)
+        for key in ("lambda_min", "lambda_interval", "lambda_half_interval", "u_half"):
+            assert record[key] == pytest.approx(getattr(result, key), abs=1e-14)
 
     def test_ring_route(self, tmp_path):
         code = run(

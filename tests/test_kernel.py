@@ -12,6 +12,7 @@ from ringflow import (
     integrated_current,
     sinc,
 )
+from ringflow.verify import beta_shift_currents
 
 from conftest import random_state
 
@@ -177,14 +178,5 @@ class TestIntegratedCurrent:
             alpha = float(rng.uniform(0.2, 5.0))
             beta = float(rng.uniform(-0.99, 0.0))
             n = int(rng.integers(4, 20))
-            c = random_state(rng, n + 1)
-            p0 = integrated_current(c, build_kernel(RingConfig(alpha, beta, n)))
-            # kernel at the uncanonicalized beta + 1 over indices 0..n+1,
-            # evaluated with coefficients shifted up by one index
-            m = np.arange(n + 2.0)
-            s = m[:, None] + m[None, :] - 2.0 * (beta + 1.0)
-            d = m[:, None] - m[None, :]
-            raw = (alpha / math.pi) * s * np.asarray(sinc(alpha * s * d))
-            c_shift = np.concatenate([[0.0], c])
-            p1 = float((np.conj(c_shift) @ raw @ c_shift).real)
+            p0, p1 = beta_shift_currents(alpha, beta, random_state(rng, n + 1))
             assert p1 == pytest.approx(p0, rel=1e-12, abs=1e-12)

@@ -40,3 +40,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_sinc_called_only_in_kernel_and_twomode():
+    # kernel_entries is the one evaluation of the kernel formula; twomode's
+    # closed forms are the only other sinc users
+    callers = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "sinc"
+    }
+    assert callers == {"kernel.py", "twomode.py"}, callers

@@ -3,66 +3,85 @@ import math
 import numpy as np
 import pytest
 
-from ringflow import LineGrid, line_kernel, line_limit_min, min_eigen, ring_small_alpha_limit
-from ringflow.linelimit import convergence_study, write_convergence_csv
+from ringflow import RingConfig, build_kernel, line_limit_min, ring_small_alpha_limit
+from ringflow.linelimit import convergence_study
 
 C_LINE = 0.0384517
 
 
-class TestLineGrid:
-    def test_nodes_midpoint(self):
-        grid = LineGrid(10.0, 4)
-        assert grid.spacing == 2.5
-        assert np.allclose(grid.nodes, [1.25, 3.75, 6.25, 8.75])
-        assert np.all(grid.nodes > 0)
-        assert np.all(np.diff(grid.nodes) > 0)
-        assert grid.spacing * grid.n_points == pytest.approx(grid.u_max, abs=1e-12)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            LineGrid(-1.0, 10)
-        with pytest.raises(ValueError):
-            LineGrid(5.0, 1)
+def nystrom_matrix(u_max, n_points):
+    """Midpoint Nystrom matrix of the half-line operator, as the package builds it."""
+    h = u_max / n_points
+    return h, build_kernel(RingConfig(h * h, -0.5, n_points - 1)).entries
 
 
 class TestLineKernel:
+    def test_matches_midpoint_formula(self):
+        # (h/pi)(u_m + u_n) sinc(u_m^2 - u_n^2) on u_m = (m + 1/2) h, written
+        # out with numpy's sinc(x) = sin(pi x)/(pi x)
+        h, a = nystrom_matrix(10.0, 400)
+        u = (np.arange(400) + 0.5) * h
+        direct = (h / math.pi) * (u[:, None] + u[None, :]) * np.sinc(
+            (u[:, None] ** 2 - u[None, :] ** 2) / math.pi
+        )
+        assert np.max(np.abs(a - direct)) <= 1e-13 * np.max(np.abs(direct))
+
     def test_symmetric_bitwise(self):
-        a = line_kernel(LineGrid(7.3, 64))
+        _, a = nystrom_matrix(7.3, 64)
         assert np.array_equal(a, a.T)
 
     def test_diagonal(self):
-        grid = LineGrid(5.0, 16)
-        a = line_kernel(grid)
-        assert np.allclose(np.diagonal(a), grid.spacing / math.pi * 2 * grid.nodes)
+        h, a = nystrom_matrix(5.0, 16)
+        nodes = (np.arange(16) + 0.5) * h
+        assert np.allclose(np.diagonal(a), h / math.pi * 2 * nodes)
 
 
 class TestLineLimit:
     def test_interval_truncated_value(self):
         # the operator restricted to (0, 10] converges to about -0.03513 in
         # the grid; the remaining gap to -c_line is half-line truncation error
-        lam = min_eigen(line_kernel(LineGrid(10.0, 2000))).lambda_min
+        lam = ring_small_alpha_limit((10.0 / 2000) ** 2, -0.5, 1999)
         assert lam == pytest.approx(-0.035127, abs=5e-5)
 
+    def test_reports_interval_eigenvalues(self):
+        result = line_limit_min(10.0, 400)
+        interval = ring_small_alpha_limit((10.0 / 400) ** 2, -0.5, 399)
+        assert result.lambda_interval == pytest.approx(interval, abs=1e-14)
+        assert result.u_half == 5.0
+        assert result.lambda_min == (
+            400 * result.lambda_interval - 200 * result.lambda_half_interval
+        ) / 200
+
     def test_truncation_deficit_shrinks_with_u_max(self):
-        lam40 = line_limit_min(40.0, 4000)
+        lam40 = line_limit_min(40.0, 4000).lambda_min
         assert abs(lam40 + C_LINE) <= 1e-3
+
+    def test_invalid_inputs(self):
+        for u_max, n_points in ((0.0, 10), (-1.0, 10), (float("nan"), 10), (5.0, 1)):
+            with pytest.raises(ValueError):
+                line_limit_min(u_max, n_points)
 
     def test_simultaneous_refinement_converges(self):
         rows = convergence_study(u_max=5.0, n_points=250, doublings=3)
         diffs = [abs(rows[i + 1][2] - rows[i][2]) for i in range(3)]
         assert diffs[0] > diffs[1] > diffs[2]
 
-    def test_convergence_csv(self, tmp_path):
-        rows = [(5.0, 250, -0.03), (10.0, 500, -0.034)]
-        path = tmp_path / "conv.csv"
-        write_convergence_csv(rows, path)
-        assert path.read_text().splitlines()[0] == "u_max,n_points,lambda_min"
-
 
 class TestRingRoute:
     def test_small_alpha_limit(self):
         lam = ring_small_alpha_limit(1e-3, 0.0, 1000)
         assert abs(lam + C_LINE) <= 1e-3
+
+    def test_endpoint_rule_gap_shrinks_like_sqrt_alpha(self):
+        # beta = 0 is the left-endpoint rule, beta = -1/2 the midpoint rule;
+        # at u_max ~ 40 their gap is -4.09e-3 at alpha = 4e-3 and -2.05e-3 at
+        # alpha = 1e-3, so it halves when alpha drops by 4
+        gaps = [
+            ring_small_alpha_limit(alpha, 0.0, n) - ring_small_alpha_limit(alpha, -0.5, n)
+            for alpha, n in ((4e-3, 632), (1e-3, 1265))
+        ]
+        assert gaps[0] < gaps[1] < 0
+        assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.05)
 
     def test_beta_independence_of_limit(self):
         lam = ring_small_alpha_limit(1e-3, -0.5, 1000)
@@ -78,5 +97,5 @@ class TestRingRoute:
 
     def test_routes_agree_at_converged_settings(self):
         ring = ring_small_alpha_limit(1e-3, 0.0, 1000)
-        nystrom = line_limit_min(40.0, 4000)
+        nystrom = line_limit_min(40.0, 4000).lambda_min
         assert abs(ring - nystrom) <= 2e-3

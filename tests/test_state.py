@@ -14,7 +14,7 @@ from ringflow import (
     minimize_two_mode,
     time_quadrature_p,
 )
-from ringflow.state import write_series_csv, write_state_csv
+from ringflow.state import read_state_csv, write_series_csv, write_state_csv
 
 from conftest import ALPHA_STAR, random_state
 
@@ -206,9 +206,7 @@ class TestCsvExports:
         state = make_state(random_state(rng, 5), 1.5, -0.25)
         path = tmp_path / "state.csv"
         write_state_csv(state, path)
-        from ringflow.cli import _load_state_csv
-
-        loaded = _load_state_csv(path)
+        loaded = read_state_csv(path)
         assert np.allclose(loaded.coeffs, state.coeffs, atol=1e-12)
         assert loaded.alpha == state.alpha
         assert loaded.beta == state.beta
