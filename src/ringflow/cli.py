@@ -5,7 +5,8 @@ with content digests.  Exit codes: 0 success, 2 validation error, 1
 computation failure.
 
 alpha can be given as --alpha or --alpha-over-pi; a flat key=value config
-file supplies defaults, and flags win over the config file.
+file supplies defaults, and flags win over the config file.  Config values of
+on/off flags are true or false; --jobs, however given, is an integer >= 1.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .eigen import min_eigen
-from .extrapolate import (
-    DEFAULT_SWEEP_SCHEDULE,
-    REFERENCE_SCHEDULE,
-    extrapolated_infimum,
-    fit_quadratic,
-)
+from .extrapolate import DEFAULT_SWEEP_SCHEDULE, REFERENCE_SCHEDULE, extrapolated_infimum
 from .kernel import RingConfig, build_kernel, canonicalize
 from .linelimit import line_limit_min, ring_small_alpha_limit
 from .manifest import RunManifest
@@ -83,15 +79,19 @@ def _add_alpha_beta(parser, beta_default=None):
 def _add_common(parser):
     parser.add_argument("--outdir", type=Path, default=Path("."))
     parser.add_argument("--config", type=Path, default=None)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("RINGFLOW_JOBS", "1")),
-    )
+    parser.add_argument("--jobs", type=int, default=None)
 
 
 def _schedule_arg(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _resolve_jobs(args) -> None:
+    """Worker threads from --jobs, the config file or RINGFLOW_JOBS, in that order."""
+    jobs = args.jobs if args.jobs is not None else _convert(os.environ.get("RINGFLOW_JOBS", "1"))
+    if not isinstance(jobs, int) or jobs < 1:
+        raise SystemExit2(f"jobs must be an integer >= 1, got {jobs!r}")
+    args.jobs = jobs
 
 
 def _require(args, *names) -> None:
@@ -267,7 +267,8 @@ def cmd_linelimit(args) -> int:
     if args.ring_route:
         alpha = _resolve_alpha(args)
         value = ring_small_alpha_limit(alpha, args.beta, args.n)
-        record = {"route": "ring", "alpha": alpha, "n_trunc": args.n, "lambda_min": value}
+        record = {"route": "ring", "alpha": alpha, "beta": canonicalize(args.beta)[0],
+                  "n_trunc": args.n, "lambda_min": value}
     else:
         result = line_limit_min(args.u_max, args.n_points)
         value = result.lambda_min
@@ -366,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convert(raw: str):
+def _convert(raw: str, current=None):
+    """A config value: true or false (any case) where the current value is a
+    bool, as for an on/off flag; otherwise an int, a float or the string."""
+    if isinstance(current, bool):
+        if raw.lower() not in ("true", "false"):
+            raise SystemExit2(f"an on/off setting takes true or false, got {raw!r}")
+        return raw.lower() == "true"
     for cast in (int, float):
         try:
             return cast(raw)
@@ -396,18 +403,19 @@ def _apply_config(args, argv) -> None:
     for key, raw in values.items():
         if key in explicit or not hasattr(args, key):
             continue
-        setattr(args, key, _schedule_arg(raw) if key == "schedule" else _convert(raw))
+        current = getattr(args, key)
+        setattr(args, key, _schedule_arg(raw) if key == "schedule" else _convert(raw, current))
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, argv)
-    if getattr(args, "reference_schedule", False):
-        args.schedule = list(REFERENCE_SCHEDULE)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_config(args, argv)
+        _resolve_jobs(args)
+        if getattr(args, "reference_schedule", False):
+            args.schedule = list(REFERENCE_SCHEDULE)
         return args.func(args)
     except SystemExit2:
         return 2

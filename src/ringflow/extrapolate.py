@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import EigenResult, min_eigen
+from .eigen import min_eigen
 from .kernel import RingConfig, build_kernel
 
 # Truncation schedule used for the reference high-accuracy table.
@@ -85,16 +85,14 @@ def fit_quadratic(points) -> ExtrapolationFit:
 
     # sanity band: a0 should not stray far beyond the last increment; the
     # absolute floor keeps eigensolver-level noise near zero from flagging
-    band_ok = True
-    if len(lams) >= 2:
-        last, prev = lams[-1], lams[-2]
-        band_ok = abs(a0 - last) <= 10.0 * abs(last - prev) + 1e-12
-        if not band_ok:
-            warnings.warn(
-                f"extrapolated a0={a0!r} is outside the sanity band around "
-                f"lambda({int(ns[-1])})={last!r}",
-                stacklevel=2,
-            )
+    last, prev = lams[-1], lams[-2]
+    band_ok = abs(a0 - last) <= 10.0 * abs(last - prev) + 1e-12
+    if not band_ok:
+        warnings.warn(
+            f"extrapolated a0={a0!r} is outside the sanity band around "
+            f"lambda({int(ns[-1])})={last!r}",
+            stacklevel=2,
+        )
     return ExtrapolationFit(
         a0=float(a0),
         a1=float(a1),
@@ -107,30 +105,22 @@ def fit_quadratic(points) -> ExtrapolationFit:
 
 
 def extrapolated_infimum(
-    alpha: float,
-    beta: float,
-    schedule=DEFAULT_SWEEP_SCHEDULE,
-    eigen_cache: dict | None = None,
+    alpha: float, beta: float, schedule=DEFAULT_SWEEP_SCHEDULE
 ) -> tuple[float, ExtrapolationFit]:
     """Estimate inf_Psi P at (alpha, beta) by solving along a truncation schedule.
 
     Runs min_eigen at each N in the schedule, fits the quadratic in 1/N and
-    returns (a0, fit).  eigen_cache, if given, maps N -> EigenResult and is
-    filled as solves complete (lets callers share solves between schedules).
+    returns (a0, fit).
     """
     schedule = sorted(int(n) for n in schedule)
     if len(schedule) < 4:
         raise ValueError("schedule must contain at least 4 truncation sizes")
     points = []
     for n in schedule:
-        cached = eigen_cache.get(n) if eigen_cache is not None else None
-        if cached is None:
-            try:
-                cached = min_eigen(build_kernel(RingConfig(alpha, beta, n)))
-            except Exception as exc:
-                raise ExtrapolationError(n, exc) from exc
-            if eigen_cache is not None:
-                eigen_cache[n] = cached
-        points.append((n, cached.lambda_min))
+        try:
+            result = min_eigen(build_kernel(RingConfig(alpha, beta, n)))
+        except Exception as exc:
+            raise ExtrapolationError(n, exc) from exc
+        points.append((n, result.lambda_min))
     fit = fit_quadratic(points)
     return fit.a0, fit

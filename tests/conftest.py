@@ -1,9 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from ringflow import RingConfig, build_kernel, min_eigen
+from ringflow import ModeAmplitudes, RingConfig, build_kernel, min_eigen
 
 ALPHA_STAR = 0.3703965 * math.pi
 
@@ -52,8 +51,6 @@ def optimum_eigen_cache():
 
 @pytest.fixture(scope="session")
 def maximizing_state_2000(optimum_eigen_cache):
-    from ringflow import ModeAmplitudes
-
     result = optimum_eigen_cache(2000)
     return ModeAmplitudes(
         coeffs=result.eigenvector.astype(complex),
@@ -61,8 +58,3 @@ def maximizing_state_2000(optimum_eigen_cache):
         beta=0.0,
         lambda_min=result.lambda_min,
     )
-
-
-def random_state(rng, n_modes):
-    c = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-    return c / np.linalg.norm(c)

@@ -10,23 +10,17 @@ import numpy as np
 import pytest
 
 from ringflow import (
-    RingConfig,
-    build_kernel,
     current_series,
     fit_quadratic,
     global_two_mode_min,
-    integrated_current,
     line_limit_min,
     make_state,
     mean_energy,
-    min_eigen,
     ring_small_alpha_limit,
-    time_quadrature_p,
-    two_mode_p_min,
 )
-from ringflow.verify import beta_shift_currents
+from ringflow import verify
 
-from conftest import ALPHA_STAR, REFERENCE_FIT, REFERENCE_LAMBDAS, random_state
+from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS
 
 C_RING = 0.116816
 C_LINE = 0.0384517
@@ -92,10 +86,7 @@ def test_criterion_5_line_limit_ring_route():
 
 
 def test_criterion_6_zeros_at_multiples_of_pi():
-    worst = 0.0
-    for k in (1, 2, 3):
-        lam = min_eigen(build_kernel(RingConfig(k * math.pi, 0.0, 400))).lambda_min
-        worst = max(worst, abs(lam))
+    worst = verify.kpi_zero_deviation((1, 2, 3), 400)
     report("criterion 6: P(k*pi, 0) = 0", worst <= 1e-12, f"worst |lambda| = {worst:.2e}")
 
 
@@ -135,34 +126,23 @@ def test_criterion_8_current_window(maximizing_state_2000):
 
 def test_criterion_9_oracle_equivalence():
     rng = np.random.default_rng(2024)
-    worst_quad = 0.0
+    worst_quad = verify.quadrature_deviation(
+        rng, 100, alphas=(0.1, 6.0), betas=(-0.999, 0.0), n_modes=(2, 17), samples=65537
+    )
+    # literal double sum against the z*w reduction at a random sample
     worst_reduction = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 17))
         alpha = float(rng.uniform(0.1, 6.0))
         beta = float(rng.uniform(-0.999, 0.0))
-        state = make_state(random_state(rng, n), alpha, beta)
-        kern = build_kernel(RingConfig(alpha, beta, n - 1))
-        p_form = integrated_current(state.coeffs, kern)
-        p_quad = time_quadrature_p(state, 65537)
-        worst_quad = max(worst_quad, abs(p_form - p_quad))
-        # literal double sum against the z*w reduction at a random sample
+        state = make_state(verify.random_state(rng, n), alpha, beta)
         theta = float(rng.uniform(0, 2 * math.pi))
         tau = float(rng.uniform(-1, 1))
         mm = np.arange(n)
         phases = np.exp(1j * mm * theta) * np.exp(-2j * alpha * (mm - beta) ** 2 * tau)
         ww = phases * state.coeffs
-        literal = (
-            alpha
-            / math.pi
-            * np.real(
-                np.sum(
-                    (mm[:, None] + mm[None, :] - 2 * beta)
-                    * np.conj(ww)[:, None]
-                    * ww[None, :]
-                )
-            )
-        )
+        terms = (mm[:, None] + mm[None, :] - 2 * beta) * np.conj(ww)[:, None] * ww[None, :]
+        literal = alpha / math.pi * np.real(np.sum(terms))
         reduced = current_series(state, theta, (tau, tau + 1.0), 2).tj_values[0]
         worst_reduction = max(worst_reduction, abs(literal - reduced))
     ok = worst_quad <= 1e-8 and worst_reduction <= 1e-13
@@ -175,32 +155,13 @@ def test_criterion_9_oracle_equivalence():
 
 def test_criterion_10_invariance_suite():
     rng = np.random.default_rng(99)
-    # beta shift
-    worst_shift = 0.0
-    for _ in range(10):
-        alpha = float(rng.uniform(0.2, 5.0))
-        beta = float(rng.uniform(-0.99, 0.0))
-        n = int(rng.integers(4, 16))
-        p0, p1 = beta_shift_currents(alpha, beta, random_state(rng, n + 1))
-        worst_shift = max(worst_shift, abs(p1 - p0) / max(abs(p0), 1e-30))
-    # two-mode scaling
-    worst_scale = 0.0
-    for _ in range(100):
-        alpha = float(rng.uniform(0.05, 8.0))
-        beta = float(rng.uniform(-0.999, 0.0))
-        m1 = int(rng.integers(0, 5))
-        m2 = m1 + int(rng.integers(1, 5))
-        b = m2 - m1
-        lhs = two_mode_p_min(m1, m2, alpha, beta)
-        rhs = two_mode_p_min(0, 1, alpha * b * b, (beta - m1) / b) / b
-        worst_scale = max(worst_scale, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    # kernel symmetry, bitwise
-    symmetric = True
-    for _ in range(5):
-        k = build_kernel(
-            RingConfig(float(rng.uniform(0.1, 8)), float(rng.uniform(-0.99, 0)), 60)
-        ).entries
-        symmetric = symmetric and np.array_equal(k, k.T)
+    worst_shift = verify.beta_shift_deviation(
+        rng, 10, alphas=(0.2, 5.0), betas=(-0.99, 0.0), sizes=(4, 16)
+    )
+    worst_scale = verify.two_mode_scaling_deviation(
+        rng, 100, alphas=(0.05, 8.0), betas=(-0.999, 0.0), m1s=(0, 5), gaps=(1, 5)
+    )
+    symmetric = verify.kernel_asymmetry(rng, 5, alphas=(0.1, 8), n_trunc=60) == 0.0
     ok = worst_shift <= 1e-12 and worst_scale <= 1e-12 and symmetric
     report(
         "criterion 10: invariance suite",

@@ -1,14 +1,13 @@
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ringflow
+from ringflow import cli, verify
 from ringflow.cli import main
 from ringflow.manifest import sha256_of
 
@@ -252,18 +251,15 @@ class TestLinelimitCommand:
             assert record[key] == pytest.approx(getattr(result, key), abs=1e-14)
 
     def test_ring_route(self, tmp_path):
-        code = run(
-            [
-                "linelimit",
-                "--ring-route",
-                "--alpha", "1e-3",
-                "--n", "1000",
-                "--outdir", str(tmp_path),
-            ]
-        )
-        assert code == 0
+        argv = ["linelimit", "--ring-route", "--alpha", "1e-3", "--n", "1000"]
+        assert run(argv + ["--outdir", str(tmp_path)]) == 0
         record = json.loads((tmp_path / "linelimit.json").read_text())
         assert record["lambda_min"] == pytest.approx(-0.0384517, abs=1e-3)
+        assert record["beta"] == 0.0
+        # the record names the rule: beta = -1/2 (given here as 1/2) is the midpoint rule
+        args = ["linelimit", "--ring-route", "--alpha", "0.1", "--n", "100", "--beta", "0.5"]
+        assert run(args + ["--outdir", str(tmp_path / "mid")]) == 0
+        assert json.loads((tmp_path / "mid" / "linelimit.json").read_text())["beta"] == -0.5
 
 
 class TestConfigPrecedence:
@@ -285,7 +281,48 @@ class TestConfigPrecedence:
         assert record["beta"] == 0.0  # flag beats config
 
 
+class TestConfigBooleans:
+    @pytest.mark.parametrize(
+        "raw,code,schedule",
+        [("false", 0, [50, 60, 70, 80]), ("TRUE", 0, [50, 60, 70, 80, 90]), ("yes", 2, None)],
+    )
+    def test_reference_schedule_value(self, tmp_path, monkeypatch, raw, code, schedule):
+        # a cheap stand-in for the reference schedule, which runs to N = 10000
+        monkeypatch.setattr(cli, "REFERENCE_SCHEDULE", (50, 60, 70, 80, 90))
+        (tmp_path / "run.cfg").write_text(f"reference-schedule = {raw}\n")
+        args = ["extrapolate", "--alpha-over-pi", "1", "--schedule", "50,60,70,80"]
+        args += ["--config", str(tmp_path / "run.cfg"), "--outdir", str(tmp_path)]
+        assert run(args) == code
+        out = tmp_path / "extrapolation.json"
+        assert (json.loads(out.read_text())["schedule"] if out.exists() else None) == schedule
+
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "flag,env,config,want",
+        [([], "2", "", 2), ([], "2", "jobs = 3", 3), (["--jobs", "4"], "2", "jobs = 3", 4),
+         (["--jobs", "0"], "1", "", None), (["--jobs", "-2"], "1", "", None),
+         ([], "abc", "", None), ([], "0", "", None), ([], "1", "jobs = 0", None),
+         ([], "1", "jobs = 1.5", None)],
+    )
+    def test_source_and_range(self, tmp_path, monkeypatch, flag, env, config, want):
+        # --jobs beats the config file, which beats RINGFLOW_JOBS; anything
+        # but an integer >= 1 exits 2 before a file is written
+        monkeypatch.setenv("RINGFLOW_JOBS", env)
+        (tmp_path / "run.cfg").write_text(config)
+        args = ["eigen", "--alpha", "1", "--n", "5", "--config", str(tmp_path / "run.cfg")]
+        code = run(args + flag + ["--outdir", str(tmp_path)])
+        manifest = tmp_path / "eigen.manifest.json"
+        jobs = json.loads(manifest.read_text())["parameters"]["jobs"] if manifest.exists() else None
+        assert (code, jobs) == (2 if want is None else 0, want)
+
+
 class TestVerifyCommand:
+    # unit tests whose every assertion a check makes, as tightly, are folded in here
+    @pytest.mark.parametrize("check", verify.ALL_CHECKS, ids=lambda check: check.__name__)
+    def test_check(self, check):
+        check()
+
     def test_exit_zero(self, capsys):
         assert run(["verify"]) == 0
         out = capsys.readouterr().out

@@ -1,9 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from ringflow import RingConfig, build_kernel, min_eigen
+from ringflow.verify import kpi_zero_deviation
 
 from conftest import ALPHA_STAR, REFERENCE_LAMBDAS
 
@@ -14,9 +13,7 @@ def test_reference_lambda_800(optimum_eigen_cache):
 
 
 def test_zero_at_alpha_pi():
-    for n in (50, 200):
-        result = min_eigen(build_kernel(RingConfig(math.pi, 0.0, n)))
-        assert abs(result.lambda_min) < 1e-12
+    assert max(kpi_zero_deviation((1,), n) for n in (50, 200)) < 1e-12
 
 
 def test_eigenvector_contract(optimum_eigen_cache):

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ringflow import RingConfig, build_kernel, extrapolated_infimum, fit_quadratic, min_eigen
+from ringflow import extrapolated_infimum, fit_quadratic
 from ringflow.extrapolate import ExtrapolationError
 
-from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS
+from conftest import ALPHA_STAR, REFERENCE_FIT, REFERENCE_LAMBDAS
 
 
 class TestFitQuadratic:
@@ -18,14 +18,6 @@ class TestFitQuadratic:
         assert fit.a2 == pytest.approx(REFERENCE_FIT["a2"], abs=1e-8)
         # residual matches to one significant figure
         assert fit.residual == pytest.approx(7.3e-20, rel=0.05)
-
-    def test_exact_quadratic_recovered(self):
-        ns = [100, 200, 400, 800]
-        fit = fit_quadratic([(n, 2.0 + 3.0 / n - 1.0 / n**2) for n in ns])
-        assert fit.a0 == pytest.approx(2.0, abs=1e-10)
-        assert fit.a1 == pytest.approx(3.0, abs=1e-10)
-        assert fit.a2 == pytest.approx(-1.0, abs=1e-10)
-        assert fit.residual <= 1e-24
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(9)
@@ -63,13 +55,18 @@ class TestExtrapolatedInfimum:
         assert abs(p) < 1e-12
         assert fit.band_ok
 
-    def test_reference_point_short_schedule(self, optimum_eigen_cache):
-        from conftest import ALPHA_STAR
+    def test_reference_point_short_schedule(self, optimum_eigen_cache, monkeypatch):
+        import ringflow.extrapolate as ex
 
-        cache = {n: optimum_eigen_cache(n) for n in (800, 1000, 1200, 1400, 1600, 1800, 2000, 2200, 2400, 3000)}
-        p, fit = extrapolated_infimum(
-            ALPHA_STAR, 0.0, list(cache), eigen_cache=cache
-        )
+        # the session's cached solves stand in for the kernel build and solve
+        def cached(config):
+            assert (config.alpha, config.beta) == (ALPHA_STAR, 0.0)
+            return optimum_eigen_cache(config.n_trunc)
+
+        monkeypatch.setattr(ex, "build_kernel", lambda config: config)
+        monkeypatch.setattr(ex, "min_eigen", cached)
+        schedule = [800, 1000, 1200, 1400, 1600, 1800, 2000, 2200, 2400, 3000]
+        p, fit = extrapolated_infimum(ALPHA_STAR, 0.0, schedule)
         assert p == pytest.approx(-0.1168156, abs=5e-7)
 
     def test_solver_failure_carries_n(self, monkeypatch):

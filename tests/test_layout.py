@@ -1,14 +1,15 @@
-"""Source-layout guards, checked on the syntax tree of src/ringflow."""
+"""Source-layout guards, checked on the syntax trees of src/ringflow and tests."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringflow"
+TESTS = Path(__file__).resolve().parent
 EIGENSOLVERS = {"eigh", "eigsh", "eigvalsh"}
 
 
-def _trees():
-    paths = sorted(PACKAGE.glob("*.py"))
+def _trees(*dirs):
+    paths = sorted(p for d in dirs or (PACKAGE,) for p in d.glob("*.py"))
     assert PACKAGE / "eigen.py" in paths
     return [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
 
@@ -52,3 +53,21 @@ def test_sinc_called_only_in_kernel_and_twomode():
         if isinstance(node, ast.Call) and _callee(node) == "sinc"
     }
     assert callers == {"kernel.py", "twomode.py"}, callers
+
+
+def _is_scaling_map(node) -> bool:
+    # two_mode_p_min(0, 1, ...) / b, the right-hand side of the two-mode scaling map
+    call = node.left if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) else None
+    args = [getattr(a, "value", None) for a in getattr(call, "args", [])[:2]]
+    return isinstance(call, ast.Call) and _callee(call) == "two_mode_p_min" and args == [0, 1]
+
+
+def test_shared_oracles_written_only_in_verify():
+    # ringflow.verify is the one home of what ringflow verify, the acceptance
+    # gate and the unit tests share
+    nodes = [(name, node) for name, tree in _trees(PACKAGE, TESTS) for node in ast.walk(tree)]
+    defines = {n for n, node in nodes if isinstance(node, ast.FunctionDef)
+               and node.name == "random_state"}
+    assert defines == {"verify.py"}, defines
+    scaling = {n for n, node in nodes if _is_scaling_map(node)}
+    assert scaling == {"verify.py"}, scaling

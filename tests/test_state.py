@@ -15,8 +15,9 @@ from ringflow import (
     time_quadrature_p,
 )
 from ringflow.state import read_state_csv, write_series_csv, write_state_csv
+from ringflow.verify import quadrature_deviation, random_state
 
-from conftest import ALPHA_STAR, random_state
+from conftest import ALPHA_STAR
 
 
 def literal_double_sum_current(state, theta, tau):
@@ -175,11 +176,11 @@ class TestTimeQuadrature:
 
     def test_matches_quadratic_form(self):
         rng = np.random.default_rng(8)
-        state = make_state(random_state(rng, 8), 0.37 * math.pi, -0.3)
-        kern = build_kernel(RingConfig(state.alpha, state.beta, 7))
-        assert time_quadrature_p(state, 16385) == pytest.approx(
-            integrated_current(state.coeffs, kern), abs=1e-8
+        alpha = 0.37 * math.pi
+        worst = quadrature_deviation(
+            rng, 1, alphas=(alpha, alpha), betas=(-0.3, -0.3), n_modes=(8, 9), samples=16385
         )
+        assert worst <= 1e-8
 
     def test_matches_two_mode_optimum(self):
         alpha, beta = 1.1, -0.35
