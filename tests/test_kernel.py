@@ -36,6 +36,15 @@ class TestSinc:
 
 
 class TestCanonicalize:
+    @pytest.mark.parametrize(
+        "raw,expected_beta,expected_shift",
+        [(0.0, 0.0, 0), (-0.5, -0.5, 0), (1.75, -0.25, 2)],
+    )
+    def test_examples(self, raw, expected_beta, expected_shift):
+        beta, shift = canonicalize(raw)
+        assert shift == expected_shift
+        assert beta == pytest.approx(expected_beta, abs=1e-15)
+
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     def test_result_in_interval(self, raw):
         beta, shift = canonicalize(raw)
@@ -67,6 +76,16 @@ class TestRingConfig:
 
 
 class TestBuildKernel:
+    def test_reference_entries_alpha_pi(self):
+        k = build_kernel(RingConfig(math.pi, 0.0, 3)).entries
+        assert k[0, 0] == 0.0
+        assert k[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert k[1, 1] == pytest.approx(2.0, abs=1e-14)
+
+    def test_reference_entry_half_pi(self):
+        k = build_kernel(RingConfig(math.pi / 2, -0.5, 2)).entries
+        assert k[0, 0] == pytest.approx(0.5, abs=1e-15)
+
     def test_diagonal_formula(self):
         cfg = RingConfig(1.3, -0.7, 30)
         k = build_kernel(cfg)
