@@ -232,13 +232,10 @@ def cmd_state(args) -> int:
     alpha = _resolve_alpha(args)
     manifest = _start(args)
     state = maximizing_state(alpha, args.beta, args.n)
-    c0 = abs(state.coeffs[0])
-    m = np.arange(1, len(state.coeffs))
-    decay_ok = bool(np.all(np.abs(state.coeffs[1:]) < c0 / m**2))
     report = {
         "lambda_min": state.lambda_min,
         "mean_energy": mean_energy(state),
-        "coefficient_decay_below_c0_over_m2": decay_ok,
+        "coefficient_decay_below_c0_over_m2": verify_mod.decay_exponent(state.coeffs) > 2,
     }
     _emit(
         manifest,
@@ -382,21 +379,46 @@ def _convert(raw: str, current=None):
     return raw
 
 
-def _apply_config(args, argv) -> None:
+def _option_dests(parser, subcommand) -> dict:
+    """Long option string -> dest for the options of one subcommand."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        opt: action.dest
+        for action in subparsers.choices[subcommand]._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+
+
+def _apply_config(parser, args, argv) -> None:
     """Overlay config-file values onto parsed args, with flags winning.
 
-    A config key applies only when the matching flag was not given on the
+    A config key applies only when the matching option was not given on the
     command line and the subcommand actually has that option, which gives the
-    precedence flags > config file > defaults.
+    precedence flags > config file > defaults.  Given options and config keys
+    are both matched to the option's dest (--global stores to global_opt),
+    the options as argparse reads them: --name, --name=value or a unique
+    prefix of --name.
     """
     if getattr(args, "config", None) is None:
         return
-    explicit = {
-        tok[2:].split("=", 1)[0].replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
+    dest_of = _option_dests(parser, args.subcommand)
+    explicit = set()
+    for tok in argv:
+        if tok == "--":
+            break
+        if not tok.startswith("--"):
+            continue
+        name = tok.split("=", 1)[0]
+        matches = [opt for opt in dest_of if opt == name] or [
+            opt for opt in dest_of if opt.startswith(name)
+        ]
+        if len(matches) == 1:
+            explicit.add(dest_of[matches[0]])
+    values = {
+        dest_of.get("--" + key.replace("_", "-"), key): raw
+        for key, raw in _read_config(args.config).items()
     }
-    values = _read_config(args.config)
     if {"alpha", "alpha_over_pi"} & explicit:
         values.pop("alpha", None)
         values.pop("alpha_over_pi", None)
@@ -410,9 +432,10 @@ def _apply_config(args, argv) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         _resolve_jobs(args)
         if getattr(args, "reference_schedule", False):
             args.schedule = list(REFERENCE_SCHEDULE)

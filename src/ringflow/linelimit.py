@@ -58,7 +58,7 @@ def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult
     kernel = build_kernel(RingConfig(h * h, -0.5, n_points - 1))
     k = n_points // 2
     lam_full = min_eigen(kernel).lambda_min
-    lam_half = min_eigen(kernel.entries[:k, :k]).lambda_min
+    lam_half = min_eigen(kernel.leading_block(k)).lambda_min
     return LineLimitResult(
         lambda_min=(n_points * lam_full - k * lam_half) / (n_points - k),
         lambda_interval=lam_full,

@@ -48,7 +48,7 @@ def kernel_asymmetry(rng, draws: int, *, alphas, n_trunc: int) -> float:
     devs = []
     for _ in range(draws):
         cfg = RingConfig(float(rng.uniform(*alphas)), float(rng.uniform(-0.99, 0)), n_trunc)
-        k = build_kernel(cfg).entries
+        k = build_kernel(cfg).dense()
         devs.append(np.max(np.abs(k - k.T)))
     return float(np.max(devs))
 
@@ -112,6 +112,20 @@ def kpi_zero_deviation(ks, n_trunc: int) -> float:
     return float(np.max(np.abs(lams)))
 
 
+def decay_exponent(coeffs) -> float:
+    """The largest p with |c_m| <= |c_0| / m^p at every m >= 1, -inf if |c_1| >= |c_0|.
+
+    The power-law envelope of the coefficients from above: |c_m| < |c_0|/m^2
+    holds at every m exactly when it exceeds 2.
+    """
+    c = np.abs(np.asarray(coeffs))
+    if not c[1] < c[0]:
+        return -np.inf
+    with np.errstate(divide="ignore"):
+        per_mode = np.log(c[0] / c[2:]) / np.log(np.arange(2, len(c)))
+    return float(np.min(per_mode, initial=np.inf))
+
+
 def check_canonicalize():
     _expect(canonicalize(0.0) == (0.0, 0), "canonicalize(0.0) == (0.0, 0)")
     _expect(canonicalize(-0.5) == (-0.5, 0), "canonicalize(-0.5) == (-0.5, 0)")
@@ -122,11 +136,11 @@ def check_canonicalize():
 
 
 def check_kernel_entries():
-    k = build_kernel(RingConfig(np.pi, 0.0, 4)).entries
+    k = build_kernel(RingConfig(np.pi, 0.0, 4)).dense()
     _expect(k[0, 0] == 0.0, "K[0,0] == 0 at alpha = pi")
     _expect_close(k[0, 1], 0.0, 1e-12, "K[0,1] at alpha = pi")
     _expect_close(k[1, 1], 2.0, 1e-14, "K[1,1] at alpha = pi")
-    k2 = build_kernel(RingConfig(np.pi / 2, -0.5, 2)).entries
+    k2 = build_kernel(RingConfig(np.pi / 2, -0.5, 2)).dense()
     _expect_close(k2[0, 0], 0.5, 1e-15, "K[0,0] at alpha = pi/2, beta = -1/2")
     return "kernel entries at reference points"
 

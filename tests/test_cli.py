@@ -280,6 +280,21 @@ class TestConfigPrecedence:
         assert record["n_trunc"] == 20  # from config
         assert record["beta"] == 0.0  # flag beats config
 
+    @pytest.mark.parametrize(
+        "flags,config,output",
+        [(["--global"], "global_opt = false", "twomode_global.json"),
+         (["--glob"], "global_opt = false", "twomode_global.json"),
+         ([], "global = true", "twomode_global.json"),
+         ([], "global_opt = false", "twomode_curve.csv")],
+    )
+    def test_option_matched_to_its_dest(self, tmp_path, flags, config, output):
+        # --global stores to global_opt: the given flag, also as a prefix,
+        # beats the config key, and the key may be named either way
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        args = ["twomode", *flags, "--steps", "2", "--config", str(tmp_path / "run.cfg")]
+        assert run(args + ["--outdir", str(tmp_path / "out")]) == 0
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {"twomode.manifest.json", output}
+
 
 class TestConfigBooleans:
     @pytest.mark.parametrize(
@@ -333,9 +348,9 @@ class TestVerifyCommand:
         script = (
             "import sys\n"
             "import ringflow.verify as v\n"
-            "from ringflow.kernel import BackflowKernel, build_kernel\n"
+            "from ringflow.kernel import RingConfig, build_kernel\n"
             "def broken(cfg):\n"
-            "    return BackflowKernel(cfg, build_kernel(cfg).entries + 0.5)\n"
+            "    return build_kernel(RingConfig(cfg.alpha + 0.5, cfg.beta, cfg.n_trunc))\n"
             "v.build_kernel = broken\n"
             "print(sys.flags.optimize, v.run_all(out=lambda line: None))\n"
         )

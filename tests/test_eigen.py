@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
-from ringflow import RingConfig, build_kernel, min_eigen
+from ringflow import EigenSolveError, RingConfig, build_kernel, min_eigen
 from ringflow.verify import kpi_zero_deviation
 
 from conftest import ALPHA_STAR, REFERENCE_LAMBDAS
@@ -22,7 +26,8 @@ def test_eigenvector_contract(optimum_eigen_cache):
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     first_nonzero = v[np.abs(v) > 1e-12][0]
     assert first_nonzero > 0
-    assert result.method == "dense"
+    # size 801 lies above the dense crossover
+    assert (result.method, result.iterations > 0) == ("lobpcg", True)
 
 
 def test_residual_certified():
@@ -72,3 +77,31 @@ def test_variational_bound_via_unit_vectors():
     result = min_eigen(kern)
     # lambda_min is a lower bound for every diagonal Rayleigh quotient
     assert result.lambda_min <= np.min(kern.diagonal())
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,n,zero",
+    [(math.pi, 0.0, 1000, True), (2 * math.pi, 0.0, 1000, True), (3 * math.pi, 0.0, 1000, True),
+     (1.7, -0.4, 1000, False), (1e-4, -0.5, 3999, False), (1e-8, 0.0, 1000, False)],
+    ids=["pi", "2pi", "3pi", "beta-nonzero", "nystrom", "tiny-alpha"],
+)
+def test_lobpcg_matches_dense(alpha, beta, n, zero):
+    # zero: alpha = k*pi, beta = 0, where the exact kernel is diagonal with a
+    # zero at m = 0.  tiny-alpha: max|D| = 6e-6 puts the certificate at 6e-16,
+    # so the LOBPCG tolerance must follow the matvec's own scale.
+    kern = build_kernel(RingConfig(alpha, beta, n))
+    result = min_eigen(kern)
+    assert result.method == "lobpcg"
+    want = scipy.linalg.eigh(kern.dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+    assert abs(result.lambda_min - want) <= 1e-12
+    assert not zero or abs(result.lambda_min) <= 1e-12
+
+
+def test_bad_lobpcg_pair_raises(monkeypatch):
+    def stale(a, x, **kwargs):
+        # the start vector with a wrong eigenvalue, as a non-converged run may return
+        return np.array([-1.0]), x, [np.array([-1.0])] * 3
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", stale)
+    with pytest.raises(EigenSolveError, match="lobpcg"):
+        min_eigen(build_kernel(RingConfig(ALPHA_STAR, 0.0, 1000)))

@@ -164,3 +164,37 @@ class TestIntegratedCurrent:
         rng = np.random.default_rng(42)
         worst = beta_shift_deviation(rng, 10, alphas=(0.2, 5.0), betas=(-0.99, 0.0), sizes=(4, 20))
         assert worst <= 1e-12
+
+
+class TestOperator:
+    @pytest.mark.parametrize(
+        "alpha,beta,n",
+        [(0.3703965 * math.pi, 0.0, 800), (1.7, -0.4, 3000), (1e-4, -0.5, 3999)],
+        ids=["beta-zero", "beta-nonzero", "nystrom"],
+    )
+    def test_matvec_matches_dense(self, alpha, beta, n):
+        kern = build_kernel(RingConfig(alpha, beta, n))
+        x = np.random.default_rng(8).standard_normal((kern.size, 3))
+        want = kern.dense() @ x
+        got = kern.matvec(x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        # one column alone gives the same numbers as in a block
+        assert np.array_equal(kern.matvec(x[:, 1]), got[:, 1])
+
+    def test_leading_block_is_bitwise_slice(self):
+        kern = build_kernel(RingConfig(1.7, -0.4, 900))
+        full = kern.dense()
+        for k in (1, 64, 450, 901):
+            block = kern.leading_block(k)
+            assert block.size == k
+            assert np.array_equal(block.dense(), full[:k, :k])
+            assert np.array_equal(block.diagonal(), np.diagonal(full)[:k])
+
+    @pytest.mark.parametrize("k", [0, 902])
+    def test_leading_block_size_checked(self, k):
+        with pytest.raises(ValueError):
+            build_kernel(RingConfig(1.7, -0.4, 900)).leading_block(k)
+
+    def test_matvec_shape_checked(self):
+        with pytest.raises(ValueError):
+            build_kernel(RingConfig(1.0, 0.0, 5)).matvec(np.ones(5))

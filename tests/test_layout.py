@@ -5,7 +5,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringflow"
 TESTS = Path(__file__).resolve().parent
-EIGENSOLVERS = {"eigh", "eigsh", "eigvalsh"}
+EIGENSOLVERS = {"eigh", "eigsh", "eigvalsh", "lobpcg"}
 
 
 def _trees(*dirs):
@@ -23,13 +23,34 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def test_one_eigensolver_call_in_eigen_module():
-    calls = [
-        (name, _callee(node), node.lineno)
+    # the dense path's eigh and the iterative path's lobpcg, nothing else
+    calls = sorted(
+        (name, _callee(node))
         for name, tree in _trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _callee(node) in EIGENSOLVERS
-    ]
-    assert [(name, callee) for name, callee, _ in calls] == [("eigen.py", "eigh")], calls
+    )
+    assert calls == [("eigen.py", "eigh"), ("eigen.py", "lobpcg")], calls
+
+
+def test_kernel_entries_read_only_by_dense_paths():
+    # the N x N entries are for eigen.py's dense eigh (and the LOBPCG start
+    # block) and verify.py's entry oracles; everything else uses the operator
+    readers = {
+        (name, func.name)
+        for name, tree in _trees()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Call) and _callee(node) == "dense")
+        or (isinstance(node, ast.Attribute) and node.attr == "entries")
+    }
+    assert readers == {
+        ("eigen.py", "min_eigen"),
+        ("eigen.py", "_lowest_lobpcg"),
+        ("verify.py", "kernel_asymmetry"),
+        ("verify.py", "check_kernel_entries"),
+    }, readers
 
 
 def test_no_assert_statements():

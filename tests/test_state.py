@@ -15,7 +15,7 @@ from ringflow import (
     time_quadrature_p,
 )
 from ringflow.state import read_state_csv, write_series_csv, write_state_csv
-from ringflow.verify import quadrature_deviation, random_state
+from ringflow.verify import decay_exponent, quadrature_deviation, random_state
 
 from conftest import ALPHA_STAR
 
@@ -70,9 +70,24 @@ class TestMaximizingState:
         assert p == pytest.approx(-0.11681564340085021, abs=1e-9)
 
     def test_reference_state_coefficient_decay(self, maximizing_state_2000):
-        c = np.abs(maximizing_state_2000.coeffs)
-        m = np.arange(1, len(c))
-        assert np.all(c[1:] < c[0] / m**2)
+        assert decay_exponent(maximizing_state_2000.coeffs) > 2
+
+
+class TestDecayExponent:
+    def test_envelope_exponent(self):
+        # per-mode exponents log(c_0/|c_m|)/log(m) at m = 2, 3 are 2 and 3
+        assert decay_exponent([1.0, 0.5, 0.25, 1 / 27]) == pytest.approx(2.0, rel=1e-15)
+        assert decay_exponent([1.0, 0.0, 0.0]) == math.inf
+        assert decay_exponent([0.5, -0.5, 0.0]) == -math.inf
+
+    def test_threshold_two_is_the_relation(self):
+        # the relation written out, mode by mode
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            c = rng.standard_normal(n) / np.arange(1, n + 1) ** rng.uniform(0, 4)
+            want = all(abs(c[m]) < abs(c[0]) / m**2 for m in range(1, n))
+            assert (decay_exponent(c) > 2) == want
 
 
 class TestMeanEnergy:
