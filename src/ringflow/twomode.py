@@ -6,8 +6,10 @@ phase gamma has integrated current
     P(phi, gamma) = (alpha/pi) * [A - B*cos(phi) + A*sinc(alpha*A*B)*cos(gamma)*sin(phi)]
 
 with A = m1 + m2 - 2*beta and B = m2 - m1.  The minimum over (phi, gamma) has
-a closed form; minimizing that over (alpha, beta) already beats the line bound
-by a factor of about 2.6.
+a closed form, the smallest eigenvalue of the (m1, m2) principal 2x2 block of
+the ring kernel, and so like the kernel it is non-increasing in beta on
+(-1, 0].  Minimizing it over alpha at beta = 0 already beats the line bound by
+a factor of about 2.6.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def minimize_two_mode(m1, m2, alpha, beta) -> TwoModeResult:
     a = m1 + m2 - 2.0 * beta
     b = float(m2 - m1)
     coupling = a * sinc(alpha * a * b)
-    p_min = (alpha / np.pi) * (a - np.sqrt(b * b + coupling * coupling))
+    p_min = two_mode_p_min(m1, m2, alpha, beta)
     degenerate = coupling == 0.0
     phi_star = float(np.arctan2(abs(coupling), b))
     # the gamma term enters as +coupling*cos(gamma); pick the sign that lowers P
@@ -90,33 +92,28 @@ def global_two_mode_min(
 ) -> tuple[float, float, float]:
     """Minimize the closed-form two-mode bound over alpha and beta.
 
-    Coarse grid over alpha/pi in (0, alpha_over_pi_max] and beta in (-1, 0],
+    The bound is non-increasing in beta, so beta_star is beta_range[1] and only
+    alpha is searched: a coarse grid over alpha/pi in (0, alpha_over_pi_max],
     then staged local grid refinement.  Returns (alpha_star, beta_star, p_star)
     with p_star resolved to well below 1e-6.
     """
     _check_pair(m1, m2)
+    beta = float(beta_range[1])
+
+    def grid_min(ap_grid):
+        p = two_mode_p_min(m1, m2, ap_grid * np.pi, beta)
+        i = np.argmin(p)
+        return ap_grid[i], float(p[i])
+
     ap = np.linspace(1e-4, alpha_over_pi_max, 4001)
-    bs = np.linspace(beta_range[0], beta_range[1], 801)
-    da, db = ap[1] - ap[0], bs[1] - bs[0]
-
-    def grid_min(ap_grid, b_grid):
-        aa, bb = np.meshgrid(ap_grid * np.pi, b_grid, indexing="ij")
-        p = two_mode_p_min(m1, m2, aa, bb)
-        i, j = np.unravel_index(np.argmin(p), p.shape)
-        return ap_grid[i], b_grid[j], float(p[i, j])
-
-    a0, b0, p0 = grid_min(ap, bs)
+    da = ap[1] - ap[0]
+    a0, p0 = grid_min(ap)
     for stage in range(7):
-        span_a = 2.0 * da / 10**stage
-        span_b = 2.0 * db / 10**stage
-        ap_local = np.linspace(
-            max(a0 - span_a, 1e-9), min(a0 + span_a, alpha_over_pi_max), 41
+        span = 2.0 * da / 10**stage
+        a0, p0 = grid_min(
+            np.linspace(max(a0 - span, 1e-9), min(a0 + span, alpha_over_pi_max), 41)
         )
-        b_local = np.linspace(
-            max(b0 - span_b, beta_range[0]), min(b0 + span_b, beta_range[1]), 41
-        )
-        a0, b0, p0 = grid_min(ap_local, b_local)
-    return a0 * np.pi, b0, p0
+    return a0 * np.pi, beta, p0
 
 
 def two_mode_curve(m1, m2, alpha_over_pi_grid, betas=(0.0, -0.25, -0.5, -0.75, -0.999)):

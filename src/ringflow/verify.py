@@ -106,6 +106,26 @@ def two_mode_scaling_deviation(rng, draws: int, *, alphas, betas, m1s, gaps) -> 
     return float(np.max(devs))
 
 
+def beta_ordering_increase(rng, draws: int, *, alphas, sizes) -> float:
+    """Largest rise from one point to the next of an increasing 6-point beta
+    grid on (-1, 0], of lambda_min at random (alpha, N) and of the two-mode
+    bound of a random pair 0 <= m1 < m2 <= N at the same alpha.
+
+    dK/dbeta = -(2 alpha/pi)(c c^T + s s^T), with c = cos a and s = sin a, is
+    negative semidefinite, so both are non-increasing in beta and the rise is
+    at most rounding; the beta searches evaluate only the box's upper end.
+    """
+    betas = np.linspace(-1.0, 0.0, 7)[1:]
+    rises = []
+    for _ in range(draws):
+        alpha, n = float(rng.uniform(*alphas)), int(rng.integers(*sizes))
+        m1, m2 = sorted(int(m) for m in rng.choice(n + 1, 2, replace=False))
+        lams = [min_eigen(build_kernel(RingConfig(alpha, b, n))).lambda_min for b in betas]
+        rises.append(np.max(np.diff(lams)))
+        rises.append(np.max(np.diff(two_mode_p_min(m1, m2, alpha, betas))))
+    return float(np.max(rises))
+
+
 def kpi_zero_deviation(ks, n_trunc: int) -> float:
     """Worst |lambda_min| at alpha = k*pi, beta = 0, where it is exactly 0."""
     lams = [min_eigen(build_kernel(RingConfig(k * np.pi, 0.0, n_trunc))).lambda_min for k in ks]
@@ -186,6 +206,13 @@ def check_two_mode():
     return "two-mode closed form and scaling relation"
 
 
+def check_beta_ordering():
+    rng = np.random.default_rng(13)
+    worst = beta_ordering_increase(rng, 3, alphas=(0.1, 6.0), sizes=(40, 121))
+    _expect(worst <= 1e-12, f"rise of {worst!r} along an increasing beta grid")
+    return "lambda_min and two-mode bound non-increasing in beta"
+
+
 def check_zero_at_pi():
     _expect_close(kpi_zero_deviation((1,), 200), 0.0, 1e-12, "|lambda_min| at alpha = pi")
     return "lambda_min = 0 at alpha = pi, beta = 0"
@@ -209,6 +236,7 @@ ALL_CHECKS = [
     check_beta_shift_invariance,
     check_quadrature_oracle,
     check_two_mode,
+    check_beta_ordering,
     check_zero_at_pi,
     check_fit_roundtrip,
 ]

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from ringflow import EigenSolveError, RingConfig, build_kernel, min_eigen
-from ringflow.verify import kpi_zero_deviation
+from ringflow.verify import beta_ordering_increase, kpi_zero_deviation
 
 from conftest import ALPHA_STAR, REFERENCE_LAMBDAS
 
@@ -18,6 +18,13 @@ def test_reference_lambda_800(optimum_eigen_cache):
 
 def test_zero_at_alpha_pi():
     assert max(kpi_zero_deviation((1,), n) for n in (50, 200)) < 1e-12
+
+
+def test_beta_ordering_on_matrix_free_path():
+    # the beta searches evaluate only the box's upper end; check the ordering
+    # they rest on at sizes that take the LOBPCG path
+    rng = np.random.default_rng(29)
+    assert beta_ordering_increase(rng, 2, alphas=(0.3, 4.0), sizes=(700, 1201)) <= 1e-12
 
 
 def test_eigenvector_contract(optimum_eigen_cache):

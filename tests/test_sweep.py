@@ -120,6 +120,33 @@ class TestFindInfimum:
         p_again, _ = extrapolated_infimum(res.alpha, res.beta, FAST)
         assert p_again == res.p
 
+    def test_only_upper_beta_end_evaluated(self, monkeypatch):
+        import ringflow.sweep as sw
+
+        betas = []
+        real = sw.extrapolated_infimum
+
+        def recording(alpha, beta, schedule):
+            betas.append(beta)
+            return real(alpha, beta, schedule)
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", recording)
+        # FAST fits at beta = -0.1 fall outside the extrapolation sanity band
+        schedule = (60, 80, 100, 120)
+        res = find_infimum(
+            (0.35 * math.pi, 0.4 * math.pi),
+            (-0.5, -0.1),
+            coarse_points=6,
+            refine_points=5,
+            stages=2,
+            coarse_schedule=schedule,
+            refine_schedule=schedule,
+            final_schedule=schedule,
+        )
+        assert betas and all(b == -0.1 for b in betas)
+        assert res.beta == -0.1
+        assert res.evaluations == len(betas) == 6 + 2 * 5
+
     def test_invalid_boxes(self):
         with pytest.raises(ValueError):
             find_infimum((-1.0, 1.0), (0.0, 0.0))

@@ -86,7 +86,7 @@ class TestGlobalTwoModeMin:
     def test_reference_optimum(self):
         alpha_s, beta_s, p_s = global_two_mode_min(0, 1)
         assert p_s == pytest.approx(-0.101727, abs=1e-5)
-        assert beta_s == pytest.approx(0.0, abs=1e-6)
+        assert beta_s == 0.0
 
     def test_scaling_consequence_for_higher_m2(self):
         # with m1 = 0 the scaling map covers the optimum, so the (0, m2)
@@ -96,10 +96,14 @@ class TestGlobalTwoModeMin:
             _, _, p = global_two_mode_min(0, m2)
             assert p == pytest.approx(p01 / m2, abs=1e-6)
 
-    def test_beta_slice_against_dense_scan(self):
-        # beta pinned to -0.5: staged refinement vs brute-force alpha scan
-        beta = -0.5
-        alpha_s, beta_s, p_s = global_two_mode_min(0, 1, beta_range=(beta, beta))
+    @pytest.mark.parametrize(
+        "kwargs, beta",
+        [({"beta_range": (-0.5, -0.5)}, -0.5), ({}, 0.0)],
+        ids=["pinned", "default"],
+    )
+    def test_beta_slice_against_dense_scan(self, kwargs, beta):
+        # staged refinement vs brute-force alpha scan at the range's upper end
+        alpha_s, beta_s, p_s = global_two_mode_min(0, 1, **kwargs)
         ap = np.arange(1e-4, 2.0 + 1e-9, 1e-4)
         brute = float(np.min(two_mode_p_min(0, 1, ap * math.pi, beta)))
         assert beta_s == beta
