@@ -4,9 +4,12 @@ Every subcommand writes deterministic CSV/JSON outputs plus a run manifest
 with content digests.  Exit codes: 0 success, 2 validation error, 1
 computation failure.
 
-alpha can be given as --alpha or --alpha-over-pi; a flat key=value config
-file supplies defaults, and flags win over the config file.  Config values of
-on/off flags are true or false; --jobs, however given, is an integer >= 1.
+alpha can be given as --alpha or --alpha-over-pi.  An option's value comes
+from, in this order: its flag, a flat key=value config file (--config), the
+RINGFLOW_JOBS environment variable (--jobs only) and its default.  A config
+value is read with its option's type, so path, schedule and number options
+work there as flags do; on/off flags take true or false.  --jobs, however
+given, is an integer >= 1.  A bad value exits 2 with argparse's message.
 """
 
 from __future__ import annotations
@@ -79,19 +82,23 @@ def _add_alpha_beta(parser, beta_default=None):
 def _add_common(parser):
     parser.add_argument("--outdir", type=Path, default=Path("."))
     parser.add_argument("--config", type=Path, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
+    # a string default is converted with the type, so RINGFLOW_JOBS is checked as --jobs is
+    parser.add_argument("--jobs", type=_jobs_arg, default=os.environ.get("RINGFLOW_JOBS", "1"))
 
 
 def _schedule_arg(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _resolve_jobs(args) -> None:
-    """Worker threads from --jobs, the config file or RINGFLOW_JOBS, in that order."""
-    jobs = args.jobs if args.jobs is not None else _convert(os.environ.get("RINGFLOW_JOBS", "1"))
-    if not isinstance(jobs, int) or jobs < 1:
-        raise SystemExit2(f"jobs must be an integer >= 1, got {jobs!r}")
-    args.jobs = jobs
+def _jobs_arg(raw: str) -> int:
+    """Worker threads for sweeps: an integer >= 1."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 def _require(args, *names) -> None:
@@ -364,84 +371,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convert(raw: str, current=None):
-    """A config value: true or false (any case) where the current value is a
-    bool, as for an on/off flag; otherwise an int, a float or the string."""
-    if isinstance(current, bool):
-        if raw.lower() not in ("true", "false"):
-            raise SystemExit2(f"an on/off setting takes true or false, got {raw!r}")
-        return raw.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
+def _parse_with_config(parser, args, argv):
+    """Parse argv again with the config file's values as subcommand defaults.
 
-
-def _option_dests(parser, subcommand) -> dict:
-    """Long option string -> dest for the options of one subcommand."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        opt: action.dest
-        for action in subparsers.choices[subcommand]._actions
-        for opt in action.option_strings
-        if opt.startswith("--")
-    }
-
-
-def _apply_config(parser, args, argv) -> None:
-    """Overlay config-file values onto parsed args, with flags winning.
-
-    A config key applies only when the matching option was not given on the
-    command line and the subcommand actually has that option, which gives the
-    precedence flags > config file > defaults.  Given options and config keys
-    are both matched to the option's dest (--global stores to global_opt),
-    the options as argparse reads them: --name, --name=value or a unique
-    prefix of --name.
+    Argparse applies a default only to an option not given on the command
+    line, and converts a string default with the option's type; so flags win
+    over the config file, whose values are typed as their flags.  A key is
+    the option's name (global) or its dest (global_opt); keys the subcommand
+    lacks are ignored.  A given --alpha or --alpha-over-pi drops both config
+    alphas.
     """
-    if getattr(args, "config", None) is None:
-        return
-    dest_of = _option_dests(parser, args.subcommand)
-    explicit = set()
-    for tok in argv:
-        if tok == "--":
-            break
-        if not tok.startswith("--"):
-            continue
-        name = tok.split("=", 1)[0]
-        matches = [opt for opt in dest_of if opt == name] or [
-            opt for opt in dest_of if opt.startswith(name)
-        ]
-        if len(matches) == 1:
-            explicit.add(dest_of[matches[0]])
-    values = {
-        dest_of.get("--" + key.replace("_", "-"), key): raw
-        for key, raw in _read_config(args.config).items()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[args.subcommand]
+    actions = {
+        name: action
+        for action in sub._actions
+        if action.default is not argparse.SUPPRESS
+        for name in (action.dest, *(opt[2:].replace("-", "_") for opt in action.option_strings))
     }
-    if {"alpha", "alpha_over_pi"} & explicit:
-        values.pop("alpha", None)
-        values.pop("alpha_over_pi", None)
-    for key, raw in values.items():
-        if key in explicit or not hasattr(args, key):
+    if {vars(args).get("alpha"), vars(args).get("alpha_over_pi")} != {None}:
+        del actions["alpha"], actions["alpha_over_pi"]
+    defaults = {}
+    for key, raw in _read_config(args.config).items():
+        action = actions.get(key)
+        if action is None:
             continue
-        current = getattr(args, key)
-        setattr(args, key, _schedule_arg(raw) if key == "schedule" else _convert(raw, current))
+        if action.nargs == 0:  # an on/off flag, which has no type to convert with
+            if raw.lower() not in ("true", "false"):
+                sub.error(f"config {key}: an on/off setting takes true or false, got {raw!r}")
+            raw = raw.lower() == "true"
+        defaults[action.dest] = raw
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
-        _resolve_jobs(args)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            args = _parse_with_config(parser, args, argv)
         if getattr(args, "reference_schedule", False):
             args.schedule = list(REFERENCE_SCHEDULE)
         return args.func(args)
-    except SystemExit2:
-        return 2
+    except SystemExit as exc:  # argparse's usage errors and SystemExit2
+        return exc.code
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,7 @@ and the half-line Nystrom matrix of the line limit, which is a ring kernel
 too.  Two paths, picked by size alone:
 
 - dense: a LAPACK subset eigh for the lowest eigenpair, on the kernel's
-  entries; used for kernels up to _DENSE_MAX_SIZE modes and for every plain
-  matrix;
+  entries; used for kernels up to _DENSE_MAX_SIZE modes;
 - lobpcg: scipy's LOBPCG on the kernel's FFT matvec, with the diagonal
   preconditioner 1/(D + 1) and a start vector from the lowest eigenvector of
   the leading _START_BLOCK modes; O(N) memory.
@@ -105,30 +104,26 @@ def _lowest_lobpcg(kernel: BackflowKernel, scale: float) -> tuple[float, np.ndar
     return float(vals[0]), vecs[:, 0], len(history) - 2
 
 
-def min_eigen(matrix: BackflowKernel | np.ndarray) -> EigenResult:
-    """Smallest eigenvalue and eigenvector of a kernel or real symmetric matrix.
+def min_eigen(kernel: BackflowKernel) -> EigenResult:
+    """Smallest eigenvalue and eigenvector of a kernel.
 
     A kernel above _DENSE_MAX_SIZE modes goes to LOBPCG, anything else to
     dense eigh; method and iterations say which.  The eigenvector is
     unit-norm with its first nonzero component positive.  n_trunc is the
     highest index, size - 1 (the kernel's truncation N).  The residual
-    |A v - lambda v| must stay below 1e-10 times the largest diagonal
+    |K v - lambda v| must stay below 1e-10 times the largest diagonal
     magnitude, otherwise EigenSolveError is raised.
     """
-    iterations = None
-    if isinstance(matrix, BackflowKernel) and matrix.size > _DENSE_MAX_SIZE:
-        apply = matrix.matvec
-        scale = float(np.max(np.abs(matrix.diagonal()))) or 1.0
-        lam, vec, iterations = _lowest_lobpcg(matrix, scale)
+    # the operator's diagonal is bitwise the dense one
+    scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
+    if kernel.size > _DENSE_MAX_SIZE:
+        apply = kernel.matvec
+        lam, vec, iterations = _lowest_lobpcg(kernel, scale)
         method = "lobpcg"
     else:
-        a = matrix.dense() if isinstance(matrix, BackflowKernel) else np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValueError(f"need a nonempty square matrix, got shape {a.shape}")
-        apply = a.__matmul__
-        scale = float(np.max(np.abs(np.diagonal(a)))) or 1.0
-        lam, vec = _lowest_dense(a)
-        method = "dense"
+        apply = kernel.dense().__matmul__
+        lam, vec = _lowest_dense(kernel.dense())
+        method, iterations = "dense", None
     n_trunc = vec.shape[0] - 1
 
     vec = _sign_normalize(np.ascontiguousarray(vec))

@@ -191,9 +191,6 @@ class BackflowKernel:
             object.__setattr__(self, "_dense", entries)
         return self._dense
 
-    # alias kept for the entry-value tests
-    entries = property(dense)
-
 
 def kernel_entries(alpha: float, beta: float, size: int) -> np.ndarray:
     """K[m, n] for m, n = 0..size-1, the package's one evaluation of the formula.

@@ -21,6 +21,10 @@ import numpy as np
 from .kernel import canonicalize, sinc
 
 
+# the beta values of two_mode_curve, a plotting choice
+CURVE_BETAS = (0.0, -0.25, -0.5, -0.75, -0.999)
+
+
 def _check_pair(m1: int, m2: int) -> None:
     if not (0 <= m1 < m2):
         raise ValueError(f"need 0 <= m1 < m2, got ({m1}, {m2})")
@@ -31,9 +35,6 @@ class TwoModeResult:
     p_min: float
     phi_star: float
     gamma_star: float
-    a_val: float
-    b_val: float
-    degenerate: bool = False
 
 
 def two_mode_p(m1, m2, alpha, beta, phi, gamma):
@@ -70,18 +71,10 @@ def minimize_two_mode(m1, m2, alpha, beta) -> TwoModeResult:
     b = float(m2 - m1)
     coupling = a * sinc(alpha * a * b)
     p_min = two_mode_p_min(m1, m2, alpha, beta)
-    degenerate = coupling == 0.0
     phi_star = float(np.arctan2(abs(coupling), b))
     # the gamma term enters as +coupling*cos(gamma); pick the sign that lowers P
     gamma_star = np.pi if coupling > 0 else 0.0
-    return TwoModeResult(
-        p_min=float(p_min),
-        phi_star=phi_star,
-        gamma_star=float(gamma_star),
-        a_val=float(a),
-        b_val=b,
-        degenerate=degenerate,
-    )
+    return TwoModeResult(p_min=float(p_min), phi_star=phi_star, gamma_star=float(gamma_star))
 
 
 def global_two_mode_min(
@@ -116,13 +109,10 @@ def global_two_mode_min(
     return a0 * np.pi, beta, p0
 
 
-def two_mode_curve(m1, m2, alpha_over_pi_grid, betas=(0.0, -0.25, -0.5, -0.75, -0.999)):
-    """Rows (alpha/pi, beta, p_min) over an alpha grid for several beta values.
-
-    The default beta set is a plotting choice.
-    """
+def two_mode_curve(m1, m2, alpha_over_pi_grid):
+    """Rows (alpha/pi, beta, p_min) over an alpha grid for each of CURVE_BETAS."""
     rows = []
-    for b in betas:
+    for b in CURVE_BETAS:
         bc, _ = canonicalize(b)
         for aop in alpha_over_pi_grid:
             rows.append((float(aop), float(b), float(two_mode_p_min(m1, m2, aop * np.pi, bc))))

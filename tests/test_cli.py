@@ -295,6 +295,20 @@ class TestConfigPrecedence:
         assert run(args + ["--outdir", str(tmp_path / "out")]) == 0
         assert {p.name for p in (tmp_path / "out").iterdir()} == {"twomode.manifest.json", output}
 
+    def test_config_values_typed_as_their_flags(self, tmp_path):
+        # a path and a schedule from the file work as the flags do; a bad
+        # value exits 2 from the file as from the command line
+        (tmp_path / "run.cfg").write_text(f"outdir = {tmp_path / 'cfg-out'}\nschedule = 50 60 70 80\n")
+        args = ["extrapolate", "--alpha-over-pi", "1", "--config", str(tmp_path / "run.cfg")]
+        assert run(args) == 0
+        check_manifest(tmp_path / "cfg-out", "extrapolate", ["extrapolation.json"])
+        record = json.loads((tmp_path / "cfg-out" / "extrapolation.json").read_text())
+        assert record["schedule"] == [50, 60, 70, 80]
+        assert run(["eigen", "--alpha", "1", "--n", "x", "--outdir", str(tmp_path / "a")]) == 2
+        (tmp_path / "bad.cfg").write_text("n = x\n")
+        args = ["eigen", "--alpha", "1", "--config", str(tmp_path / "bad.cfg")]
+        assert run(args + ["--outdir", str(tmp_path / "b")]) == 2
+
 
 class TestConfigBooleans:
     @pytest.mark.parametrize(

@@ -55,28 +55,14 @@ def test_dense_vs_iterative_agree():
         beta = float(rng.uniform(-0.99, 0.0))
         n = int(rng.integers(50, 300))
         kern = build_kernel(RingConfig(alpha, beta, n))
-        full = np.linalg.eigvalsh(kern.entries)[0]
+        full = np.linalg.eigvalsh(kern.dense())[0]
         assert min_eigen(kern).lambda_min == pytest.approx(full, abs=1e-10)
 
 
 def test_iterative_matches_at_moderate_size():
     kern = build_kernel(RingConfig(ALPHA_STAR, 0.0, 800))
-    full = np.linalg.eigvalsh(kern.entries)[0]
+    full = np.linalg.eigvalsh(kern.dense())[0]
     assert min_eigen(kern).lambda_min == pytest.approx(full, abs=1e-10)
-
-
-def test_plain_matrix_same_path_as_kernel():
-    kern = build_kernel(RingConfig(1.3, -0.2, 120))
-    via_kernel = min_eigen(kern)
-    via_matrix = min_eigen(kern.entries)
-    assert via_matrix.lambda_min == via_kernel.lambda_min
-    assert np.array_equal(via_matrix.eigenvector, via_kernel.eigenvector)
-    assert via_matrix.n_trunc == 120
-
-
-def test_non_square_rejected():
-    with pytest.raises(ValueError):
-        min_eigen(np.zeros((3, 4)))
 
 
 def test_variational_bound_via_unit_vectors():

@@ -77,13 +77,13 @@ class TestRingConfig:
 
 class TestBuildKernel:
     def test_reference_entries_alpha_pi(self):
-        k = build_kernel(RingConfig(math.pi, 0.0, 3)).entries
+        k = build_kernel(RingConfig(math.pi, 0.0, 3)).dense()
         assert k[0, 0] == 0.0
         assert k[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert k[1, 1] == pytest.approx(2.0, abs=1e-14)
 
     def test_reference_entry_half_pi(self):
-        k = build_kernel(RingConfig(math.pi / 2, -0.5, 2)).entries
+        k = build_kernel(RingConfig(math.pi / 2, -0.5, 2)).dense()
         assert k[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_diagonal_formula(self):
@@ -96,7 +96,7 @@ class TestBuildKernel:
 
     def test_diagonal_at_multiples_of_pi(self):
         for kk in (1, 2, 3):
-            mat = build_kernel(RingConfig(kk * math.pi, 0.0, 20)).entries
+            mat = build_kernel(RingConfig(kk * math.pi, 0.0, 20)).dense()
             off = mat - np.diag(np.diagonal(mat))
             assert np.max(np.abs(off)) < 1e-11
             assert np.allclose(np.diagonal(mat), 2 * kk * np.arange(21), atol=1e-10)
@@ -108,13 +108,13 @@ class TestBuildKernel:
     )
     @settings(max_examples=30, deadline=None)
     def test_symmetry_bitwise(self, alpha, beta, n):
-        k = build_kernel(RingConfig(alpha, beta, n)).entries
+        k = build_kernel(RingConfig(alpha, beta, n)).dense()
         assert np.array_equal(k, k.T)
 
     def test_entries_immutable(self):
         k = build_kernel(RingConfig(1.0, 0.0, 5))
         with pytest.raises(ValueError):
-            k.entries[0, 0] = 1.0
+            k.dense()[0, 0] = 1.0
 
 
 class TestIntegratedCurrent:
@@ -157,7 +157,7 @@ class TestIntegratedCurrent:
             assert integrated_current(c, kern) == first
         rows = 0.0 + 0.0j
         for m in range(kern.size):
-            rows += np.conj(c[m]) * np.dot(kern.entries[m], c)
+            rows += np.conj(c[m]) * np.dot(kern.dense()[m], c)
         assert first == pytest.approx(rows.real, rel=1e-14)
 
     def test_beta_shift_invariance(self):

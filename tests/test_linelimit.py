@@ -12,7 +12,7 @@ C_LINE = 0.0384517
 def nystrom_matrix(u_max, n_points):
     """Midpoint Nystrom matrix of the half-line operator, as the package builds it."""
     h = u_max / n_points
-    return h, build_kernel(RingConfig(h * h, -0.5, n_points - 1)).entries
+    return h, build_kernel(RingConfig(h * h, -0.5, n_points - 1)).dense()
 
 
 class TestLineKernel:
