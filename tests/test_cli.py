@@ -232,6 +232,18 @@ class TestStateAndCurrentCommands:
             tmp_path / "b" / "current.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "option, value", [("--theta", "nan"), ("--tau-min", "-inf"), ("--tau-max", "inf")]
+    )
+    def test_non_finite_window_rejected(self, tmp_path, capsys, option, value):
+        code = run(
+            ["current", "--alpha-over-pi", "0.37", "--n", "10", f"{option}={value}",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "current.csv").exists()
+
 
 class TestLinelimitCommand:
     def test_nystrom_route(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ringflow import (
     minimize_two_mode,
     time_quadrature_p,
 )
-from ringflow.state import read_state_csv, write_series_csv, write_state_csv
+from ringflow.state import _remainder, read_state_csv, write_series_csv, write_state_csv
 from ringflow.verify import decay_exponent, quadrature_deviation, random_state
 
 from conftest import ALPHA_STAR
@@ -37,6 +38,26 @@ def literal_double_sum_current(state, theta, tau):
                 * phases[nn]
             ).real
     return state.alpha / math.pi * total
+
+
+def exact_phase_current(state, theta, tau):
+    """T*J(theta, tau) with each phase r_m*tau formed as a rational and reduced
+    mod 2*pi in 40-digit arithmetic, so the evolution factors carry no phase error."""
+    import mpmath
+
+    m = np.arange(len(state.coeffs))
+    rate = 2.0 * state.alpha * (m - state.beta) ** 2
+    c_theta = state.coeffs * np.exp(1j * m * theta)
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        phases = []
+        for r in rate:
+            p = Fraction(float(r)) * Fraction(float(tau))
+            phases.append(float(mpmath.fmod(mpmath.mpf(p.numerator) / p.denominator, two_pi)))
+    evol = np.exp(-1j * np.array(phases))
+    z = evol @ c_theta
+    w = evol @ ((m - state.beta) * c_theta)
+    return 2.0 * state.alpha / math.pi * float(np.real(np.conj(z) * w))
 
 
 class TestModeAmplitudes:
@@ -136,6 +157,54 @@ class TestCurrentSeries:
                 assert series.tj_values[0] == pytest.approx(
                     literal_double_sum_current(state, theta, tau), abs=1e-13
                 )
+
+    @pytest.mark.parametrize("n_samples", [2, 3, 63**2 - 1, 63**2, 63**2 + 1])
+    def test_block_remainders(self, n_samples):
+        # Blocks hold isqrt(n_samples) samples: these counts give one-sample
+        # blocks, a full last block, and last blocks of one and of B - 1 samples.
+        # alpha, beta and the tau grid are multiples of 2^-6 and 2^-12, so every
+        # phase r*tau is exact in both evaluations and 1e-13 tests the block
+        # bookkeeping alone; with arbitrary doubles the rounding of r*tau near
+        # 3e3 moves either evaluation by up to 2.5e-12 from the exact phases.
+        block = math.isqrt(n_samples)
+        last = (n_samples - 1) // block * block
+        rng = np.random.default_rng(n_samples)
+        for _ in range(3):
+            n = int(rng.integers(2, 13))
+            state = make_state(
+                random_state(rng, n),
+                int(rng.integers(13, 321)) / 64,
+                -int(rng.integers(0, 58)) / 64,
+            )
+            theta = float(rng.uniform(0, 2 * math.pi))
+            lo = int(rng.integers(-64, 65)) / 64
+            series = current_series(state, theta, (lo, lo + (n_samples - 1) / 4096), n_samples)
+            picks = {0, block - 1, block, last - 1, last, n_samples - 1}
+            for i in sorted(k for k in picks if 0 <= k < n_samples):
+                assert series.tj_values[i] == pytest.approx(
+                    literal_double_sum_current(state, theta, series.tau_samples[i]), abs=1e-13
+                )
+
+    def test_exact_phase_reference_full_size(self, maximizing_state_2000):
+        # first and last sample of three blocks (B = 63), and tau = 0.5, where
+        # dropping the first-order remainder term moves T*J most (2e-11)
+        n_samples = 4001
+        series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
+        assert series.tau_samples[-1] == 0.5
+        for i in (0, 62, 2016, 2078, 3969, 4000):
+            exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
+            assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
+
+    def test_block_remainder_exact(self):
+        # with an endpoint near 0, tau - tau_s is not always a double; the
+        # remainder is still the exact rational tau - tau_s - o_j, rounded once
+        tau = np.linspace(1e-9, 1.0, 4001)[:63]
+        offsets = np.arange(63) * ((1.0 - 1e-9) / 4000)
+        eps = _remainder(tau, tau[0], offsets)
+        for e, t, o in zip(eps, tau, offsets):
+            exact = Fraction(t) - Fraction(tau[0]) - Fraction(o)
+            assert abs(Fraction(e) - exact) <= abs(exact) * 2**-53
+        assert np.any(tau - tau[0] - offsets != eps)
 
     def test_empty_range_rejected(self):
         state = make_state(np.array([1.0, 0.0]), 1.0, 0.0)
