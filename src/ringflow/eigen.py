@@ -2,13 +2,14 @@
 
 Every eigenvalue in the package comes from here: truncated backflow kernels,
 and the half-line Nystrom matrix of the line limit, which is a ring kernel
-too.  Two paths, picked by size alone:
+too.  Two paths, picked by size alone, both numpy only:
 
-- dense: a LAPACK subset eigh for the lowest eigenpair, on the kernel's
-  entries; used for kernels up to _DENSE_MAX_SIZE modes;
-- lobpcg: scipy's LOBPCG on the kernel's FFT matvec, with the diagonal
-  preconditioner 1/(D + 1) and a start vector from the lowest eigenvector of
-  the leading _START_BLOCK modes; O(N) memory.
+- dense: LAPACK's full eigh (numpy.linalg) on the kernel's entries, for
+  kernels up to _DENSE_MAX_SIZE modes;
+- lobpcg: a single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)
+  517) on the kernel's FFT matvec, with the diagonal preconditioner
+  1/(D + 1) and a start vector from the lowest eigenvector of the leading
+  _START_BLOCK modes; O(N) memory.
 
 Either result is certified by an explicit residual |K v - lambda v|, taken
 with the same operator the path solved, instead of trusting backend defaults.
@@ -19,18 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernel import BackflowKernel
 
 _RESIDUAL_FACTOR = 1e-10
 
 # Largest kernel size solved dense: the measured crossover of min_eigen on 2
-# threads.  LOBPCG beats dense build + eigh from 400 modes at alpha/pi =
-# 0.3703965 and (alpha, beta) = (1.7, -0.4) and from 500 at alpha/pi = 0.05;
-# at alpha = 1e-3, where it takes about 60 iterations, the two tie from 600
-# to 750 modes and LOBPCG wins from 800.
-_DENSE_MAX_SIZE = 600
+# threads, best of 9.  LOBPCG beats dense build + eigh from 150 modes at
+# alpha/pi = 0.3703965 (3.4 against 4.3 ms) and from 250 at alpha/pi = 0.05;
+# at alpha = 1e-3, where it takes about 50 iterations, the two tie from 275
+# to 325 modes (6.9 against 7.2 ms at 300) and LOBPCG wins from 350.
+_DENSE_MAX_SIZE = 300
 # Modes of the leading block whose lowest eigenvector starts LOBPCG.
 _START_BLOCK = 64
 # LOBPCG stops at a residual of 1e-14 * (max|sin a| + max|D|).  The matvec's
@@ -43,6 +43,13 @@ _START_BLOCK = 64
 # hardest points tried, 1e-6 <= alpha <= 1e-2, took up to 77 iterations.
 _LOBPCG_TOL_FACTOR = 1e-14
 _LOBPCG_MAXITER = 500
+# Rayleigh-Ritz takes the Gram matrix of its unit-length basis as not positive
+# definite when a Cholesky pivot is at or below this.  Its entries carry
+# rounding of about 1e-16, so a squared pivot near that says nothing, and
+# Rayleigh-Ritz would amplify the operator's rounding by 1/pivot^2: iterated
+# past convergence with [x, w, p] confined to a plane, LOBPCG accepted pivots
+# of 1e-8 and its Ritz values ran off below -1e154.
+_GRAM_PIVOT_MIN = 1e-6
 
 
 class EigenSolveError(RuntimeError):
@@ -78,30 +85,73 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _lowest_dense(a: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, 0))
+    vals, vecs = np.linalg.eigh(a)
     return float(vals[0]), vecs[:, 0]
+
+
+def _rayleigh_ritz(basis: np.ndarray, images: np.ndarray):
+    """Lowest Ritz value and coefficients on the rows of basis, images = A basis.
+
+    None when the Gram matrix of the rows is not positive definite.
+    """
+    try:
+        chol = np.linalg.cholesky(basis @ basis.T)
+    except np.linalg.LinAlgError:
+        return None
+    # written so that a NaN pivot fails too
+    if not chol.diagonal().min() > _GRAM_PIVOT_MIN:
+        return None
+    inv = np.linalg.inv(chol)
+    proj = basis @ images.T
+    lam, z = _lowest_dense(inv @ ((proj + proj.T) / 2) @ inv.T)
+    return lam, inv.T @ z
+
+
+def _lobpcg(apply, x, precond, tol) -> tuple[float, np.ndarray, int]:
+    """Single-vector LOBPCG (Knyazev 2001): lowest Ritz pair and iteration count.
+
+    Each iteration applies A once, to w, the preconditioned residual made
+    orthogonal to x, and does Rayleigh-Ritz on [x, w, p], p the previous
+    update; p is left out of a step whose Gram matrix is not positive
+    definite (_GRAM_PIVOT_MIN).  Stops when |A x - lambda x| <= tol, after
+    _LOBPCG_MAXITER iterations, or when Rayleigh-Ritz fails on [x, w] too,
+    and returns the last pair: min_eigen's residual certificate judges it.
+    """
+    x = x / np.linalg.norm(x)
+    ax = apply(x)
+    lam = float(x @ ax)
+    p = ap = None
+    for iterations in range(_LOBPCG_MAXITER + 1):
+        r = ax - lam * x
+        if iterations == _LOBPCG_MAXITER or np.linalg.norm(r) <= tol:
+            break
+        w = precond * r
+        w -= x * (x @ w)
+        w /= np.linalg.norm(w)
+        basis, images = np.array([x, w]), np.array([ax, apply(w)])
+        norm = 0.0 if p is None else np.linalg.norm(p)
+        if norm > 0.0:
+            basis, images = np.vstack([basis, p / norm]), np.vstack([images, ap / norm])
+        ritz = _rayleigh_ritz(basis, images)
+        if ritz is None and len(basis) == 3:
+            basis, images = basis[:2], images[:2]
+            ritz = _rayleigh_ritz(basis, images)
+        if ritz is None:
+            break
+        lam, y = ritz
+        p, ap = y[1:] @ basis[1:], y[1:] @ images[1:]
+        x, ax = y[0] * x + p, y[0] * ax + ap
+    return lam, x, iterations
 
 
 def _lowest_lobpcg(kernel: BackflowKernel, scale: float) -> tuple[float, np.ndarray, int]:
     """LOBPCG's lowest pair and iteration count; scale is max|D|."""
-    # imported here: scipy.sparse.linalg adds about 0.13 s to the package import
-    from scipy.sparse.linalg import lobpcg
-
     block = min(_START_BLOCK, kernel.size)
-    start = np.zeros((kernel.size, 1))
-    start[:block, 0] = _lowest_dense(kernel.leading_block(block).dense())[1]
+    start = np.zeros(kernel.size)
+    start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
     precond = 1.0 / (kernel.diagonal() + 1.0)
-    vals, vecs, history = lobpcg(
-        kernel.matvec,
-        start,
-        M=lambda x: precond[:, None] * x,
-        tol=_LOBPCG_TOL_FACTOR * (np.max(np.abs(kernel.sin_phase)) + scale),
-        maxiter=_LOBPCG_MAXITER,
-        largest=False,
-        retLambdaHistory=True,
-    )
-    # history holds the start and final Ritz values around one per iteration
-    return float(vals[0]), vecs[:, 0], len(history) - 2
+    tol = _LOBPCG_TOL_FACTOR * (np.max(np.abs(kernel.sin_phase)) + scale)
+    return _lobpcg(kernel.matvec, start, precond, tol)
 
 
 def min_eigen(kernel: BackflowKernel) -> EigenResult:

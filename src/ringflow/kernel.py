@@ -15,8 +15,11 @@ With the phases a_m = alpha*(m - beta)^2, the sinc argument is a_m - a_n, so
 
 with S = diag(sin a), C = diag(cos a), T the skew Toeplitz matrix 1/(m - n)
 (zero diagonal) and D = diag(2*alpha*(m - beta)/pi).  BackflowKernel keeps
-only sin a, cos a and D, and applies K by FFT Toeplitz products: O(N log N)
-time and O(N) memory per product.  The N x N entries are built on request.
+only sin a, cos a and D, and applies K through a circulant embedding of T:
+one numpy.fft rfft/irfft pair per product, at the smallest 5-smooth length
+of at least 2N - 1: O(N log N) time and O(N) memory.  The FFT of the
+embedded symbol is computed on the first product and kept; the N x N
+entries are built on request.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 # Below this the Taylor series 1 - z^2/6 + z^4/120 is more accurate than sin(z)/z.
 _SINC_TAYLOR_CUTOFF = 1e-4
@@ -133,13 +135,26 @@ def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
     return (ph - qh) + (pl - ql)
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth integer >= n: pocketfft is slowest on large prime factors."""
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
 @dataclass(frozen=True, eq=False)
 class BackflowKernel:
     """The kernel at config's (alpha, beta) on modes m = 0..size-1, as an operator.
 
     size is config.size for the full kernel and smaller for a leading block.
     Holds sin_phase and cos_phase, sin and cos of the phases a_m, and the
-    diagonal; dense() builds the entries on first request and keeps them.
+    diagonal.  matvec computes the FFT of T's circulant embedding, and dense()
+    the entries, on first request and keeps them.
     """
 
     config: RingConfig
@@ -148,6 +163,7 @@ class BackflowKernel:
     cos_phase: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
     _dense: np.ndarray | None = field(init=False, repr=False, default=None)
+    _circulant: tuple[int, np.ndarray] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not 1 <= self.size <= self.config.size:
@@ -166,16 +182,26 @@ class BackflowKernel:
         return self._diag
 
     def matvec(self, x) -> np.ndarray:
-        """K @ x for x of shape (size,) or (size, k), by two FFT Toeplitz products."""
+        """K @ x for x of shape (size,) or (size, k), by one FFT pair on 2k columns."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self.size:
             raise ValueError(f"need shape ({self.size},) or ({self.size}, k), got {x.shape}")
         cols = x.reshape(self.size, -1)
         s, c, d = self.sin_phase[:, None], self.cos_phase[:, None], self._diag[:, None]
-        t = np.zeros(self.size)
-        t[1:] = 1.0 / (np.pi * np.arange(1, self.size))
-        # first column t and first row -t: the skew Toeplitz 1/(pi*(m - n))
-        prod = scipy.linalg.matmul_toeplitz((t, -t), np.hstack([c * cols, s * cols]))
+        if self._circulant is None:
+            # first column of a circulant whose leading size x size block is
+            # the skew Toeplitz 1/(pi*(m - n)): t below the diagonal, -t above
+            length = _fft_size(2 * self.size - 1)
+            t = 1.0 / (np.pi * np.arange(1, self.size))
+            col = np.zeros(length)
+            col[1:self.size] = t
+            col[length - self.size + 1:] = -t[::-1]
+            symbol = np.fft.rfft(col)[:, None]
+            symbol.setflags(write=False)
+            object.__setattr__(self, "_circulant", (length, symbol))
+        length, symbol = self._circulant
+        both = np.fft.rfft(np.hstack([c * cols, s * cols]), n=length, axis=0)
+        prod = np.fft.irfft(symbol * both, n=length, axis=0)[:self.size]
         k = cols.shape[1]
         return (s * prod[:, :k] - c * prod[:, k:] + d * cols).reshape(x.shape)
 

@@ -193,7 +193,8 @@ def read_state_csv(path) -> ModeAmplitudes:
 
 def write_series_csv(series: CurrentSeries, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# theta={series.theta:.17g} window=(-0.5,0.5)\n")
+        first, last = series.tau_samples[0], series.tau_samples[-1]
+        fh.write(f"# theta={series.theta:.17g} window=({first:.17g},{last:.17g})\n")
         fh.write("tau,tj\n")
         for t, j in zip(series.tau_samples, series.tj_values):
             fh.write(f"{t:.17g},{j:.17g}\n")

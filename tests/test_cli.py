@@ -233,6 +233,19 @@ class TestStateAndCurrentCommands:
         ).read_bytes()
 
     @pytest.mark.parametrize(
+        "window, first, last",
+        [([], "-1.5", "1.5"), (["--tau-min=-0.25", "--tau-max", "0.75"], "-0.25", "0.75")],
+        ids=["default", "given"],
+    )
+    def test_header_names_the_window(self, tmp_path, window, first, last):
+        code = run(["current", "--alpha-over-pi", "0.37", "--n", "10", "--samples", "9",
+                    *window, "--outdir", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "current.csv").read_text().splitlines()
+        assert lines[0] == f"# theta=0 window=({first},{last})"
+        assert lines[2].split(",")[0] == first and lines[-1].split(",")[0] == last
+
+    @pytest.mark.parametrize(
         "option, value", [("--theta", "nan"), ("--tau-min", "-inf"), ("--tau-max", "inf")]
     )
     def test_non_finite_window_rejected(self, tmp_path, capsys, option, value):
@@ -356,6 +369,27 @@ class TestJobs:
         manifest = tmp_path / "eigen.manifest.json"
         jobs = json.loads(manifest.read_text())["parameters"]["jobs"] if manifest.exists() else None
         assert (code, jobs) == (2 if want is None else 0, want)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # both eigen paths and the full default extrapolate, in a fresh interpreter
+    script = (
+        "import sys\n"
+        "import ringflow.cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['eigen', '--alpha-over-pi', '0.3703965', '--n', '800'],\n"
+        "             ['extrapolate', '--alpha-over-pi', '0.3703965']):\n"
+        "    assert ringflow.cli.main(argv + ['--outdir', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(ringflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "eigen.json").read_text())["method"] == "lobpcg"
 
 
 class TestVerifyCommand:

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
-from ringflow import EigenSolveError, RingConfig, build_kernel, min_eigen
+from ringflow import EigenSolveError, RingConfig, build_kernel, eigen, min_eigen
 from ringflow.verify import beta_ordering_increase, kpi_zero_deviation
 
 from conftest import ALPHA_STAR, REFERENCE_LAMBDAS
@@ -48,15 +47,15 @@ def test_residual_certified():
 
 
 def test_dense_vs_iterative_agree():
-    # subset solve against the full spectrum of an independent LAPACK driver
+    # the dense path, numpy's full eigh, against scipy's subset LAPACK solver
     rng = np.random.default_rng(123)
     for _ in range(20):
         alpha = float(rng.uniform(0.2, 6.0))
         beta = float(rng.uniform(-0.99, 0.0))
         n = int(rng.integers(50, 300))
         kern = build_kernel(RingConfig(alpha, beta, n))
-        full = np.linalg.eigvalsh(kern.dense())[0]
-        assert min_eigen(kern).lambda_min == pytest.approx(full, abs=1e-10)
+        want = scipy.linalg.eigh(kern.dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
+        assert min_eigen(kern).lambda_min == pytest.approx(want, abs=1e-10)
 
 
 def test_iterative_matches_at_moderate_size():
@@ -91,10 +90,43 @@ def test_lobpcg_matches_dense(alpha, beta, n, zero):
 
 
 def test_bad_lobpcg_pair_raises(monkeypatch):
-    def stale(a, x, **kwargs):
+    def stale(apply, x, precond, tol):
         # the start vector with a wrong eigenvalue, as a non-converged run may return
-        return np.array([-1.0]), x, [np.array([-1.0])] * 3
+        return -1.0, x, 1
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", stale)
+    monkeypatch.setattr(eigen, "_lobpcg", stale)
     with pytest.raises(EigenSolveError, match="lobpcg"):
         min_eigen(build_kernel(RingConfig(ALPHA_STAR, 0.0, 1000)))
+
+
+def test_rank_deficient_gram_drops_p(monkeypatch):
+    # A start vector in an invariant plane of the operator keeps x, w and p in
+    # that plane, so from the second step on [x, w, p] is rank-deficient.
+    # tol = 0 runs on past convergence, where w is rounding noise, until a
+    # residual is exactly zero or _LOBPCG_MAXITER steps are done.
+    steps = []
+    rayleigh_ritz = eigen._rayleigh_ritz
+
+    def spy(basis, images):
+        ritz = rayleigh_ritz(basis, images)
+        steps.append((len(basis), ritz is None))
+        return ritz
+
+    monkeypatch.setattr(eigen, "_rayleigh_ritz", spy)
+    drops = 0
+    for seed in range(40):
+        steps.clear()
+        rng = np.random.default_rng(seed)
+        a = np.zeros((6, 6))
+        a[:2, :2] = rng.standard_normal((2, 2))
+        a[2:, 2:] = rng.standard_normal((4, 4))
+        a += a.T
+        start = np.zeros(6)
+        start[:2] = rng.standard_normal(2)
+        lam, x, _ = eigen._lobpcg(a.__matmul__, start, rng.uniform(0.2, 2.0, 6), 0.0)
+        x = x / np.linalg.norm(x)
+        assert np.linalg.norm(a @ x - lam * x) <= 1e-10 * np.max(np.abs(np.diag(a)))
+        assert lam == pytest.approx(np.linalg.eigvalsh(a[:2, :2])[0], abs=1e-13)
+        # a step that dropped p and went on with Rayleigh-Ritz on [x, w]
+        drops += ((3, True), (2, False)) in zip(steps, steps[1:])
+    assert drops > 0

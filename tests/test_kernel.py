@@ -9,6 +9,7 @@ from ringflow import (
     RingConfig,
     build_kernel,
     canonicalize,
+    eigen,
     integrated_current,
     sinc,
 )
@@ -180,6 +181,17 @@ class TestOperator:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         # one column alone gives the same numbers as in a block
         assert np.array_equal(kern.matvec(x[:, 1]), got[:, 1])
+
+    @pytest.mark.parametrize("size", [1, 2, 3, eigen._DENSE_MAX_SIZE + 1])
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
+    def test_matvec_small_and_crossover_sizes(self, size, shape):
+        # the circulant embedding's edge cases, and the smallest LOBPCG size
+        kern = build_kernel(RingConfig(1.7, -0.4, 400)).leading_block(size)
+        x = np.random.default_rng(size).standard_normal((size, *shape))
+        want = kern.dense() @ x
+        got = kern.matvec(x)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_leading_block_is_bitwise_slice(self):
         kern = build_kernel(RingConfig(1.7, -0.4, 900))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringflow"
 TESTS = Path(__file__).resolve().parent
-EIGENSOLVERS = {"eigh", "eigsh", "eigvalsh", "lobpcg"}
+EIGENSOLVERS = {"eigh", "eigsh", "eigvalsh", "lobpcg", "_lobpcg"}
 
 
 def _trees(*dirs):
@@ -23,14 +23,29 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def test_one_eigensolver_call_in_eigen_module():
-    # the dense path's eigh and the iterative path's lobpcg, nothing else
+    # the in-house LOBPCG and one eigh, which serves both the dense path and
+    # LOBPCG's Rayleigh-Ritz step, nothing else
     calls = sorted(
         (name, _callee(node))
         for name, tree in _trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _callee(node) in EIGENSOLVERS
     )
-    assert calls == [("eigen.py", "eigh"), ("eigen.py", "lobpcg")], calls
+    assert calls == [("eigen.py", "_lobpcg"), ("eigen.py", "eigh")], calls
+
+
+def test_package_does_not_import_scipy():
+    # numpy serves every numerical step; scipy is a test-only oracle
+    modules = [
+        (name, node.lineno, module)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        for module in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        )
+    ]
+    assert [m for m in modules if m[2].split(".")[0] == "scipy"] == []
 
 
 def test_kernel_entries_read_only_by_dense_paths():
