@@ -2,17 +2,16 @@
 
 Every eigenvalue in the package comes from here: truncated backflow kernels,
 and the half-line Nystrom matrix of the line limit, which is a ring kernel
-too.  Two paths, picked by size alone, both numpy only:
+too.  One path at every size, numpy only: a single-vector LOBPCG (Knyazev,
+SIAM J. Sci. Comput. 23 (2001) 517) on the kernel's FFT matvec, with the
+diagonal preconditioner 1/(D + 1) and a start vector from LAPACK's eigh on
+the leading _START_BLOCK modes; O(N) memory beyond that block.  A kernel of
+at most _START_BLOCK modes is its own start block, so there the start vector
+is dense eigh's eigenvector, and on every kernel tried LOBPCG stops at
+iteration 0.
 
-- dense: LAPACK's full eigh (numpy.linalg) on the kernel's entries, for
-  kernels up to _DENSE_MAX_SIZE modes;
-- lobpcg: a single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001)
-  517) on the kernel's FFT matvec, with the diagonal preconditioner
-  1/(D + 1) and a start vector from the lowest eigenvector of the leading
-  _START_BLOCK modes; O(N) memory.
-
-Either result is certified by an explicit residual |K v - lambda v|, taken
-with the same operator the path solved, instead of trusting backend defaults.
+The result is certified by an explicit residual |K v - lambda v|, taken with
+the matvec, instead of trusting backend defaults.
 """
 
 from __future__ import annotations
@@ -25,13 +24,8 @@ from .kernel import BackflowKernel
 
 _RESIDUAL_FACTOR = 1e-10
 
-# Largest kernel size solved dense: the measured crossover of min_eigen on 2
-# threads, best of 9.  LOBPCG beats dense build + eigh from 150 modes at
-# alpha/pi = 0.3703965 (3.4 against 4.3 ms) and from 250 at alpha/pi = 0.05;
-# at alpha = 1e-3, where it takes about 50 iterations, the two tie from 275
-# to 325 modes (6.9 against 7.2 ms at 300) and LOBPCG wins from 350.
-_DENSE_MAX_SIZE = 300
-# Modes of the leading block whose lowest eigenvector starts LOBPCG.
+# Modes of the leading block whose lowest eigenvector starts LOBPCG; a kernel
+# of at most this many modes is its own start block.
 _START_BLOCK = 64
 # LOBPCG stops at a residual of 1e-14 * (max|sin a| + max|D|).  The matvec's
 # rounding floor is a few 1e-16 times that, because its two Toeplitz terms
@@ -63,7 +57,7 @@ class EigenResult:
     n_trunc: int
     residual_norm: float
     method: str
-    iterations: int | None = None
+    iterations: int
 
     def to_record(self) -> dict:
         return {
@@ -155,34 +149,27 @@ def _lowest_lobpcg(kernel: BackflowKernel, scale: float) -> tuple[float, np.ndar
 
 
 def min_eigen(kernel: BackflowKernel) -> EigenResult:
-    """Smallest eigenvalue and eigenvector of a kernel.
+    """Smallest eigenvalue and eigenvector of a kernel, by LOBPCG at every size.
 
-    A kernel above _DENSE_MAX_SIZE modes goes to LOBPCG, anything else to
-    dense eigh; method and iterations say which.  The eigenvector is
-    unit-norm with its first nonzero component positive.  n_trunc is the
-    highest index, size - 1 (the kernel's truncation N).  The residual
-    |K v - lambda v| must stay below 1e-10 times the largest diagonal
+    method is always "lobpcg"; iterations counts LOBPCG steps, 0 when the
+    start vector already meets the tolerance.  The eigenvector is unit-norm
+    with its first nonzero component positive.  n_trunc is the highest index,
+    size - 1 (the kernel's truncation N).  The residual |K v - lambda v|,
+    taken with the matvec, must stay below 1e-10 times the largest diagonal
     magnitude, otherwise EigenSolveError is raised.
     """
     # the operator's diagonal is bitwise the dense one
     scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
-    if kernel.size > _DENSE_MAX_SIZE:
-        apply = kernel.matvec
-        lam, vec, iterations = _lowest_lobpcg(kernel, scale)
-        method = "lobpcg"
-    else:
-        apply = kernel.dense().__matmul__
-        lam, vec = _lowest_dense(kernel.dense())
-        method, iterations = "dense", None
+    lam, vec, iterations = _lowest_lobpcg(kernel, scale)
     n_trunc = vec.shape[0] - 1
 
     vec = _sign_normalize(np.ascontiguousarray(vec))
     vec = vec / np.linalg.norm(vec)
-    residual = float(np.linalg.norm(apply(vec) - lam * vec))
+    residual = float(np.linalg.norm(kernel.matvec(vec) - lam * vec))
     if not residual <= _RESIDUAL_FACTOR * scale:
         raise EigenSolveError(
             f"residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:.0e} * {scale:.3e} "
-            f"(N={n_trunc}, {method})"
+            f"(N={n_trunc}, lobpcg)"
         )
     vec.setflags(write=False)
     return EigenResult(
@@ -190,6 +177,6 @@ def min_eigen(kernel: BackflowKernel) -> EigenResult:
         eigenvector=vec,
         n_trunc=n_trunc,
         residual_norm=residual,
-        method=method,
+        method="lobpcg",
         iterations=iterations,
     )

@@ -19,7 +19,7 @@ only sin a, cos a and D, and applies K through a circulant embedding of T:
 one numpy.fft rfft/irfft pair per product, at the smallest 5-smooth length
 of at least 2N - 1: O(N log N) time and O(N) memory.  The FFT of the
 embedded symbol is computed on the first product and kept; the N x N
-entries are built on request.
+entries are built anew on each request.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ class BackflowKernel:
 
     size is config.size for the full kernel and smaller for a leading block.
     Holds sin_phase and cos_phase, sin and cos of the phases a_m, and the
-    diagonal.  matvec computes the FFT of T's circulant embedding, and dense()
-    the entries, on first request and keeps them.
+    diagonal.  matvec computes the FFT of T's circulant embedding on first
+    request and keeps it; dense() builds the entries anew on each call.
     """
 
     config: RingConfig
@@ -162,7 +162,6 @@ class BackflowKernel:
     sin_phase: np.ndarray = field(init=False, repr=False)
     cos_phase: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
-    _dense: np.ndarray | None = field(init=False, repr=False, default=None)
     _circulant: tuple[int, np.ndarray] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -211,11 +210,9 @@ class BackflowKernel:
 
     def dense(self) -> np.ndarray:
         """The entries as a read-only size x size array, from kernel_entries."""
-        if self._dense is None:
-            entries = kernel_entries(self.config.alpha, self.config.beta, self.size)
-            entries.setflags(write=False)
-            object.__setattr__(self, "_dense", entries)
-        return self._dense
+        entries = kernel_entries(self.config.alpha, self.config.beta, self.size)
+        entries.setflags(write=False)
+        return entries
 
 
 def kernel_entries(alpha: float, beta: float, size: int) -> np.ndarray:

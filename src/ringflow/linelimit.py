@@ -86,17 +86,3 @@ def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
         )
     return min_eigen(build_kernel(RingConfig(alpha, beta, n_trunc))).lambda_min
 
-
-def convergence_study(
-    u_max: float = 10.0, n_points: int = 500, doublings: int = 3
-) -> list[tuple[float, int, float]]:
-    """(u_max, n_points, lambda_min) under simultaneous doubling of both.
-
-    lambda_min is line_limit_min's estimate, with the leading 1/u_max
-    truncation term already removed.
-    """
-    rows = []
-    for k in range(doublings + 1):
-        um, n = u_max * 2**k, n_points * 2**k
-        rows.append((um, n, line_limit_min(um, n).lambda_min))
-    return rows

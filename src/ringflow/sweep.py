@@ -54,10 +54,9 @@ def sweep_alpha(
     """One extrapolated-infimum record per grid alpha, in grid order.
 
     Records carry beta canonicalized to (-1, 0].  Thread workers overlap the
-    eigensolves where they run outside the GIL: dense LAPACK solves almost
-    wholly, LOBPCG solves only in their FFTs and array arithmetic, because
-    its iteration loop is Python.  On 2 cores, two workers ran a 16-point
-    grid on the default schedule (all LOBPCG) at 0.84-0.91x the speed of one
+    LOBPCG solves only in their FFTs and array arithmetic, outside the GIL,
+    because the iteration loop is Python.  On 2 cores, two workers ran a
+    16-point grid on the default schedule at 0.84-0.91x the speed of one
     with one BLAS thread, and at 0.70-0.76x with OpenBLAS's default threads.
     """
     alpha_grid = list(alpha_grid)
@@ -104,6 +103,8 @@ def find_infimum(
         raise ValueError("alpha box must be positive and ordered")
     if not (-1 < b_lo <= b_hi <= 0):
         raise ValueError("beta box must sit inside (-1, 0]")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
 
     used = 0
     exhausted = False

@@ -111,6 +111,12 @@ def global_two_mode_min(
 
 def two_mode_curve(m1, m2, alpha_over_pi_grid):
     """Rows (alpha/pi, beta, p_min) over an alpha grid for each of CURVE_BETAS."""
+    _check_pair(m1, m2)
+    alpha_over_pi_grid = list(alpha_over_pi_grid)
+    if not alpha_over_pi_grid:
+        raise ValueError("empty alpha grid")
+    if not all(aop > 0 for aop in alpha_over_pi_grid):
+        raise ValueError("alpha must be positive on the whole grid")
     rows = []
     for b in CURVE_BETAS:
         bc, _ = canonicalize(b)

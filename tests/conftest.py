@@ -37,7 +37,7 @@ REFERENCE_FIT = {
 def optimum_eigen_cache():
     """N -> EigenResult at the optimum (alpha, beta), shared across tests.
 
-    The heavy dense solves (up to N = 3000) run once per session.
+    The heavy solves (up to N = 3000) run once per session.
     """
     cache = {}
 

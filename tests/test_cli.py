@@ -190,6 +190,26 @@ class TestTwomodeCommand:
         record = json.loads((tmp_path / "twomode_global.json").read_text())
         assert record["p_min"] == pytest.approx(-0.101727, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--m1", "1", "--m2", "1"], ["--m1", "-2", "--m2", "1"], ["--steps", "0"],
+         ["--alpha-over-pi-min", "-1", "--alpha-over-pi-max", "0", "--steps", "3"]],
+        ids=["equal-pair", "negative-m1", "no-steps", "non-positive-alpha"],
+    )
+    def test_curve_validation(self, tmp_path, capsys, options):
+        # the curve checks its pair and grid as --global and sweep do
+        assert run(["twomode", *options, "--outdir", str(tmp_path)]) == 2
+        assert not (tmp_path / "twomode_curve.csv").exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestInfimumCommand:
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_a_validation_error(self, tmp_path, capsys, budget):
+        args = ["infimum", "--alpha-over-pi-min", "0.3", "--alpha-over-pi-max", "0.4"]
+        assert run([*args, "--budget", budget, "--outdir", str(tmp_path)]) == 2
+        assert "budget" in capsys.readouterr().err
+
 
 class TestStateAndCurrentCommands:
     def test_state_and_current_roundtrip(self, tmp_path):
@@ -372,7 +392,7 @@ class TestJobs:
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # both eigen paths and the full default extrapolate, in a fresh interpreter
+    # an eigen solve and the full default extrapolate, in a fresh interpreter
     script = (
         "import sys\n"
         "import ringflow.cli\n"

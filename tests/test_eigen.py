@@ -32,7 +32,7 @@ def test_eigenvector_contract(optimum_eigen_cache):
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     first_nonzero = v[np.abs(v) > 1e-12][0]
     assert first_nonzero > 0
-    # size 801 lies above the dense crossover
+    # size 801 lies far beyond the 64-mode start block, so LOBPCG iterates
     assert (result.method, result.iterations > 0) == ("lobpcg", True)
 
 
@@ -47,7 +47,8 @@ def test_residual_certified():
 
 
 def test_dense_vs_iterative_agree():
-    # the dense path, numpy's full eigh, against scipy's subset LAPACK solver
+    # LOBPCG at small sizes, most beyond the start block, against scipy's
+    # subset LAPACK solver
     rng = np.random.default_rng(123)
     for _ in range(20):
         alpha = float(rng.uniform(0.2, 6.0))
@@ -74,16 +75,23 @@ def test_variational_bound_via_unit_vectors():
 @pytest.mark.parametrize(
     "alpha,beta,n,zero",
     [(math.pi, 0.0, 1000, True), (2 * math.pi, 0.0, 1000, True), (3 * math.pi, 0.0, 1000, True),
-     (1.7, -0.4, 1000, False), (1e-4, -0.5, 3999, False), (1e-8, 0.0, 1000, False)],
-    ids=["pi", "2pi", "3pi", "beta-nonzero", "nystrom", "tiny-alpha"],
+     (1.7, -0.4, 1000, False), (1e-4, -0.5, 3999, False), (1e-8, 0.0, 1000, False),
+     (1.7, -0.4, 63, False), (1.7, -0.4, 64, False), (1e-3, 0.0, 300, False)],
+    ids=["pi", "2pi", "3pi", "beta-nonzero", "nystrom", "tiny-alpha",
+         "start-block", "first-iterating", "slowest-small"],
 )
 def test_lobpcg_matches_dense(alpha, beta, n, zero):
     # zero: alpha = k*pi, beta = 0, where the exact kernel is diagonal with a
     # zero at m = 0.  tiny-alpha: max|D| = 6e-6 puts the certificate at 6e-16,
     # so the LOBPCG tolerance must follow the matvec's own scale.
+    # start-block: 64 modes are their own start block, whose dense eigenvector
+    # LOBPCG accepts at iteration 0; first-iterating: one mode more.
+    # slowest-small: alpha = 1e-3 takes about 50 iterations, the most seen at
+    # 300 modes or fewer.
     kern = build_kernel(RingConfig(alpha, beta, n))
     result = min_eigen(kern)
     assert result.method == "lobpcg"
+    assert (result.iterations == 0) == (kern.size <= eigen._START_BLOCK) or zero
     want = scipy.linalg.eigh(kern.dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
     assert abs(result.lambda_min - want) <= 1e-12
     assert not zero or abs(result.lambda_min) <= 1e-12

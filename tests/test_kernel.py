@@ -156,9 +156,10 @@ class TestIntegratedCurrent:
         first = integrated_current(c, kern)
         for _ in range(3):
             assert integrated_current(c, kern) == first
+        entries = kern.dense()
         rows = 0.0 + 0.0j
         for m in range(kern.size):
-            rows += np.conj(c[m]) * np.dot(kern.dense()[m], c)
+            rows += np.conj(c[m]) * np.dot(entries[m], c)
         assert first == pytest.approx(rows.real, rel=1e-14)
 
     def test_beta_shift_invariance(self):
@@ -182,10 +183,11 @@ class TestOperator:
         # one column alone gives the same numbers as in a block
         assert np.array_equal(kern.matvec(x[:, 1]), got[:, 1])
 
-    @pytest.mark.parametrize("size", [1, 2, 3, eigen._DENSE_MAX_SIZE + 1])
+    @pytest.mark.parametrize("size", [1, 2, 3, eigen._START_BLOCK + 1])
     @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
     def test_matvec_small_and_crossover_sizes(self, size, shape):
-        # the circulant embedding's edge cases, and the smallest LOBPCG size
+        # the circulant embedding's edge cases, and the smallest size at which
+        # LOBPCG iterates beyond its start block
         kern = build_kernel(RingConfig(1.7, -0.4, 400)).leading_block(size)
         x = np.random.default_rng(size).standard_normal((size, *shape))
         want = kern.dense() @ x

@@ -23,8 +23,8 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def test_one_eigensolver_call_in_eigen_module():
-    # the in-house LOBPCG and one eigh, which serves both the dense path and
-    # LOBPCG's Rayleigh-Ritz step, nothing else
+    # the in-house LOBPCG and one eigh, which serves both LOBPCG's start block
+    # and its Rayleigh-Ritz step, nothing else
     calls = sorted(
         (name, _callee(node))
         for name, tree in _trees()
@@ -49,8 +49,8 @@ def test_package_does_not_import_scipy():
 
 
 def test_kernel_entries_read_only_by_dense_paths():
-    # the N x N entries are for eigen.py's dense eigh (and the LOBPCG start
-    # block) and verify.py's entry oracles; everything else uses the operator
+    # the N x N entries are for eigen.py's LOBPCG start block and verify.py's
+    # entry oracles; everything else uses the operator
     readers = {
         (name, func.name)
         for name, tree in _trees()
@@ -61,7 +61,6 @@ def test_kernel_entries_read_only_by_dense_paths():
         or (isinstance(node, ast.Attribute) and node.attr == "entries")
     }
     assert readers == {
-        ("eigen.py", "min_eigen"),
         ("eigen.py", "_lowest_lobpcg"),
         ("verify.py", "kernel_asymmetry"),
         ("verify.py", "check_kernel_entries"),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ringflow import RingConfig, build_kernel, line_limit_min, ring_small_alpha_limit
-from ringflow.linelimit import convergence_study
 
 C_LINE = 0.0384517
 
@@ -62,8 +61,9 @@ class TestLineLimit:
                 line_limit_min(u_max, n_points)
 
     def test_simultaneous_refinement_converges(self):
-        rows = convergence_study(u_max=5.0, n_points=250, doublings=3)
-        diffs = [abs(rows[i + 1][2] - rows[i][2]) for i in range(3)]
+        # u_max and n_points doubled together, so the spacing h stays fixed
+        rows = [line_limit_min(5.0 * 2**k, 250 * 2**k).lambda_min for k in range(4)]
+        diffs = [abs(rows[i + 1] - rows[i]) for i in range(3)]
         assert diffs[0] > diffs[1] > diffs[2]
 
 

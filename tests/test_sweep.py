@@ -153,6 +153,17 @@ class TestFindInfimum:
         with pytest.raises(ValueError):
             find_infimum((1.0, 2.0), (-2.0, 0.0))
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected_before_any_solve(self, monkeypatch, budget):
+        import ringflow.sweep as sw
+
+        def unexpected(*args):
+            raise AssertionError("solved despite an invalid budget")
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", unexpected)
+        with pytest.raises(ValueError, match="budget"):
+            find_infimum((0.35 * math.pi, 0.4 * math.pi), (0.0, 0.0), budget=budget)
+
     @pytest.mark.slow
     def test_reference_optimum_region(self):
         res = find_infimum(

@@ -9,6 +9,7 @@ from ringflow import (
     two_mode_p,
     two_mode_p_min,
 )
+from ringflow.twomode import two_mode_curve
 from ringflow.verify import two_mode_scaling_deviation
 
 
@@ -109,3 +110,19 @@ class TestGlobalTwoModeMin:
         assert beta_s == beta
         assert p_s <= brute + 1e-12
         assert brute - p_s <= 1e-6
+
+
+class TestTwoModeCurve:
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (-2, 1), (2, 1)])
+    def test_invalid_pair_rejected(self, m1, m2):
+        with pytest.raises(ValueError, match="m1 < m2"):
+            two_mode_curve(m1, m2, [0.1, 0.2])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            two_mode_curve(0, 1, np.linspace(0.1, 1.0, 0))
+
+    @pytest.mark.parametrize("grid", [[-0.5, 0.5], [0.0, 0.5], [0.5, float("nan")]])
+    def test_non_positive_alpha_rejected(self, grid):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            two_mode_curve(0, 1, grid)
