@@ -5,8 +5,8 @@ with content digests.  Exit codes: 0 success, 2 validation error, 1
 computation failure.
 
 alpha can be given as --alpha or --alpha-over-pi.  An option's value comes
-from, in this order: its flag, a flat key=value config file (--config), the
-RINGFLOW_JOBS environment variable (--jobs only) and its default.  A config
+from, in this order: its flag, a flat key=value config file (--config),
+RINGFLOW_JOBS for --jobs (sweep and infimum only) and its default.  A config
 value is read with its option's type, so path, schedule and number options
 work there as flags do; on/off flags take true or false.  --jobs, however
 given, is an integer >= 1.  A bad value exits 2 with argparse's message.
@@ -82,6 +82,9 @@ def _add_alpha_beta(parser, beta_default=None):
 def _add_common(parser):
     parser.add_argument("--outdir", type=Path, default=Path("."))
     parser.add_argument("--config", type=Path, default=None)
+
+
+def _add_jobs(parser):
     # a string default is converted with the type, so RINGFLOW_JOBS is checked as --jobs is
     parser.add_argument("--jobs", type=_jobs_arg, default=os.environ.get("RINGFLOW_JOBS", "1"))
 
@@ -186,7 +189,7 @@ def cmd_infimum(args) -> int:
     manifest = _start(args)
     result = find_infimum(
         (args.alpha_over_pi_min * math.pi, args.alpha_over_pi_max * math.pi),
-        (args.beta_min, args.beta_max),
+        args.beta_max,
         budget=args.budget,
         jobs=args.jobs,
     )
@@ -317,15 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--schedule", type=_schedule_arg, default=list(DEFAULT_SWEEP_SCHEDULE))
     _add_common(p)
+    _add_jobs(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("infimum", help="staged grid search for the global infimum")
     p.add_argument("--alpha-over-pi-min", type=float, default=None)
     p.add_argument("--alpha-over-pi-max", type=float, default=None)
-    p.add_argument("--beta-min", type=float, default=0.0)
     p.add_argument("--beta-max", type=float, default=0.0)
     p.add_argument("--budget", type=int, default=200)
     _add_common(p)
+    _add_jobs(p)
     p.set_defaults(func=cmd_infimum)
 
     p = sub.add_parser("twomode", help="two-mode closed-form curve or global optimum")

@@ -115,12 +115,13 @@ def extrapolated_infimum(
     schedule = sorted(int(n) for n in schedule)
     if len(schedule) < 4:
         raise ValueError("schedule must contain at least 4 truncation sizes")
+    configs = [RingConfig(alpha, beta, n) for n in schedule]  # ValueError before any solve
     points = []
-    for n in schedule:
+    for config in configs:
         try:
-            result = min_eigen(build_kernel(RingConfig(alpha, beta, n)))
+            result = min_eigen(build_kernel(config))
         except Exception as exc:
-            raise ExtrapolationError(n, exc) from exc
-        points.append((n, result.lambda_min))
+            raise ExtrapolationError(config.n_trunc, exc) from exc
+        points.append((config.n_trunc, result.lambda_min))
     fit = fit_quadratic(points)
     return fit.a0, fit

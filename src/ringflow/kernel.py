@@ -71,14 +71,14 @@ def canonicalize(beta_raw: float) -> tuple[float, int]:
 class RingConfig:
     """Dimensionless problem parameters plus truncation size.
 
-    beta is canonicalized on construction; the applied integer shift is kept
-    in beta_shift.  Matrix indices run m = 0..n_trunc.
+    beta is canonicalized on construction, which sets beta_shift to the
+    applied integer shift.  Matrix indices run m = 0..n_trunc.
     """
 
     alpha: float
     beta: float
     n_trunc: int
-    beta_shift: int = field(default=0, compare=False)
+    beta_shift: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):

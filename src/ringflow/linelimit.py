@@ -78,11 +78,12 @@ def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
     2.04e-3 below the midpoint value -0.0373757, which lies 1.08e-3 above
     -c_line from truncation at u ~ 31.6; the two errors partly cancel.
     """
+    config = RingConfig(alpha, beta, n_trunc)  # validates alpha before its square root
     if n_trunc * math.sqrt(alpha) < 8.0:
         warnings.warn(
             f"n_trunc*sqrt(alpha) = {n_trunc * math.sqrt(alpha):.2f} < 8; "
             "u-coverage too small for the line limit",
             stacklevel=2,
         )
-    return min_eigen(build_kernel(RingConfig(alpha, beta, n_trunc))).lambda_min
+    return min_eigen(build_kernel(config)).lambda_min
 

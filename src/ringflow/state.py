@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .eigen import EigenResult, min_eigen
-from .kernel import RingConfig, build_kernel, canonicalize
+from .kernel import RingConfig, _two_sum, build_kernel, canonicalize
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ def current_series(
 
 def _remainder(tau: np.ndarray, tau_s: float, offsets: np.ndarray) -> np.ndarray:
     """tau - tau_s - offsets, with tau - tau_s carried exactly by TwoSum."""
-    diff = tau - tau_s
-    virtual = diff - tau
-    err = (tau - (diff - virtual)) + (-tau_s - virtual)
+    diff, err = _two_sum(tau, -tau_s)
     return (diff - offsets) + err
 
 
@@ -188,6 +186,9 @@ def read_state_csv(path) -> ModeAmplitudes:
             coeffs.append(complex(float(re_c), float(im_c)))
     if header is None:
         raise ValueError(f"state file {path} has no header line")
+    missing = [key for key in ("alpha", "beta") if key not in header]
+    if missing:
+        raise ValueError(f"state file {path} header lacks {', '.join(missing)}")
     return make_state(np.array(coeffs), float(header["alpha"]), float(header["beta"]))
 
 

@@ -1,9 +1,9 @@
 """Alpha sweeps of the extrapolated infimum and its global search.
 
 The infimum is non-increasing in beta on (-1, 0], so the global search runs
-in alpha alone at the beta box's upper end.  The landscape in alpha has fine
-structure on scales below 1e-4 in alpha/pi, so that search uses dense staged
-grid refinement rather than derivative-based local descent.
+in alpha alone, at the largest beta it covers.  The landscape in alpha has
+fine structure on scales below 1e-4 in alpha/pi, so that search uses dense
+staged grid refinement rather than derivative-based local descent.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class SweepRecord:
     alpha: float
     beta: float
     p_estimate: float
-    schedule: tuple[int, ...]
     fit_residual: float
     error: str | None = None
 
@@ -40,9 +39,9 @@ class InfimumResult:
 def _one_point(alpha, beta, schedule):
     try:
         p, fit = extrapolated_infimum(alpha, beta, schedule)
-        return SweepRecord(alpha, beta, p, tuple(schedule), fit.residual)
+        return SweepRecord(alpha, beta, p, fit.residual)
     except Exception as exc:  # per-point failures stay in-band
-        return SweepRecord(alpha, beta, float("nan"), tuple(schedule), float("nan"), str(exc))
+        return SweepRecord(alpha, beta, float("nan"), float("nan"), str(exc))
 
 
 def sweep_alpha(
@@ -71,7 +70,7 @@ def sweep_alpha(
 
 def find_infimum(
     alpha_box: tuple[float, float],
-    beta_box: tuple[float, float],
+    beta_max: float,
     budget: int = 200,
     coarse_points: int = 16,
     refine_points: int = 11,
@@ -81,11 +80,11 @@ def find_infimum(
     final_schedule=(800, 1000, 1200, 1600, 2000),
     jobs: int = 1,
 ) -> InfimumResult:
-    """Locate the minimum of the extrapolated infimum over a parameter box.
+    """Locate the minimum of the extrapolated infimum over alpha_box x (-1, beta_max].
 
-    Only alpha is searched; beta is the box's upper end.  With a_m = alpha(m -
-    beta)^2, dK/dbeta = -(2 alpha/pi)(c c^T + s s^T), c = cos a and s = sin a,
-    is negative semidefinite, so every eigenvalue of the truncated kernel, and
+    Only alpha is searched, at beta = beta_max.  With a_m = alpha(m - beta)^2,
+    dK/dbeta = -(2 alpha/pi)(c c^T + s s^T), c = cos a and s = sin a, is
+    negative semidefinite, so every eigenvalue of the truncated kernel, and
     their N -> oo limit, is non-increasing in beta on (-1, 0].  The search
     minimizes the fitted a0, a mixed-sign combination of the lambda(N_i), which
     inherits that ordering only up to fit error: about 1e-10, against
@@ -98,11 +97,10 @@ def find_infimum(
     set.
     """
     a_lo, a_hi = alpha_box
-    b_lo, b_hi = beta_box
     if not (0 < a_lo <= a_hi):
         raise ValueError("alpha box must be positive and ordered")
-    if not (-1 < b_lo <= b_hi <= 0):
-        raise ValueError("beta box must sit inside (-1, 0]")
+    if not (-1 < beta_max <= 0):
+        raise ValueError(f"beta_max must lie in (-1, 0], got {beta_max!r}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
 
@@ -119,7 +117,7 @@ def find_infimum(
         if not alphas:
             return
         used += len(alphas)
-        for r in sweep_alpha(b_hi, alphas, schedule, jobs):
+        for r in sweep_alpha(beta_max, alphas, schedule, jobs):
             if r.error is None and (best is None or r.p_estimate < best.p_estimate):
                 best = r
 

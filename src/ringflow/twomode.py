@@ -77,34 +77,29 @@ def minimize_two_mode(m1, m2, alpha, beta) -> TwoModeResult:
     return TwoModeResult(p_min=float(p_min), phi_star=phi_star, gamma_star=float(gamma_star))
 
 
-def global_two_mode_min(
-    m1: int,
-    m2: int,
-    alpha_over_pi_max: float = 2.0,
-    beta_range: tuple[float, float] = (-0.999999999, 0.0),
-) -> tuple[float, float, float]:
-    """Minimize the closed-form two-mode bound over alpha and beta.
+def global_two_mode_min(m1: int, m2: int, beta_max: float = 0.0) -> tuple[float, float, float]:
+    """Minimize the closed-form two-mode bound over alpha and beta in (-1, beta_max].
 
-    The bound is non-increasing in beta, so beta_star is beta_range[1] and only
-    alpha is searched: a coarse grid over alpha/pi in (0, alpha_over_pi_max],
-    then staged local grid refinement.  Returns (alpha_star, beta_star, p_star)
-    with p_star resolved to well below 1e-6.
+    The bound is non-increasing in beta, so beta_star is beta_max and only
+    alpha is searched: a coarse grid over alpha/pi in [1e-4, 2], then staged
+    local grid refinement.  Returns (alpha_star, beta_star, p_star) with
+    p_star resolved to well below 1e-6.
     """
     _check_pair(m1, m2)
-    beta = float(beta_range[1])
+    beta = float(beta_max)
 
     def grid_min(ap_grid):
         p = two_mode_p_min(m1, m2, ap_grid * np.pi, beta)
         i = np.argmin(p)
         return ap_grid[i], float(p[i])
 
-    ap = np.linspace(1e-4, alpha_over_pi_max, 4001)
+    ap = np.linspace(1e-4, 2.0, 4001)
     da = ap[1] - ap[0]
     a0, p0 = grid_min(ap)
     for stage in range(7):
         span = 2.0 * da / 10**stage
         a0, p0 = grid_min(
-            np.linspace(max(a0 - span, 1e-9), min(a0 + span, alpha_over_pi_max), 41)
+            np.linspace(max(a0 - span, 1e-9), min(a0 + span, 2.0), 41)
         )
     return a0 * np.pi, beta, p0
 

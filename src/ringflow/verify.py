@@ -113,7 +113,7 @@ def beta_ordering_increase(rng, draws: int, *, alphas, sizes) -> float:
 
     dK/dbeta = -(2 alpha/pi)(c c^T + s s^T), with c = cos a and s = sin a, is
     negative semidefinite, so both are non-increasing in beta and the rise is
-    at most rounding; the beta searches evaluate only the box's upper end.
+    at most rounding; the beta searches evaluate only beta_max.
     """
     betas = np.linspace(-1.0, 0.0, 7)[1:]
     rises = []

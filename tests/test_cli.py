@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -167,6 +168,19 @@ class TestExtrapolateCommand:
         assert set(record) >= {"alpha", "beta", "schedule", "lambdas", "a0", "a1", "a2", "residual"}
         assert abs(record["p_estimate"]) < 1e-12
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [(["--alpha", "-1", "--schedule", "50,60,70,80"], "alpha must be positive"),
+         (["--alpha", "1", "--schedule", "0,1,2,3"], "n_trunc")],
+        ids=["negative-alpha", "zero-n"],
+    )
+    def test_bad_parameters_are_validation_errors(self, tmp_path, capsys, options, message):
+        # checked before any solve, so they exit 2 and are not solver failures
+        assert run(["extrapolate", *options, "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "extrapolation.json").exists()
+
 
 class TestTwomodeCommand:
     def test_curve_csv(self, tmp_path):
@@ -277,6 +291,19 @@ class TestStateAndCurrentCommands:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "current.csv").exists()
 
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_state_file_header_without_key(self, tmp_path, capsys, key):
+        header = {"alpha": "1", "beta": "0", "n_trunc": "1"}
+        del header[key]
+        path = tmp_path / "state.csv"
+        path.write_text("# " + " ".join(f"{k}={v}" for k, v in header.items())
+                        + "\nm,re_c,im_c\n0,1,0\n1,0,0\n")
+        code = run(["current", "--state-file", str(path), "--samples", "3",
+                    "--outdir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: state file {path} header lacks {key}\n"
+        assert not (tmp_path / "current.csv").exists()
+
 
 class TestLinelimitCommand:
     def test_nystrom_route(self, tmp_path):
@@ -305,6 +332,12 @@ class TestLinelimitCommand:
         args = ["linelimit", "--ring-route", "--alpha", "0.1", "--n", "100", "--beta", "0.5"]
         assert run(args + ["--outdir", str(tmp_path / "mid")]) == 0
         assert json.loads((tmp_path / "mid" / "linelimit.json").read_text())["beta"] == -0.5
+
+    def test_ring_route_rejects_bad_alpha(self, tmp_path, capsys):
+        # alpha is checked before the coverage warning takes its square root
+        argv = ["linelimit", "--ring-route", "--alpha", "-1", "--outdir", str(tmp_path)]
+        assert run(argv) == 2
+        assert "alpha must be positive" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:
@@ -384,11 +417,28 @@ class TestJobs:
         # but an integer >= 1 exits 2 before a file is written
         monkeypatch.setenv("RINGFLOW_JOBS", env)
         (tmp_path / "run.cfg").write_text(config)
-        args = ["eigen", "--alpha", "1", "--n", "5", "--config", str(tmp_path / "run.cfg")]
+        args = ["sweep", "--alpha-over-pi-min", "1", "--alpha-over-pi-max", "1", "--steps", "1",
+                "--schedule", "50,60,70,80", "--config", str(tmp_path / "run.cfg")]
         code = run(args + flag + ["--outdir", str(tmp_path)])
-        manifest = tmp_path / "eigen.manifest.json"
+        manifest = tmp_path / "sweep.manifest.json"
         jobs = json.loads(manifest.read_text())["parameters"]["jobs"] if manifest.exists() else None
         assert (code, jobs) == (2 if want is None else 0, want)
+
+    def test_only_sweeps_take_jobs(self, tmp_path, monkeypatch):
+        # only sweep and infimum run sweep_alpha; the other commands neither
+        # take --jobs nor read RINGFLOW_JOBS or a config jobs key
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            for name, sub in subparsers.choices.items()
+        }
+        assert {name for name, opts in options.items() if "--jobs" in opts} == {"sweep", "infimum"}
+        assert not any("--beta-min" in opts for opts in options.values())
+        monkeypatch.setenv("RINGFLOW_JOBS", "abc")
+        (tmp_path / "run.cfg").write_text("jobs = 0\nbeta_min = -0.5\n")
+        args = ["eigen", "--alpha", "1", "--n", "5", "--config", str(tmp_path / "run.cfg")]
+        assert run(args + ["--outdir", str(tmp_path)]) == 0
 
 
 def test_commands_run_without_scipy(tmp_path):

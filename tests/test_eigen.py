@@ -20,7 +20,7 @@ def test_zero_at_alpha_pi():
 
 
 def test_beta_ordering_on_matrix_free_path():
-    # the beta searches evaluate only the box's upper end; check the ordering
+    # the beta searches evaluate only beta_max; check the ordering
     # they rest on at sizes that take the LOBPCG path
     rng = np.random.default_rng(29)
     assert beta_ordering_increase(rng, 2, alphas=(0.3, 4.0), sizes=(700, 1201)) <= 1e-12

@@ -66,6 +66,11 @@ class TestRingConfig:
         assert cfg.beta == pytest.approx(-0.25)
         assert cfg.beta_shift == 2
 
+    def test_shift_is_not_an_argument(self):
+        # beta_shift is derived from beta in __post_init__, never passed in
+        with pytest.raises(TypeError):
+            RingConfig(1.0, 1.75, 10, beta_shift=0)
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError):

@@ -63,7 +63,7 @@ class TestFindInfimum:
         alpha = 0.37 * math.pi
         res = find_infimum(
             (alpha, alpha),
-            (0.0, 0.0),
+            0.0,
             coarse_points=1,
             refine_points=1,
             coarse_schedule=FAST,
@@ -80,7 +80,7 @@ class TestFindInfimum:
         schedule = (60, 80, 100, 120)
         res = find_infimum(
             (0.9 * math.pi, 1.1 * math.pi),
-            (0.0, 0.0),
+            0.0,
             coarse_points=9,
             refine_points=5,
             stages=2,
@@ -94,7 +94,7 @@ class TestFindInfimum:
     def test_budget_exhaustion_flagged(self):
         res = find_infimum(
             (0.3 * math.pi, 0.5 * math.pi),
-            (0.0, 0.0),
+            0.0,
             budget=3,
             coarse_points=5,
             coarse_schedule=FAST,
@@ -109,7 +109,7 @@ class TestFindInfimum:
 
         res = find_infimum(
             (0.35 * math.pi, 0.4 * math.pi),
-            (0.0, 0.0),
+            0.0,
             coarse_points=6,
             refine_points=5,
             stages=2,
@@ -135,7 +135,7 @@ class TestFindInfimum:
         schedule = (60, 80, 100, 120)
         res = find_infimum(
             (0.35 * math.pi, 0.4 * math.pi),
-            (-0.5, -0.1),
+            -0.1,
             coarse_points=6,
             refine_points=5,
             stages=2,
@@ -149,9 +149,9 @@ class TestFindInfimum:
 
     def test_invalid_boxes(self):
         with pytest.raises(ValueError):
-            find_infimum((-1.0, 1.0), (0.0, 0.0))
+            find_infimum((-1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
-            find_infimum((1.0, 2.0), (-2.0, 0.0))
+            find_infimum((1.0, 2.0), -2.0)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected_before_any_solve(self, monkeypatch, budget):
@@ -162,13 +162,13 @@ class TestFindInfimum:
 
         monkeypatch.setattr(sw, "extrapolated_infimum", unexpected)
         with pytest.raises(ValueError, match="budget"):
-            find_infimum((0.35 * math.pi, 0.4 * math.pi), (0.0, 0.0), budget=budget)
+            find_infimum((0.35 * math.pi, 0.4 * math.pi), 0.0, budget=budget)
 
     @pytest.mark.slow
     def test_reference_optimum_region(self):
         res = find_infimum(
             (0.3 * math.pi, 0.45 * math.pi),
-            (-0.05, 0.0),
+            0.0,
             budget=500,
             jobs=2,
         )

@@ -99,11 +99,11 @@ class TestGlobalTwoModeMin:
 
     @pytest.mark.parametrize(
         "kwargs, beta",
-        [({"beta_range": (-0.5, -0.5)}, -0.5), ({}, 0.0)],
+        [({"beta_max": -0.5}, -0.5), ({}, 0.0)],
         ids=["pinned", "default"],
     )
     def test_beta_slice_against_dense_scan(self, kwargs, beta):
-        # staged refinement vs brute-force alpha scan at the range's upper end
+        # staged refinement vs brute-force alpha scan at beta_max
         alpha_s, beta_s, p_s = global_two_mode_min(0, 1, **kwargs)
         ap = np.arange(1e-4, 2.0 + 1e-9, 1e-4)
         brute = float(np.min(two_mode_p_min(0, 1, ap * math.pi, beta)))
