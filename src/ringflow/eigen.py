@@ -5,10 +5,12 @@ and the half-line Nystrom matrix of the line limit, which is a ring kernel
 too.  One path at every size, numpy only: a single-vector LOBPCG (Knyazev,
 SIAM J. Sci. Comput. 23 (2001) 517) on the kernel's FFT matvec, with the
 diagonal preconditioner 1/(D + 1) and a start vector from LAPACK's eigh on
-the leading _START_BLOCK modes; O(N) memory beyond that block.  A kernel of
-at most _START_BLOCK modes is its own start block, so there the start vector
-is dense eigh's eigenvector, and on every kernel tried LOBPCG stops at
-iteration 0.
+the leading _START_BLOCK = 25 modes; O(N) memory beyond that block.  A kernel
+of at most 25 modes is its own start block, so there the start vector is
+dense eigh's eigenvector, and on every kernel tried LOBPCG stops at
+iteration 0.  The block is 25 modes because LAPACK's dsyevd makes no level-3
+BLAS call up to that size, so the start vector wakes no OpenBLAS worker
+thread.
 
 The result is certified by an explicit residual |K v - lambda v|, taken with
 the matvec, instead of trusting backend defaults.
@@ -25,8 +27,15 @@ from .kernel import BackflowKernel
 _RESIDUAL_FACTOR = 1e-10
 
 # Modes of the leading block whose lowest eigenvector starts LOBPCG; a kernel
-# of at most this many modes is its own start block.
-_START_BLOCK = 64
+# of at most this many modes is its own start block.  np.linalg.eigh is
+# LAPACK dsyevd, which for n <= 25 (its divide-and-conquer cutoff, SMLSIZ)
+# stays on the QL path and calls no level-3 BLAS.  From n = 26 on, its dgemm
+# calls hand work to OpenBLAS's worker threads, which then busy-wait; with
+# one start-block eigh every few ms they never sleep, and bill a second core
+# for the whole run, competing with sweep's own threads.  A 64-mode block
+# would save about a tenth of the LOBPCG iterations (90 against 100 on the
+# 800..3000 schedule at alpha*).
+_START_BLOCK = 25
 # LOBPCG stops at a residual of 1e-14 * (max|sin a| + max|D|).  The matvec's
 # rounding floor is a few 1e-16 times that, because its two Toeplitz terms
 # are each about max|sin a| |x| and largely cancel.  For max|D| >= 1 this is
@@ -34,7 +43,8 @@ _START_BLOCK = 64
 # eigh to about 1e-13 (1e-11 at a factor 1e-12), which <E> and the current,
 # weighted towards high modes, need.  1 + max|D| in place of max|sin a| +
 # max|D| stopped above the certificate at alpha = 1e-10, N = 10000.  The
-# hardest points tried, 1e-6 <= alpha <= 1e-2, took up to 77 iterations.
+# hardest points tried, 1e-6 <= alpha <= 1e-2 at N <= 10000 and beta = 0 or
+# -1/2, took up to 84 iterations.
 _LOBPCG_TOL_FACTOR = 1e-14
 _LOBPCG_MAXITER = 500
 # Rayleigh-Ritz takes the Gram matrix of its unit-length basis as not positive

@@ -67,6 +67,12 @@ def canonicalize(beta_raw: float) -> tuple[float, int]:
     return beta, shift
 
 
+def _check_beta_max(beta_max: float) -> None:
+    """Raise ValueError unless beta_max, the upper end of a beta search, lies in (-1, 0]."""
+    if not (-1 < beta_max <= 0):
+        raise ValueError(f"beta_max must lie in (-1, 0], got {beta_max!r}")
+
+
 @dataclass(frozen=True)
 class RingConfig:
     """Dimensionless problem parameters plus truncation size.

@@ -5,10 +5,14 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+
+# variables that set how many threads BLAS, OpenMP and sweep workers use
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "RINGFLOW_JOBS")
 
 
 def sha256_of(path) -> str:
@@ -29,6 +33,10 @@ class RunManifest:
     )
     finished: str | None = None
     outputs: list = field(default_factory=list)
+    thread_env: dict = field(
+        init=False,
+        default_factory=lambda: {name: os.environ.get(name) for name in THREAD_VARIABLES},
+    )
 
     def add_output(self, path) -> None:
         self.outputs.append({"path": str(path), "sha256": sha256_of(path)})
@@ -44,6 +52,7 @@ class RunManifest:
                     "started": self.started,
                     "finished": self.finished,
                     "outputs": self.outputs,
+                    "thread_env": self.thread_env,
                 },
                 indent=2,
                 sort_keys=True,

@@ -180,7 +180,12 @@ def read_state_csv(path) -> ModeAmplitudes:
     coeffs = []
     for line in Path(path).read_text().splitlines():
         if line.startswith("#"):
-            header = dict(tok.split("=") for tok in line[1:].split())
+            header = {}
+            for tok in line[1:].split():
+                key, sep, value = tok.partition("=")
+                if not sep:
+                    raise ValueError(f"state file {path} header token {tok!r} is not key=value")
+                header[key] = value
         elif line and not line.startswith("m,"):
             _, re_c, im_c = line.split(",")
             coeffs.append(complex(float(re_c), float(im_c)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import canonicalize, sinc
+from .kernel import _check_beta_max, canonicalize, sinc
 
 
 # the beta values of two_mode_curve, a plotting choice
@@ -83,9 +83,11 @@ def global_two_mode_min(m1: int, m2: int, beta_max: float = 0.0) -> tuple[float,
     The bound is non-increasing in beta, so beta_star is beta_max and only
     alpha is searched: a coarse grid over alpha/pi in [1e-4, 2], then staged
     local grid refinement.  Returns (alpha_star, beta_star, p_star) with
-    p_star resolved to well below 1e-6.
+    p_star resolved to well below 1e-6.  beta_max must lie in (-1, 0],
+    otherwise ValueError is raised.
     """
     _check_pair(m1, m2)
+    _check_beta_max(beta_max)
     beta = float(beta_max)
 
     def grid_min(ap_grid):

@@ -10,7 +10,7 @@ import pytest
 import ringflow
 from ringflow import cli, verify
 from ringflow.cli import main
-from ringflow.manifest import sha256_of
+from ringflow.manifest import THREAD_VARIABLES, sha256_of
 
 
 def run(args):
@@ -27,6 +27,7 @@ def check_manifest(outdir, command, data_files):
     assert sorted(Path(o["path"]).name for o in manifest["outputs"]) == sorted(data_files)
     for output in manifest["outputs"]:
         assert sha256_of(output["path"]) == output["sha256"]
+    assert manifest["thread_env"] == {name: os.environ.get(name) for name in THREAD_VARIABLES}
 
 
 class TestEigenCommand:
@@ -84,7 +85,11 @@ class TestSweepCommand:
             p = float(line.split(",")[2])
             assert abs(p) <= 1e-10
 
-    def test_manifest_digests(self, tmp_path):
+    def test_manifest_digests(self, tmp_path, monkeypatch):
+        for name in THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("RINGFLOW_JOBS", "2")
         run(
             [
                 "sweep",
@@ -97,6 +102,9 @@ class TestSweepCommand:
             ]
         )
         check_manifest(tmp_path, "sweep", ["sweep.csv"])
+        thread_env = json.loads((tmp_path / "sweep.manifest.json").read_text())["thread_env"]
+        assert thread_env == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1",
+                              "MKL_NUM_THREADS": None, "RINGFLOW_JOBS": "2"}
 
 
 # every other file-writing subcommand; sweep is TestSweepCommand's case
@@ -302,6 +310,16 @@ class TestStateAndCurrentCommands:
                     "--outdir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: state file {path} header lacks {key}\n"
+        assert not (tmp_path / "current.csv").exists()
+
+    def test_state_file_header_token_without_value(self, tmp_path, capsys):
+        path = tmp_path / "state.csv"
+        path.write_text("# alpha=1 beta\nm,re_c,im_c\n0,1,0\n1,0,0\n")
+        code = run(["current", "--state-file", str(path), "--samples", "3",
+                    "--outdir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: state file {path} header token 'beta' is not key=value\n")
         assert not (tmp_path / "current.csv").exists()
 
 

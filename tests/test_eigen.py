@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ def test_eigenvector_contract(optimum_eigen_cache):
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     first_nonzero = v[np.abs(v) > 1e-12][0]
     assert first_nonzero > 0
-    # size 801 lies far beyond the 64-mode start block, so LOBPCG iterates
+    # size 801 lies far beyond the 25-mode start block, so LOBPCG iterates
     assert (result.method, result.iterations > 0) == ("lobpcg", True)
 
 
@@ -76,7 +79,7 @@ def test_variational_bound_via_unit_vectors():
     "alpha,beta,n,zero",
     [(math.pi, 0.0, 1000, True), (2 * math.pi, 0.0, 1000, True), (3 * math.pi, 0.0, 1000, True),
      (1.7, -0.4, 1000, False), (1e-4, -0.5, 3999, False), (1e-8, 0.0, 1000, False),
-     (1.7, -0.4, 63, False), (1.7, -0.4, 64, False), (1e-3, 0.0, 300, False)],
+     (1.7, -0.4, 24, False), (1.7, -0.4, 25, False), (1e-2, 0.0, 300, False)],
     ids=["pi", "2pi", "3pi", "beta-nonzero", "nystrom", "tiny-alpha",
          "start-block", "first-iterating", "slowest-small"],
 )
@@ -84,10 +87,10 @@ def test_lobpcg_matches_dense(alpha, beta, n, zero):
     # zero: alpha = k*pi, beta = 0, where the exact kernel is diagonal with a
     # zero at m = 0.  tiny-alpha: max|D| = 6e-6 puts the certificate at 6e-16,
     # so the LOBPCG tolerance must follow the matvec's own scale.
-    # start-block: 64 modes are their own start block, whose dense eigenvector
+    # start-block: 25 modes are their own start block, whose dense eigenvector
     # LOBPCG accepts at iteration 0; first-iterating: one mode more.
-    # slowest-small: alpha = 1e-3 takes about 50 iterations, the most seen at
-    # 300 modes or fewer.
+    # slowest-small: alpha = 1e-2 takes 70 iterations, the most seen at 300
+    # modes or fewer.
     kern = build_kernel(RingConfig(alpha, beta, n))
     result = min_eigen(kern)
     assert result.method == "lobpcg"
@@ -95,6 +98,42 @@ def test_lobpcg_matches_dense(alpha, beta, n, zero):
     want = scipy.linalg.eigh(kern.dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
     assert abs(result.lambda_min - want) <= 1e-12
     assert not zero or abs(result.lambda_min) <= 1e-12
+
+
+def _other_threads_cpu_s() -> float:
+    """CPU time of every thread of this process but the calling one."""
+    me = threading.get_native_id()
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == me:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+_BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.skipif("openblas" not in _BLAS_NAME.lower(), reason="guards numpy's OpenBLAS build only")
+def test_solves_leave_blas_threads_idle():
+    # eigh beyond 25 modes (LAPACK dsyevd's divide-and-conquer cutoff) makes
+    # dgemm calls that wake OpenBLAS's worker threads, which then busy-wait
+    # between calls and burn about as much CPU as the solves take.  Sizes stay
+    # at most 3000: OpenBLAS also threads a ddot above 10000 elements.
+    min_eigen(build_kernel(RingConfig(1.0, 0.0, 400)))
+    time.sleep(0.5)  # longer than OpenBLAS's spin, so a woken worker sleeps again
+    cpu0, t0 = _other_threads_cpu_s(), time.perf_counter()
+    for alpha in (0.5, ALPHA_STAR, 2.0, 4.0):
+        for n in (400, 800, 1600, 3000):
+            min_eigen(build_kernel(RingConfig(alpha, -0.2, n)))
+    wall = time.perf_counter() - t0
+    assert _other_threads_cpu_s() - cpu0 <= 0.1 * wall
 
 
 def test_bad_lobpcg_pair_raises(monkeypatch):

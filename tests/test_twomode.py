@@ -111,6 +111,13 @@ class TestGlobalTwoModeMin:
         assert p_s <= brute + 1e-12
         assert brute - p_s <= 1e-6
 
+    @pytest.mark.parametrize("beta_max", [0.5, -1.0, -1.5, float("nan")])
+    def test_beta_outside_canonical_range_rejected(self, beta_max):
+        # two_mode_p_min takes beta as canonical, so beta_max = 0.5 would
+        # return p* = -2.0 at the grid's end, alpha = 2 pi
+        with pytest.raises(ValueError, match="beta_max must lie in"):
+            global_two_mode_min(0, 1, beta_max=beta_max)
+
 
 class TestTwoModeCurve:
     @pytest.mark.parametrize("m1, m2", [(1, 1), (-2, 1), (2, 1)])
