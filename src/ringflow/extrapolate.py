@@ -4,12 +4,19 @@ lambda_min(N) is fitted by a0 + a1/N + a2/N^2 in the least-squares sense and
 a0 taken as the infinite-N estimate.  The fit is done in x = 1/N after
 centering/scaling x to [-1, 1]; naive normal equations in raw x lose digits
 because x spans [1e-4, 1e-3].
+
+The schedule is solved in increasing N, and each rung's LOBPCG starts from
+the previous rung's eigenvector: the kernel at N is the leading block of the
+kernel at N' > N, so that start already has Rayleigh quotient lambda(N) at
+N'.  The same interlacing says lambda(N') <= lambda(N); a rung that rises
+above its predecessor by more than rounding is a failed solve, and raises.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +31,19 @@ REFERENCE_SCHEDULE = (
 
 # Cheaper default for parameter sweeps, where 1e-6 accuracy is plenty.
 DEFAULT_SWEEP_SCHEDULE = (400, 600, 800, 1200, 1600)
+
+
+# lambda(N') may exceed lambda(N), N' > N, by at most this times max|D| at N',
+# the certificate's scale, before extrapolated_infimum raises.  Interlacing
+# makes the exact values non-increasing, so a rise is rounding or a failed
+# solve.  A Ritz value carries the matvec's rounding, a few 1e-16 times
+# max|sin a| + max|D|.  On every ladder tried, warm or cold (the default sweep
+# schedule over 0 < alpha/pi <= 3 at beta = 0, -0.4, -0.5, -0.99, down to
+# alpha/pi = 1e-6, and the alpha = k pi zeros), no lambda rose by more than
+# 5e-33 times max|D|, and that only at alpha = k pi, where lambda ~ 1e-31 is
+# itself rounding.  A solve that lands on a higher eigenpair rises by a
+# spectral gap, orders of magnitude above this.
+_INTERLACING_FACTOR = 1e-12
 
 
 class ExtrapolationError(RuntimeError):
@@ -43,6 +63,8 @@ class ExtrapolationFit:
     n_values: tuple[int, ...]
     lambda_values: tuple[float, ...]
     band_ok: bool = field(default=True, compare=False)
+    # per-rung solver diagnostics for the run manifest, not the data file
+    rungs: tuple[dict, ...] = field(default=(), compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -109,19 +131,47 @@ def extrapolated_infimum(
 ) -> tuple[float, ExtrapolationFit]:
     """Estimate inf_Psi P at (alpha, beta) by solving along a truncation schedule.
 
-    Runs min_eigen at each N in the schedule, fits the quadratic in 1/N and
-    returns (a0, fit).
+    Runs min_eigen at each N of the schedule in increasing order, each solve
+    started from the previous one's eigenvector, fits the quadratic in 1/N
+    and returns (a0, fit); fit.rungs holds each solve's N, iterations,
+    residual and start.  ExtrapolationError, naming N, if a solve fails or
+    lambda rises from one rung to the next by more than rounding.
     """
     schedule = sorted(int(n) for n in schedule)
     if len(schedule) < 4:
         raise ValueError("schedule must contain at least 4 truncation sizes")
     configs = [RingConfig(alpha, beta, n) for n in schedule]  # ValueError before any solve
-    points = []
+    points, rungs = [], []
+    previous = None
     for config in configs:
         try:
-            result = min_eigen(build_kernel(config))
+            start = None if previous is None else previous.eigenvector
+            result = min_eigen(build_kernel(config), start)
+            if previous is not None:
+                _check_interlacing(previous, result, config)
         except Exception as exc:
             raise ExtrapolationError(config.n_trunc, exc) from exc
         points.append((config.n_trunc, result.lambda_min))
-    fit = fit_quadratic(points)
+        rungs.append({
+            "n": config.n_trunc,
+            "iterations": result.iterations,
+            "residual_norm": result.residual_norm,
+            "warm_started": result.warm_started,
+        })
+        previous = result
+    fit = replace(fit_quadratic(points), rungs=tuple(rungs))
     return fit.a0, fit
+
+
+def _check_interlacing(lower, upper, config) -> None:
+    """Raise ArithmeticError if upper, the solve at config, rises above lower,
+    the solve of a leading block, by more than rounding."""
+    rise = upper.lambda_min - lower.lambda_min
+    # max|D| = 2 alpha (N - beta)/pi, the certificate's scale, for beta in (-1, 0]
+    tol = _INTERLACING_FACTOR * 2.0 * config.alpha * (config.n_trunc - config.beta) / math.pi
+    if rise > tol:
+        raise ArithmeticError(
+            f"lambda({upper.n_trunc}) = {upper.lambda_min!r} exceeds "
+            f"lambda({lower.n_trunc}) = {lower.lambda_min!r} by {rise:.3e} > {tol:.3e}; "
+            "interlacing makes lambda non-increasing in N"
+        )

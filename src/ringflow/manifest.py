@@ -33,6 +33,8 @@ class RunManifest:
     )
     finished: str | None = None
     outputs: list = field(default_factory=list)
+    # how the results were obtained, e.g. per-solve iterations and residuals
+    diagnostics: dict = field(default_factory=dict)
     thread_env: dict = field(
         init=False,
         default_factory=lambda: {name: os.environ.get(name) for name in THREAD_VARIABLES},
@@ -52,6 +54,7 @@ class RunManifest:
                     "started": self.started,
                     "finished": self.finished,
                     "outputs": self.outputs,
+                    "diagnostics": self.diagnostics,
                     "thread_env": self.thread_env,
                 },
                 indent=2,

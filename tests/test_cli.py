@@ -176,6 +176,20 @@ class TestExtrapolateCommand:
         assert set(record) >= {"alpha", "beta", "schedule", "lambdas", "a0", "a1", "a2", "residual"}
         assert abs(record["p_estimate"]) < 1e-12
 
+    def test_rung_diagnostics_in_manifest_only(self, tmp_path):
+        args = ["extrapolate", "--alpha-over-pi", "0.37", "--schedule", "100,200,300,400"]
+        for name in ("a", "b"):
+            assert run(args + ["--outdir", str(tmp_path / name)]) == 0
+        data = [(tmp_path / name / "extrapolation.json").read_bytes() for name in ("a", "b")]
+        assert data[0] == data[1]
+        assert set(json.loads(data[0])) == {"alpha", "beta", "schedule", "lambdas", "a0", "a1",
+                                            "a2", "residual", "p_estimate"}
+        manifest = json.loads((tmp_path / "a" / "extrapolate.manifest.json").read_text())
+        rungs = manifest["diagnostics"]["rungs"]
+        assert [r["n"] for r in rungs] == [100, 200, 300, 400]
+        assert [r["warm_started"] for r in rungs] == [False, True, True, True]
+        assert all(r["iterations"] > 0 and 0 <= r["residual_norm"] < 1e-9 for r in rungs)
+
     @pytest.mark.parametrize(
         "options, message",
         [(["--alpha", "-1", "--schedule", "50,60,70,80"], "alpha must be positive"),

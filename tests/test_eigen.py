@@ -177,3 +177,32 @@ def test_rank_deficient_gram_drops_p(monkeypatch):
         # a step that dropped p and went on with Rayleigh-Ritz on [x, w]
         drops += ((3, True), (2, False)) in zip(steps, steps[1:])
     assert drops > 0
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.ones(802), np.zeros(400), np.r_[1.0, np.nan], np.r_[1.0, np.inf], np.ones((2, 2)), []],
+    ids=["too-long", "all-zero", "nan", "inf", "matrix", "empty"],
+)
+def test_bad_start_rejected(start):
+    with pytest.raises(ValueError, match="start"):
+        min_eigen(build_kernel(RingConfig(ALPHA_STAR, 0.0, 800)), start)
+
+
+def test_warm_start_from_leading_block(optimum_eigen_cache):
+    # the N = 800 eigenvector, padded with zeros, starts the N = 1000 solve
+    cold = optimum_eigen_cache(1000)
+    warm = min_eigen(build_kernel(RingConfig(ALPHA_STAR, 0.0, 1000)),
+                     optimum_eigen_cache(800).eigenvector)
+    assert (warm.warm_started, cold.warm_started) == (True, False)
+    assert warm.iterations < cold.iterations
+    assert abs(warm.lambda_min - cold.lambda_min) <= 1e-13
+    assert np.max(np.abs(warm.eigenvector - cold.eigenvector)) <= 1e-10
+
+
+def test_start_ignored_within_start_block():
+    # a kernel of at most 25 modes keeps its exact dense start
+    kern = build_kernel(RingConfig(1.7, -0.4, 24))
+    result = min_eigen(kern, np.ones(10))
+    assert (result.warm_started, result.iterations) == (False, 0)
+    assert result.lambda_min == min_eigen(kern).lambda_min

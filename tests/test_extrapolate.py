@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ringflow import extrapolated_infimum, fit_quadratic
-from ringflow.extrapolate import ExtrapolationError
+from ringflow import RingConfig, build_kernel, extrapolated_infimum, fit_quadratic, min_eigen
+from ringflow.eigen import EigenResult
+from ringflow.extrapolate import DEFAULT_SWEEP_SCHEDULE, ExtrapolationError
 
 from conftest import ALPHA_STAR, REFERENCE_FIT, REFERENCE_LAMBDAS
 
@@ -59,7 +60,7 @@ class TestExtrapolatedInfimum:
         import ringflow.extrapolate as ex
 
         # the session's cached solves stand in for the kernel build and solve
-        def cached(config):
+        def cached(config, start=None):
             assert (config.alpha, config.beta) == (ALPHA_STAR, 0.0)
             return optimum_eigen_cache(config.n_trunc)
 
@@ -72,7 +73,7 @@ class TestExtrapolatedInfimum:
     def test_solver_failure_carries_n(self, monkeypatch):
         import ringflow.extrapolate as ex
 
-        def boom(kernel):
+        def boom(kernel, start=None):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(ex, "min_eigen", boom)
@@ -87,3 +88,55 @@ class TestExtrapolatedInfimum:
     def test_monotone_truncation_regression(self, optimum_eigen_cache):
         lams = [optimum_eigen_cache(n).lambda_min for n in (800, 1000, 1200, 1400)]
         assert all(b < a for a, b in zip(lams, lams[1:]))
+
+
+class TestWarmStartedLadder:
+    def test_reference_rungs_match_cold_solves(self, optimum_eigen_cache):
+        schedule = [800, 1000, 1200, 1400, 1600, 1800, 2000, 2200, 2400, 3000]
+        _, fit = extrapolated_infimum(ALPHA_STAR, 0.0, schedule)
+        cold = [optimum_eigen_cache(n) for n in schedule]
+        for lam, result in zip(fit.lambda_values, cold):
+            assert abs(lam - result.lambda_min) <= 1e-13
+        assert [r["n"] for r in fit.rungs] == schedule
+        assert [r["warm_started"] for r in fit.rungs] == [False] + [True] * 9
+        # the counts are deterministic: 61 warm against 100 cold
+        assert sum(r["iterations"] for r in fit.rungs) < sum(r.iterations for r in cold)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.05 * math.pi, 0.0), (0.05 * math.pi, -0.4),
+                                            (ALPHA_STAR, -0.4)])
+    def test_default_schedule_rungs_match_cold_solves(self, alpha, beta):
+        _, fit = extrapolated_infimum(alpha, beta)
+        cold = [min_eigen(build_kernel(RingConfig(alpha, beta, n)))
+                for n in DEFAULT_SWEEP_SCHEDULE]
+        for lam, result in zip(fit.lambda_values, cold):
+            assert abs(lam - result.lambda_min) <= 1e-13
+        for rung in fit.rungs:
+            assert rung["residual_norm"] <= 1e-10 * 2 * alpha * (rung["n"] - beta) / math.pi
+        assert sum(r["iterations"] for r in fit.rungs) < sum(r.iterations for r in cold)
+
+    def test_rise_along_schedule_raises(self, monkeypatch):
+        import ringflow.extrapolate as ex
+
+        lams = iter([-0.2, -0.3, -0.25, -0.4])
+
+        def rising(kernel, start=None):
+            v = np.ones(kernel.size) / np.sqrt(kernel.size)
+            return EigenResult(next(lams), v, kernel.size - 1, 0.0, "lobpcg", 1)
+
+        monkeypatch.setattr(ex, "min_eigen", rising)
+        with pytest.raises(ExtrapolationError, match=r"lambda\(30\) .* lambda\(20\)") as err:
+            extrapolated_infimum(1.0, 0.0, [10, 20, 30, 40])
+        assert err.value.n_trunc == 30
+
+    @pytest.mark.parametrize("beta", [0.0, -0.4])
+    def test_interlacing_holds_on_sweep_grids(self, beta):
+        # the benchmark's sweep grids end on alpha = pi and 2 pi, where at
+        # beta = 0 lambda ~ 1e-31 is rounding and may rise by 1e-46; any rise
+        # past the guard raises
+        for alpha_over_pi in (0.05, 0.4, 0.7, 1.0, 1.05, 1.4, 1.7, 2.0):
+            p, fit = extrapolated_infimum(alpha_over_pi * math.pi, beta)
+            lams = fit.lambda_values
+            if beta == 0.0 and alpha_over_pi in (1.0, 2.0):
+                assert abs(p) < 1e-12
+            else:
+                assert all(b <= a for a, b in zip(lams, lams[1:]))

@@ -60,6 +60,14 @@ class TestLineLimit:
             with pytest.raises(ValueError):
                 line_limit_min(u_max, n_points)
 
+    def test_warm_started_full_solve_unchanged(self):
+        # the full solve starts from the half block's eigenvector; values
+        # from cold solves of both blocks
+        result = line_limit_min(40.0, 4000)
+        assert abs(result.lambda_interval - -0.037611140569786136) <= 1e-13
+        assert abs(result.lambda_half_interval - -0.03677729255611154) <= 1e-13
+        assert abs(result.lambda_min - -0.03844498858346074) <= 1e-13
+
     def test_simultaneous_refinement_converges(self):
         # u_max and n_points doubled together, so the spacing h stays fixed
         rows = [line_limit_min(5.0 * 2**k, 250 * 2**k).lambda_min for k in range(4)]

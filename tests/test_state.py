@@ -15,7 +15,13 @@ from ringflow import (
     minimize_two_mode,
     time_quadrature_p,
 )
-from ringflow.state import _remainder, read_state_csv, write_series_csv, write_state_csv
+from ringflow.state import (
+    CurrentSeries,
+    _remainder,
+    read_state_csv,
+    write_series_csv,
+    write_state_csv,
+)
 from ringflow.verify import decay_exponent, quadrature_deviation, random_state
 
 from conftest import ALPHA_STAR
@@ -305,3 +311,20 @@ class TestCsvExports:
         lines = path.read_text().splitlines()
         assert lines[1] == "tau,tj"
         assert len(lines) == 7
+
+    def test_writers_match_row_by_row_formatting(self, tmp_path):
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                   1e-300, 1.7976931348623157e308, 1e16, 1e17, 123456789012345678.0, 0.1, -1 / 3]
+        tau = np.array(special)
+        tj = np.array(special[::-1])
+        write_series_csv(CurrentSeries(tau, tj, -0.0), tmp_path / "series.csv")
+        rows = "".join(f"{t:.17g},{j:.17g}\n" for t, j in zip(tau, tj))
+        lines = (tmp_path / "series.csv").read_text().splitlines(keepends=True)
+        assert lines[0] == "# theta=-0 window=(-0,-0.33333333333333331)\n"
+        assert "".join(lines[2:]) == rows
+
+        c = np.array([-0.0, 5e-324 - 1e-300j, 0.6, -0.8j, 1e-17 + 0.0j])
+        state = make_state(c, 1.5, -0.25)
+        write_state_csv(state, tmp_path / "state.csv")
+        rows = "".join(f"{m},{x.real:.17g},{x.imag:.17g}\n" for m, x in enumerate(state.coeffs))
+        assert "".join((tmp_path / "state.csv").read_text().splitlines(keepends=True)[2:]) == rows
