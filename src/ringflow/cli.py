@@ -282,6 +282,7 @@ def cmd_linelimit(args) -> int:
         value = result.lambda_min
         record = {"route": "nystrom", "u_max": args.u_max, "n_points": args.n_points}
         record.update(dataclasses.asdict(result))
+        manifest.diagnostics["rungs"] = result.rungs
     _emit(manifest, args.outdir, {"linelimit.json": record})
     print(f"lambda_min = {_fmt(value)}")
     return 0

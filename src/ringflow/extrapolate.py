@@ -1,26 +1,23 @@
-"""Extrapolation of the truncated smallest eigenvalue to infinite truncation.
+"""Truncation ladders and their extrapolation in 1/N, for c_ring and c_line alike.
 
-lambda_min(N) is fitted by a0 + a1/N + a2/N^2 in the least-squares sense and
-a0 taken as the infinite-N estimate.  The fit is done in x = 1/N after
-centering/scaling x to [-1, 1]; naive normal equations in raw x lose digits
-because x spans [1e-4, 1e-3].
-
-The schedule is solved in increasing N, and each rung's LOBPCG starts from
-the previous rung's eigenvector: the kernel at N is the leading block of the
-kernel at N' > N, so that start already has Rayleigh quotient lambda(N) at
-N'.  The same interlacing says lambda(N') <= lambda(N); a rung that rises
-above its predecessor by more than rounding is a failed solve, and raises.
+solve_ladder solves leading blocks of one kernel in increasing N, each rung
+started from the previous rung's eigenvector: the kernel at N is the leading
+block of the kernel at N' > N, so that start already has Rayleigh quotient
+lambda(N) at N'.  The same interlacing says lambda(N') <= lambda(N); a rung
+that rises above its predecessor by more than rounding is a failed solve.
+fit_inverse_powers fits a polynomial in x = 1/N by least squares in x
+centred/scaled to [-1, 1]; naive normal equations in raw x lose digits
+because x spans [1e-4, 1e-3].  Its a0 is the infinite-N estimate.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eigen import min_eigen
+from .eigen import EigenResult, min_eigen
 from .kernel import RingConfig, build_kernel
 
 # Truncation schedule used for the reference high-accuracy table.
@@ -34,7 +31,7 @@ DEFAULT_SWEEP_SCHEDULE = (400, 600, 800, 1200, 1600)
 
 
 # lambda(N') may exceed lambda(N), N' > N, by at most this times max|D| at N',
-# the certificate's scale, before extrapolated_infimum raises.  Interlacing
+# the certificate's scale, before solve_ladder raises.  Interlacing
 # makes the exact values non-increasing, so a rise is rounding or a failed
 # solve.  A Ritz value carries the matvec's rounding, a few 1e-16 times
 # max|sin a| + max|D|.  On every ladder tried, warm or cold (the default sweep
@@ -62,7 +59,6 @@ class ExtrapolationFit:
     residual: float
     n_values: tuple[int, ...]
     lambda_values: tuple[float, ...]
-    band_ok: bool = field(default=True, compare=False)
     # per-rung solver diagnostics for the run manifest, not the data file
     rungs: tuple[dict, ...] = field(default=(), compare=False)
 
@@ -77,6 +73,32 @@ class ExtrapolationFit:
         }
 
 
+def fit_inverse_powers(sizes, values, degree: int) -> tuple[np.ndarray, float]:
+    """Least squares of values on {1, 1/n, ..., 1/n^degree} over the sizes n.
+
+    Returns the coefficients of 1/n^0 .. 1/n^degree and the sum of squared
+    fit errors.  Fitted in t, 1/n mapped onto [-1, 1], and expanded back to
+    powers of 1/n by Horner's rule; needs degree + 1 distinct sizes.
+    """
+    x = 1.0 / np.asarray(sizes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(x) < degree + 1:
+        raise ValueError(f"need at least {degree + 1} points for degree {degree}, got {len(x)}")
+    if len(set(x)) != len(x):
+        raise ValueError("duplicate sizes make the design matrix rank-deficient")
+    xm = 0.5 * (x.max() + x.min())
+    xr = 0.5 * (x.max() - x.min())
+    t = (x - xm) / xr
+    c, *_ = np.linalg.lstsq(np.vander(t, degree + 1, increasing=True), values, rcond=None)
+    # c_0 + t (c_1 + t (c_2 + ...)) with t = -xm/xr + x/xr, in increasing powers of x
+    coeffs = c[-1:]
+    for cj in c[-2::-1]:
+        coeffs = np.convolve(coeffs, [-xm / xr, 1.0 / xr])
+        coeffs[0] += cj
+    fitted = sum(a * x**j for j, a in enumerate(coeffs))
+    return coeffs, float(np.sum((fitted - values) ** 2))
+
+
 def fit_quadratic(points) -> ExtrapolationFit:
     """Ordinary least squares of lambda on {1, 1/N, 1/N^2}.
 
@@ -84,46 +106,35 @@ def fit_quadratic(points) -> ExtrapolationFit:
     residual is the sum of squared fit errors.
     """
     pts = sorted((int(n), float(lam)) for n, lam in points)
-    ns = np.array([p[0] for p in pts], dtype=float)
-    lams = np.array([p[1] for p in pts])
-    if len(ns) < 4:
-        raise ValueError(f"need at least 4 points for a quadratic fit, got {len(ns)}")
-    if len(set(ns)) != len(ns):
-        raise ValueError("duplicate N values make the design matrix rank-deficient")
+    if len(pts) < 4:
+        raise ValueError(f"need at least 4 points for a quadratic fit, got {len(pts)}")
+    ns, lams = zip(*pts)
+    coeffs, residual = fit_inverse_powers(ns, lams, 2)
+    return ExtrapolationFit(*map(float, coeffs), residual, ns, lams)
 
-    x = 1.0 / ns
-    xm = 0.5 * (x.max() + x.min())
-    xr = 0.5 * (x.max() - x.min())
-    t = (x - xm) / xr
-    design = np.vander(t, 3, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(design, lams, rcond=None)
-    c0, c1, c2 = coeffs
-    # expand c0 + c1*(x-xm)/xr + c2*((x-xm)/xr)^2 back to powers of x
-    a0 = c0 - c1 * xm / xr + c2 * (xm / xr) ** 2
-    a1 = c1 / xr - 2.0 * c2 * xm / xr**2
-    a2 = c2 / xr**2
-    fitted = a0 + a1 * x + a2 * x * x
-    residual = float(np.sum((fitted - lams) ** 2))
 
-    # sanity band: a0 should not stray far beyond the last increment; the
-    # absolute floor keeps eigensolver-level noise near zero from flagging
-    last, prev = lams[-1], lams[-2]
-    band_ok = abs(a0 - last) <= 10.0 * abs(last - prev) + 1e-12
-    if not band_ok:
-        warnings.warn(
-            f"extrapolated a0={a0!r} is outside the sanity band around "
-            f"lambda({int(ns[-1])})={last!r}",
-            stacklevel=2,
-        )
-    return ExtrapolationFit(
-        a0=float(a0),
-        a1=float(a1),
-        a2=float(a2),
-        residual=residual,
-        n_values=tuple(int(n) for n in ns),
-        lambda_values=tuple(float(v) for v in lams),
-        band_ok=band_ok,
-    )
+def solve_ladder(kernels) -> tuple[list[EigenResult], tuple[dict, ...]]:
+    """Smallest eigenpairs of kernels, leading blocks of one kernel in increasing size.
+
+    Each solve after the first starts from the previous one's eigenvector.
+    Returns the results and, per rung, its N, iterations, residual and start
+    for the run manifest.  ExtrapolationError, naming N, if a solve fails or
+    lambda rises from one rung to the next by more than rounding.
+    """
+    results = []
+    for kernel in kernels:
+        n_trunc = kernel.size - 1
+        try:
+            start = results[-1].eigenvector if results else None
+            result = min_eigen(kernel, start)
+            if results:
+                _check_interlacing(results[-1], result, kernel)
+        except Exception as exc:
+            raise ExtrapolationError(n_trunc, exc) from exc
+        results.append(result)
+    rungs = tuple({"n": r.n_trunc, "iterations": r.iterations, "residual_norm": r.residual_norm,
+                   "warm_started": r.warm_started} for r in results)
+    return results, rungs
 
 
 def extrapolated_infimum(
@@ -131,44 +142,26 @@ def extrapolated_infimum(
 ) -> tuple[float, ExtrapolationFit]:
     """Estimate inf_Psi P at (alpha, beta) by solving along a truncation schedule.
 
-    Runs min_eigen at each N of the schedule in increasing order, each solve
-    started from the previous one's eigenvector, fits the quadratic in 1/N
-    and returns (a0, fit); fit.rungs holds each solve's N, iterations,
-    residual and start.  ExtrapolationError, naming N, if a solve fails or
-    lambda rises from one rung to the next by more than rounding.
+    Solves the schedule as one ladder, fits the quadratic in 1/N and returns
+    (a0, fit); fit.rungs holds the ladder's diagnostics.  ExtrapolationError
+    as in solve_ladder.
     """
     schedule = sorted(int(n) for n in schedule)
     if len(schedule) < 4:
         raise ValueError("schedule must contain at least 4 truncation sizes")
     configs = [RingConfig(alpha, beta, n) for n in schedule]  # ValueError before any solve
-    points, rungs = [], []
-    previous = None
-    for config in configs:
-        try:
-            start = None if previous is None else previous.eigenvector
-            result = min_eigen(build_kernel(config), start)
-            if previous is not None:
-                _check_interlacing(previous, result, config)
-        except Exception as exc:
-            raise ExtrapolationError(config.n_trunc, exc) from exc
-        points.append((config.n_trunc, result.lambda_min))
-        rungs.append({
-            "n": config.n_trunc,
-            "iterations": result.iterations,
-            "residual_norm": result.residual_norm,
-            "warm_started": result.warm_started,
-        })
-        previous = result
-    fit = replace(fit_quadratic(points), rungs=tuple(rungs))
+    results, rungs = solve_ladder(map(build_kernel, configs))
+    fit = replace(fit_quadratic((r.n_trunc, r.lambda_min) for r in results), rungs=rungs)
     return fit.a0, fit
 
 
-def _check_interlacing(lower, upper, config) -> None:
-    """Raise ArithmeticError if upper, the solve at config, rises above lower,
+def _check_interlacing(lower, upper, kernel) -> None:
+    """Raise ArithmeticError if upper, the solve of kernel, rises above lower,
     the solve of a leading block, by more than rounding."""
     rise = upper.lambda_min - lower.lambda_min
     # max|D| = 2 alpha (N - beta)/pi, the certificate's scale, for beta in (-1, 0]
-    tol = _INTERLACING_FACTOR * 2.0 * config.alpha * (config.n_trunc - config.beta) / math.pi
+    alpha, beta = kernel.config.alpha, kernel.config.beta
+    tol = _INTERLACING_FACTOR * 2.0 * alpha * (kernel.size - 1 - beta) / math.pi
     if rise > tol:
         raise ArithmeticError(
             f"lambda({upper.n_trunc}) = {upper.lambda_min!r} exceeds "

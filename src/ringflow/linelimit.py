@@ -12,34 +12,43 @@ The eigenfunction decays slowly, so the half-line truncation u_max dominates
 the error of the Nystrom route: the smallest eigenvalue of the operator cut
 off at (0, u_max] follows lambda(U) ~ lambda_inf + a/U + b/U^2 with
 a ~ 0.0336, however fine the grid.  line_limit_min removes the leading a/U
-term by a two-point Richardson step at fixed spacing: the first k = n//2
-midpoint nodes span (0, U*k/n], and their Nystrom matrix is the leading k x k
-block of the full one, so the second eigenvalue needs no second kernel build.
-The half block is solved first, and its eigenvector, padded with zeros,
-starts the full solve (46 LOBPCG iterations in place of 67 at u_max = 40,
-n = 4000).  What remains is O(1/U^2).  The raw interval eigenvalue,
+term at fixed spacing: the first k = n//2 midpoint nodes span (0, U*k/n],
+and their Nystrom matrix is the leading k x k block of the full one, so the
+two are one truncation ladder (extrapolate.solve_ladder: 46 LOBPCG
+iterations in place of 67 at u_max = 40, n = 4000), and a degree-1 fit in
+1/u through its rungs leaves O(1/U^2).  The raw interval eigenvalue,
 ring_small_alpha_limit((u_max/n)**2, -0.5, n - 1), is reported beside it.
+
+Near u_max the phase u_m^2 - u_n^2 steps by about 2 u_max^2/n between nodes.
+Against n = 16000 at u_max = 40 the estimate errs by 1.6e-6 at u_max^2/n =
+0.4, 6.9e-6 at 0.8, 6.8e-5 at 1.6 and 1.5e-3 at 3.2, so above 1 it warns.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .eigen import min_eigen
+from .extrapolate import fit_inverse_powers, solve_ladder
 from .kernel import RingConfig, build_kernel
 
 
 @dataclass(frozen=True)
 class LineLimitResult:
-    """The Richardson estimate and the interval eigenvalues on (0, u_max] and
-    (0, u_half] that it combines."""
+    """The extrapolated estimate and the interval eigenvalues on (0, u_max]
+    and (0, u_half] that it combines; rungs, the ladder's diagnostics for the
+    run manifest, is not a field, so dataclasses.asdict leaves it out."""
 
     lambda_min: float
     lambda_interval: float
     lambda_half_interval: float
     u_half: float
+    rungs: InitVar[tuple[dict, ...]] = ()
+
+    def __post_init__(self, rungs):
+        object.__setattr__(self, "rungs", rungs)
 
 
 def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult:
@@ -48,26 +57,26 @@ def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult
 
     The Nystrom matrix on n_points midpoint nodes of (0, u_max] is the ring
     kernel at alpha = (u_max/n_points)^2, beta = -1/2.  lambda(U) on all nodes
-    and lambda(U') on the first k = n_points//2, U' = u_max*k/n_points, give
-    lambda_min = (n_points*lambda(U) - k*lambda(U')) / (n_points - k).
+    and lambda(U') on the first k = n_points//2, U' = u_max*k/n_points, are
+    solved as one ladder, and lambda_min is a0 of a0 + a1/u through them.
+    UserWarning when u_max**2/n_points > 1: the grid under-resolves the kernel.
     """
     # checked here: a negative u_max would square to a valid alpha
     if not 0 < u_max < math.inf:
         raise ValueError(f"u_max must be positive and finite, got {u_max!r}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points!r}")
+    if u_max**2 / n_points > 1:
+        warnings.warn(f"u_max**2/n_points = {u_max**2 / n_points:.2f} > 1; the grid "
+                      "under-resolves the kernel's oscillation", stacklevel=2)
     h = u_max / n_points
     kernel = build_kernel(RingConfig(h * h, -0.5, n_points - 1))
     k = n_points // 2
-    half = min_eigen(kernel.leading_block(k))
-    lam_half = half.lambda_min
-    lam_full = min_eigen(kernel, half.eigenvector).lambda_min
-    return LineLimitResult(
-        lambda_min=(n_points * lam_full - k * lam_half) / (n_points - k),
-        lambda_interval=lam_full,
-        lambda_half_interval=lam_half,
-        u_half=u_max * k / n_points,
-    )
+    (half, full), rungs = solve_ladder([kernel.leading_block(k), kernel])
+    # at fixed h, u is proportional to the node count, and a0 does not see the scale
+    (a0, _), _ = fit_inverse_powers([k, n_points], [half.lambda_min, full.lambda_min], 1)
+    return LineLimitResult(float(a0), full.lambda_min, half.lambda_min, u_max * k / n_points,
+                           rungs)
 
 
 def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:

@@ -353,6 +353,13 @@ class TestLinelimitCommand:
         result = ringflow.line_limit_min(10.0, 400)
         for key in ("lambda_min", "lambda_interval", "lambda_half_interval", "u_half"):
             assert record[key] == pytest.approx(getattr(result, key), abs=1e-14)
+        assert set(record) == {"route", "u_max", "n_points", "lambda_min", "lambda_interval",
+                               "lambda_half_interval", "u_half"}
+        manifest = json.loads((tmp_path / "linelimit.manifest.json").read_text())
+        rungs = manifest["diagnostics"]["rungs"]
+        assert [r["n"] for r in rungs] == [199, 399]
+        assert [r["warm_started"] for r in rungs] == [False, True]
+        assert all(r["iterations"] >= 0 and 0 <= r["residual_norm"] < 1e-9 for r in rungs)
 
     def test_ring_route(self, tmp_path):
         argv = ["linelimit", "--ring-route", "--alpha", "1e-3", "--n", "1000"]

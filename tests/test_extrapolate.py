@@ -1,12 +1,12 @@
 import math
-import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ringflow import RingConfig, build_kernel, extrapolated_infimum, fit_quadratic, min_eigen
 from ringflow.eigen import EigenResult
-from ringflow.extrapolate import DEFAULT_SWEEP_SCHEDULE, ExtrapolationError
+from ringflow.extrapolate import DEFAULT_SWEEP_SCHEDULE, ExtrapolationError, fit_inverse_powers
 
 from conftest import ALPHA_STAR, REFERENCE_FIT, REFERENCE_LAMBDAS
 
@@ -40,31 +40,51 @@ class TestFitQuadratic:
         with pytest.raises(ValueError, match="at least 4"):
             fit_quadratic([(100, 1.0), (200, 1.1), (300, 1.2)])
 
-    def test_sanity_band_flag(self):
-        # last increment tiny but a0 far away -> flagged, not fatal
-        pts = [(100, 1.0), (200, 0.5), (400, 0.25), (800, 0.2499)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fit = fit_quadratic(pts)
-        assert not fit.band_ok
-        assert any("sanity band" in str(w.message) for w in caught)
+
+class TestFitInversePowers:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_recovers_exact_polynomial(self, degree):
+        coeffs = [-0.1168, 0.37, -2.5, 40.0][: degree + 1]
+        sizes = [400, 600, 800, 1200, 1600]
+        values = [sum(a / n**j for j, a in enumerate(coeffs)) for n in sizes]
+        fitted, residual = fit_inverse_powers(sizes, values, degree)
+        assert len(fitted) == degree + 1
+        for got, want in zip(fitted, coeffs):
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-14)
+        assert residual <= 1e-28
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_zero_values_give_zero_coefficients(self, degree):
+        fitted, residual = fit_inverse_powers([100, 200, 300, 400], [0.0] * 4, degree)
+        assert list(fitted) == [0.0] * (degree + 1)
+        assert residual == 0.0
+
+    def test_duplicate_sizes_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            fit_inverse_powers([100, 200, 200], [1.0, 1.1, 1.2], 1)
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 points for degree 2"):
+            fit_inverse_powers([100, 200], [1.0, 1.1], 2)
 
 
 class TestExtrapolatedInfimum:
     def test_zero_at_alpha_pi(self):
         p, fit = extrapolated_infimum(math.pi, 0.0, [50, 60, 70, 80])
         assert abs(p) < 1e-12
-        assert fit.band_ok
 
     def test_reference_point_short_schedule(self, optimum_eigen_cache, monkeypatch):
         import ringflow.extrapolate as ex
 
         # the session's cached solves stand in for the kernel build and solve
-        def cached(config, start=None):
+        def cached(kernel, start=None):
+            config = kernel.config
             assert (config.alpha, config.beta) == (ALPHA_STAR, 0.0)
             return optimum_eigen_cache(config.n_trunc)
 
-        monkeypatch.setattr(ex, "build_kernel", lambda config: config)
+        monkeypatch.setattr(
+            ex, "build_kernel", lambda config: SimpleNamespace(config=config, size=config.size)
+        )
         monkeypatch.setattr(ex, "min_eigen", cached)
         schedule = [800, 1000, 1200, 1400, 1600, 1800, 2000, 2200, 2400, 3000]
         p, fit = extrapolated_infimum(ALPHA_STAR, 0.0, schedule)

@@ -106,3 +106,21 @@ def test_shared_oracles_written_only_in_verify():
     assert defines == {"verify.py"}, defines
     scaling = {n for n, node in nodes if _is_scaling_map(node)}
     assert scaling == {"verify.py"}, scaling
+
+
+def test_one_truncation_ladder_and_one_fit():
+    # solve_ladder is the one place a solve starts from another's eigenvector,
+    # and extrapolate.py holds the one least-squares fit
+    lstsq = {name for name, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _callee(node) == "lstsq"}
+    assert lstsq == {"extrapolate.py"}, lstsq
+    started = {
+        (name, func.name)
+        for name, tree in _trees()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _callee(node) == "min_eigen"
+        and (len(node.args) > 1 or any(k.arg == "start" for k in node.keywords))
+    }
+    assert started == {("extrapolate.py", "solve_ladder")}, started

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ringflow import RingConfig, build_kernel, line_limit_min, ring_small_alpha_limit
+from ringflow.eigen import EigenResult
+from ringflow.extrapolate import ExtrapolationError
 
 C_LINE = 0.0384517
 
@@ -47,9 +50,9 @@ class TestLineLimit:
         interval = ring_small_alpha_limit((10.0 / 400) ** 2, -0.5, 399)
         assert result.lambda_interval == pytest.approx(interval, abs=1e-14)
         assert result.u_half == 5.0
-        assert result.lambda_min == (
-            400 * result.lambda_interval - 200 * result.lambda_half_interval
-        ) / 200
+        assert result.lambda_min == pytest.approx(
+            (400 * result.lambda_interval - 200 * result.lambda_half_interval) / 200, rel=1e-15
+        )
 
     def test_truncation_deficit_shrinks_with_u_max(self):
         lam40 = line_limit_min(40.0, 4000).lambda_min
@@ -67,6 +70,30 @@ class TestLineLimit:
         assert abs(result.lambda_interval - -0.037611140569786136) <= 1e-13
         assert abs(result.lambda_half_interval - -0.03677729255611154) <= 1e-13
         assert abs(result.lambda_min - -0.03844498858346074) <= 1e-13
+
+    def test_rise_between_rungs_raises(self, monkeypatch):
+        import ringflow.extrapolate as ex
+
+        lams = iter([-0.04, -0.03])
+
+        def rising(kernel, start=None):
+            v = np.ones(kernel.size) / np.sqrt(kernel.size)
+            return EigenResult(next(lams), v, kernel.size - 1, 0.0, "lobpcg", 1)
+
+        monkeypatch.setattr(ex, "min_eigen", rising)
+        with pytest.raises(ExtrapolationError, match=r"lambda\(399\) .* lambda\(199\)") as err:
+            line_limit_min(10.0, 400)
+        assert err.value.n_trunc == 399
+
+    def test_coarse_grid_warns(self):
+        # u_max**2/n_points = 3.2: the phase steps by about 6 rad per node
+        with pytest.warns(UserWarning, match="under-resolves"):
+            line_limit_min(40.0, 500)
+
+    def test_resolved_grid_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line_limit_min(40.0, 4000)
 
     def test_simultaneous_refinement_converges(self):
         # u_max and n_points doubled together, so the spacing h stays fixed

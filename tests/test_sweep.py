@@ -131,7 +131,6 @@ class TestFindInfimum:
             return real(alpha, beta, schedule)
 
         monkeypatch.setattr(sw, "extrapolated_infimum", recording)
-        # FAST fits at beta = -0.1 fall outside the extrapolation sanity band
         schedule = (60, 80, 100, 120)
         res = find_infimum(
             (0.35 * math.pi, 0.4 * math.pi),
