@@ -38,7 +38,7 @@ from .state import (
     write_series_csv,
     write_state_csv,
 )
-from .sweep import find_infimum, sweep_alpha
+from .sweep import find_infimum, scan_diagnostics, sweep_alpha
 from .twomode import global_two_mode_min, two_mode_curve
 
 
@@ -94,7 +94,11 @@ def _schedule_arg(raw: str) -> list[int]:
 
 
 def _jobs_arg(raw: str) -> int:
-    """Worker threads for sweeps: an integer >= 1."""
+    """The most worker processes a sweep scan may fork: an integer >= 1.
+
+    A scan too small to pay for the fork runs in the calling process (see
+    sweep.sweep_workers).
+    """
     try:
         jobs = int(raw)
     except ValueError:
@@ -179,6 +183,7 @@ def cmd_sweep(args) -> int:
     records = sweep_alpha(
         args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs
     )
+    manifest.diagnostics["scans"] = [scan_diagnostics(len(grid), args.schedule, args.jobs)]
     _emit(manifest, args.outdir, {"sweep.csv": lambda path: _write_sweep_csv(records, path)})
     failures = sum(1 for r in records if r.error is not None)
     print(f"wrote {args.outdir / 'sweep.csv'} ({len(records)} points, {failures} failed)")
@@ -202,6 +207,7 @@ def cmd_infimum(args) -> int:
         "budget_exhausted": result.budget_exhausted,
         "stages": result.stages,
     }
+    manifest.diagnostics["scans"] = list(result.scans)
     _emit(manifest, args.outdir, {"infimum.json": record})
     print(
         f"alpha/pi* = {_fmt(result.alpha / math.pi)}  beta* = {_fmt(result.beta)}  "

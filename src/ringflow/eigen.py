@@ -40,7 +40,7 @@ _RESIDUAL_FACTOR = 1e-10
 # stays on the QL path and calls no level-3 BLAS.  From n = 26 on, its dgemm
 # calls hand work to OpenBLAS's worker threads, which then busy-wait; with
 # one start-block eigh every few ms they never sleep, and bill a second core
-# for the whole run, competing with sweep's own threads.  A 64-mode block
+# for the whole run, competing with a sweep's worker processes.  A 64-mode block
 # would save about a tenth of the LOBPCG iterations (90 against 100 on the
 # 800..3000 schedule at alpha*).
 _START_BLOCK = 25

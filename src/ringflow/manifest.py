@@ -11,7 +11,8 @@ from pathlib import Path
 
 from . import __version__
 
-# variables that set how many threads BLAS, OpenMP and sweep workers use
+# variables that set how many threads BLAS and OpenMP use, and how many worker
+# processes a sweep may fork
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "RINGFLOW_JOBS")
 
 

@@ -8,13 +8,37 @@ staged grid refinement rather than derivative-based local descent.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import functools
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .extrapolate import DEFAULT_SWEEP_SCHEDULE, extrapolated_infimum
 from .kernel import _check_beta_max, canonicalize
+
+# How pool workers start.  Named, because Python 3.14 moves the Linux default
+# to forkserver.  A forked worker inherits the loaded modules, where a spawned
+# one would pay the 0.2 s import of numpy and ringflow.  The only other thread
+# at a fork is OpenBLAS's worker, and OpenBLAS stops its threads before a fork
+# (a pthread_atfork handler) and restarts them on the next threaded call.
+START_METHOD = "fork"
+
+# Fewest truncation modes (grid points x sum of the schedule) a pool worker
+# must get for forking it to pay; smaller grids run in the calling process.
+# Measured on 2 cores, Python 3.11: sweep_alpha over alpha/pi in [0.2, 0.9]
+# in fresh processes, serially and on a fork pool of 2, 10 alternated pairs
+# per grid; "won" counts the pairs where the pool's wall time was lower.
+#
+#   modes/worker   grids (points x schedule sum)          pool won
+#   4600-11500     2-5 x 4600, 8 x 2100                   2 of 50
+#   12600-18400    6, 8 x 4600; 12, 16 x 2100             28 of 60
+#   21000-36800    10, 12, 16 x 4600; 20, 24 x 2100       40 of 50
+#
+# At 4 points x 4600 the pool took 0.073 s (median) against 0.049 s in
+# process; at 24 x 2100, 0.144 s against 0.201 s.  The pool always costs
+# 10-100% more CPU in total, so it runs only where it won.
+_MODES_PER_WORKER = 20000
 
 
 @dataclass(frozen=True)
@@ -34,6 +58,9 @@ class InfimumResult:
     evaluations: int
     budget_exhausted: bool
     stages: int
+    # scan_diagnostics of every sweep_alpha scan, in order, for the run
+    # manifest; left out of == and hash, which dicts would break
+    scans: tuple[dict, ...] = field(default=(), compare=False)
 
 
 def _one_point(alpha, beta, schedule):
@@ -44,6 +71,46 @@ def _one_point(alpha, beta, schedule):
         return SweepRecord(alpha, beta, float("nan"), float("nan"), str(exc))
 
 
+def _check_jobs(jobs) -> None:
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
+def sweep_workers(points: int, schedule, jobs: int) -> int:
+    """Worker processes sweep_alpha uses for a grid of `points` alphas on
+    `schedule`, at most `jobs`; 1 means the grid runs in the calling process."""
+    _check_jobs(jobs)
+    return int(max(1, min(jobs, points * sum(schedule) // _MODES_PER_WORKER)))
+
+
+def scan_diagnostics(points: int, schedule, jobs: int) -> dict:
+    """How sweep_alpha runs such a scan, for the run manifest."""
+    workers = sweep_workers(points, schedule, jobs)
+    return {
+        "points": int(points),
+        "schedule": [int(n) for n in schedule],
+        "workers": workers,
+        "start_method": START_METHOD if workers > 1 else None,
+    }
+
+
+def _pool_map(point, alphas: list, workers: int) -> list[SweepRecord]:
+    # imported here, so that importing ringflow loads no pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context(START_METHOD)
+    chunk = -(-len(alphas) // workers)  # one chunk per worker
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(point, alphas, chunksize=chunk))
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            f"a sweep worker process died; {len(alphas)} points on {workers} workers"
+        ) from exc
+
+
 def sweep_alpha(
     beta: float,
     alpha_grid,
@@ -52,20 +119,21 @@ def sweep_alpha(
 ) -> list[SweepRecord]:
     """One extrapolated-infimum record per grid alpha, in grid order.
 
-    Records carry beta canonicalized to (-1, 0].  Thread workers overlap the
-    LOBPCG solves only in their FFTs and array arithmetic, outside the GIL,
-    because the iteration loop is Python.  A solve uses no BLAS threads, so
-    the GIL alone holds them back: on 2 cores, a 16-point grid on the default
-    schedule took 0.32-0.37 s on two workers against 0.22-0.29 s on one.
+    Records carry beta canonicalized to (-1, 0], and are bitwise the same for
+    every jobs.  A grid runs on sweep_workers(...) forked worker processes,
+    one chunk of the grid each, or in the calling process when that is 1:
+    each worker must get _MODES_PER_WORKER modes for the fork to pay.  A
+    worker process that dies raises RuntimeError.
     """
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("empty alpha grid")
+    workers = sweep_workers(len(alpha_grid), schedule, jobs)
     beta, _ = canonicalize(beta)
-    if jobs <= 1:
-        return [_one_point(a, beta, schedule) for a in alpha_grid]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda a: _one_point(a, beta, schedule), alpha_grid))
+    point = functools.partial(_one_point, beta=beta, schedule=schedule)
+    if workers == 1:
+        return [point(a) for a in alpha_grid]
+    return _pool_map(point, alpha_grid, workers)
 
 
 def find_infimum(
@@ -102,10 +170,12 @@ def find_infimum(
     _check_beta_max(beta_max)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
+    _check_jobs(jobs)
 
     used = 0
     exhausted = False
     best = None  # SweepRecord
+    scans = []
 
     def scan(alphas, schedule):
         nonlocal used, exhausted, best
@@ -116,6 +186,7 @@ def find_infimum(
         if not alphas:
             return
         used += len(alphas)
+        scans.append(scan_diagnostics(len(alphas), schedule, jobs))
         for r in sweep_alpha(beta_max, alphas, schedule, jobs):
             if r.error is None and (best is None or r.p_estimate < best.p_estimate):
                 best = r
@@ -139,4 +210,5 @@ def find_infimum(
         evaluations=used,
         budget_exhausted=exhausted,
         stages=stage,
+        scans=tuple(scans),
     )

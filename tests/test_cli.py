@@ -102,9 +102,42 @@ class TestSweepCommand:
             ]
         )
         check_manifest(tmp_path, "sweep", ["sweep.csv"])
-        thread_env = json.loads((tmp_path / "sweep.manifest.json").read_text())["thread_env"]
-        assert thread_env == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1",
-                              "MKL_NUM_THREADS": None, "RINGFLOW_JOBS": "2"}
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        assert manifest["thread_env"] == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1",
+                                          "MKL_NUM_THREADS": None, "RINGFLOW_JOBS": "2"}
+        # two FAST points are far below the fork floor: one scan, in process
+        assert manifest["diagnostics"] == {"scans": [
+            {"points": 2, "schedule": [50, 60, 70, 80], "workers": 1, "start_method": None}]}
+
+    SWEEP_ARGS = ["sweep", "--beta", "0", "--alpha-over-pi-min", "0.3",
+                  "--alpha-over-pi-max", "2", "--steps", "4", "--schedule", "50,60,70,80"]
+
+    def test_pool_gives_the_same_file(self, tmp_path, monkeypatch):
+        import ringflow.sweep as sw
+
+        assert run(self.SWEEP_ARGS + ["--jobs", "1", "--outdir", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(sw, "_MODES_PER_WORKER", 1)
+        assert run(self.SWEEP_ARGS + ["--jobs", "2", "--outdir", str(tmp_path / "b")]) == 0
+        for sub, workers, method in (("a", 1, None), ("b", 2, "fork")):
+            scan, = json.loads((tmp_path / sub / "sweep.manifest.json").read_text())[
+                "diagnostics"]["scans"]
+            assert (scan["workers"], scan["start_method"]) == (workers, method)
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    def test_dead_worker_exits_1(self, tmp_path, monkeypatch, capsys):
+        import ringflow.sweep as sw
+
+        parent = os.getpid()
+
+        def dying(alpha, beta, schedule):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("ran in the calling process")
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", dying)
+        monkeypatch.setattr(sw, "_MODES_PER_WORKER", 1)
+        assert run(self.SWEEP_ARGS + ["--jobs", "2", "--outdir", str(tmp_path)]) == 1
+        assert "worker process died" in capsys.readouterr().err
 
 
 # every other file-writing subcommand; sweep is TestSweepCommand's case
@@ -240,6 +273,20 @@ class TestTwomodeCommand:
 
 
 class TestInfimumCommand:
+    def test_scans_in_manifest_only(self, tmp_path):
+        # a budget of 3 stops the search inside its coarse scan, on
+        # find_infimum's default coarse schedule
+        args = ["infimum", "--alpha-over-pi-min", "0.3", "--alpha-over-pi-max", "0.4",
+                "--budget", "3", "--jobs", "2", "--outdir", str(tmp_path)]
+        assert run(args) == 0
+        check_manifest(tmp_path, "infimum", ["infimum.json"])
+        record = json.loads((tmp_path / "infimum.json").read_text())
+        assert set(record) == {"alpha_over_pi", "beta", "p", "evaluations",
+                               "budget_exhausted", "stages"}
+        manifest = json.loads((tmp_path / "infimum.manifest.json").read_text())
+        assert manifest["diagnostics"] == {"scans": [
+            {"points": 3, "schedule": [300, 400, 600, 800], "workers": 1, "start_method": None}]}
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_is_a_validation_error(self, tmp_path, capsys, budget):
         args = ["infimum", "--alpha-over-pi-min", "0.3", "--alpha-over-pi-max", "0.4"]

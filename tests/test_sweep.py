@@ -1,11 +1,26 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ringflow import find_infimum, sweep_alpha
+import ringflow.sweep as sw
+from ringflow import DEFAULT_SWEEP_SCHEDULE, find_infimum, sweep_alpha
 
 FAST = (50, 60, 70, 80)
+
+
+def bits(records):
+    """Every field of every record, floats as their exact hex (nan included)."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+        for r in records
+    ]
+
+
+def unexpected(*args):
+    raise AssertionError("solved despite invalid arguments")
 
 
 class TestSweepAlpha:
@@ -28,16 +43,81 @@ class TestSweepAlpha:
         p_off = sweep_alpha(-0.999, [alpha], schedule)[0].p_estimate
         assert p_off > p0
 
-    def test_jobs_give_same_answer(self):
-        grid = [0.3 * math.pi, 0.5 * math.pi]
+    def test_jobs_give_same_answer(self, monkeypatch):
+        # a FAST grid is far below the fork floor, so lower the floor to send
+        # it to the pool; the point at 0.5 pi fails in whichever process runs it
+        real = sw.extrapolated_infimum
+        parent = os.getpid()
+        in_parent = []
+
+        def failing_at_half_pi(alpha, beta, schedule):
+            if os.getpid() == parent:
+                in_parent.append(alpha)
+            if alpha == 0.5 * math.pi:
+                raise RuntimeError("synthetic")
+            return real(alpha, beta, schedule)
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", failing_at_half_pi)
+        grid = [0.3 * math.pi, math.pi, 0.5 * math.pi, 2 * math.pi, 0.7 * math.pi]
         serial = sweep_alpha(0.0, grid, FAST, jobs=1)
-        parallel = sweep_alpha(0.0, grid, FAST, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert b.p_estimate == a.p_estimate
+        assert len(in_parent) == len(grid)
+        monkeypatch.setattr(sw, "_MODES_PER_WORKER", 1)
+        for jobs in (2, 3):  # chunks of 3 and 2 points, then of 2, 2 and 1
+            assert sw.sweep_workers(len(grid), FAST, jobs) == jobs
+            parallel = sweep_alpha(0.0, grid, FAST, jobs=jobs)
+            assert len(in_parent) == len(grid)  # every point ran in a worker
+            assert [r.alpha for r in parallel] == grid
+            assert parallel[2].error == "synthetic" and math.isnan(parallel[2].p_estimate)
+            assert parallel[1].error is None and abs(parallel[1].p_estimate) <= 1e-10
+            assert bits(parallel) == bits(serial)
+
+    def test_benchmark_sized_grid_runs_in_process(self, monkeypatch):
+        # 4 points on the default schedule at jobs=2, the benchmark's sweep
+        # grid: below the fork floor, so every solve is seen in this process
+        calls = []
+        real = sw.extrapolated_infimum
+
+        def counting(alpha, beta, schedule):
+            calls.append(os.getpid())
+            return real(alpha, beta, schedule)
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", counting)
+        grid = [a * math.pi for a in np.linspace(0.15, 1.0, 4)]
+        records = sweep_alpha(0.0, grid, DEFAULT_SWEEP_SCHEDULE, jobs=2)
+        assert calls == [os.getpid()] * 4
+        assert all(r.error is None for r in records)
+
+    def test_workers_follow_the_mode_floor(self):
+        assert sw.sweep_workers(4, DEFAULT_SWEEP_SCHEDULE, 2) == 1
+        assert sw.sweep_workers(100, DEFAULT_SWEEP_SCHEDULE, 1) == 1
+        floor = sw._MODES_PER_WORKER
+        assert sw.sweep_workers(2 * floor, (1,), 2) == 2
+        assert sw.sweep_workers(2 * floor - 1, (1,), 2) == 1
+        assert sw.sweep_workers(100 * floor, (1,), 3) == 3
+        assert sw.scan_diagnostics(3, FAST, 2) == {
+            "points": 3, "schedule": list(FAST), "workers": 1, "start_method": None}
+        assert sw.scan_diagnostics(2 * floor, (1,), 2)["start_method"] == "fork"
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def dying(alpha, beta, schedule):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("ran in the calling process")
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", dying)
+        monkeypatch.setattr(sw, "_MODES_PER_WORKER", 1)
+        with pytest.raises(RuntimeError, match="worker process died"):
+            sweep_alpha(0.0, [0.3 * math.pi, 0.5 * math.pi], FAST, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", None])
+    def test_bad_jobs_rejected_before_any_solve(self, monkeypatch, jobs):
+        monkeypatch.setattr(sw, "extrapolated_infimum", unexpected)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_alpha(0.0, [0.3 * math.pi], FAST, jobs=jobs)
 
     def test_failures_stay_in_band(self, monkeypatch):
-        import ringflow.sweep as sw
-
         calls = {"n": 0}
         real = sw.extrapolated_infimum
 
@@ -121,8 +201,6 @@ class TestFindInfimum:
         assert p_again == res.p
 
     def test_only_upper_beta_end_evaluated(self, monkeypatch):
-        import ringflow.sweep as sw
-
         betas = []
         real = sw.extrapolated_infimum
 
@@ -154,14 +232,35 @@ class TestFindInfimum:
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected_before_any_solve(self, monkeypatch, budget):
-        import ringflow.sweep as sw
-
-        def unexpected(*args):
-            raise AssertionError("solved despite an invalid budget")
-
         monkeypatch.setattr(sw, "extrapolated_infimum", unexpected)
         with pytest.raises(ValueError, match="budget"):
             find_infimum((0.35 * math.pi, 0.4 * math.pi), 0.0, budget=budget)
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5])
+    def test_bad_jobs_rejected_before_any_solve(self, monkeypatch, jobs):
+        monkeypatch.setattr(sw, "extrapolated_infimum", unexpected)
+        with pytest.raises(ValueError, match="jobs"):
+            find_infimum((0.35 * math.pi, 0.4 * math.pi), 0.0, jobs=jobs)
+
+    def test_scans_recorded(self):
+        res = find_infimum(
+            (0.35 * math.pi, 0.4 * math.pi),
+            0.0,
+            budget=9,
+            coarse_points=4,
+            refine_points=3,
+            stages=2,
+            coarse_schedule=FAST,
+            refine_schedule=FAST,
+            final_schedule=FAST,
+            jobs=2,
+        )
+        assert res.scans == (
+            sw.scan_diagnostics(4, FAST, 2),
+            sw.scan_diagnostics(3, FAST, 2),
+            sw.scan_diagnostics(2, FAST, 2),
+        )
+        assert sum(scan["points"] for scan in res.scans) == res.evaluations == 9
 
     @pytest.mark.slow
     def test_reference_optimum_region(self):
