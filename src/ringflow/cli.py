@@ -271,6 +271,7 @@ def cmd_current(args) -> int:
         alpha = _resolve_alpha(args)
         state = maximizing_state(alpha, args.beta, args.n)
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
+    manifest.diagnostics.update(series.diagnostics)
     _emit(manifest, args.outdir, {"current.csv": lambda path: write_series_csv(series, path)})
     print(f"wrote {args.outdir / 'current.csv'}")
     return 0

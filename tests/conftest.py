@@ -1,10 +1,38 @@
 import math
+import os
+import threading
 
+import numpy as np
 import pytest
 
 from ringflow import ModeAmplitudes, RingConfig, build_kernel, min_eigen
 
 ALPHA_STAR = 0.3703965 * math.pi
+
+
+def other_threads_cpu_s() -> float:
+    """CPU time of every thread of this process but the calling one."""
+    me = threading.get_native_id()
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == me:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+_BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+# for tests that read other threads' CPU time to catch busy-waiting OpenBLAS workers
+needs_openblas_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or "openblas" not in _BLAS_NAME.lower(),
+    reason="needs /proc/self/task and numpy's OpenBLAS build",
+)
 
 # Reference smallest eigenvalues at alpha/pi = 0.3703965, beta = 0.
 REFERENCE_LAMBDAS = {

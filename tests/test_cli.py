@@ -373,6 +373,44 @@ class TestStateAndCurrentCommands:
         assert capsys.readouterr().err == f"error: state file {path} header lacks {key}\n"
         assert not (tmp_path / "current.csv").exists()
 
+    @pytest.mark.parametrize(
+        "header, rows, reason",
+        [
+            ("alpha=nan beta=0", "0,1,0\n1,0,0", "alpha must be positive and finite"),
+            ("alpha=inf beta=0", "0,1,0\n1,0,0", "alpha must be positive and finite"),
+            ("alpha=-1 beta=0", "0,1,0\n1,0,0", "alpha must be positive and finite"),
+            ("alpha=0 beta=0", "0,1,0\n1,0,0", "alpha must be positive and finite"),
+            ("alpha=1 beta=0", "0,1,0\n1,nan,0", "coefficients must be finite"),
+            ("alpha=1 beta=0", "0,1,0\n1,0,-inf", "coefficients must be finite"),
+            ("alpha=1 beta=0", "0,1,0\n1,2", "line 4 is not three numbers: '1,2'"),
+            ("alpha=1 beta=0", "0,1,0\n1,abc,0", "line 4 is not three numbers: '1,abc,0'"),
+            ("alpha=1 beta=0", "0,1\n1,0", "line 3 is not three numbers: '0,1'"),
+            # float() reads 1_0, np.loadtxt does not: the error is loadtxt's
+            ("alpha=1 beta=0", "0,1_0,0", "'1_0'"),
+        ],
+        ids=["alpha-nan", "alpha-inf", "alpha-negative", "alpha-zero", "coeff-nan",
+             "coeff-inf", "short-row", "text-value", "two-columns", "underscore"],
+    )
+    def test_bad_state_file_rejected(self, tmp_path, capsys, header, rows, reason):
+        path = tmp_path / "state.csv"
+        path.write_text(f"# {header} n_trunc=1\nm,re_c,im_c\n{rows}\n")
+        code = run(["current", "--state-file", str(path), "--samples", "3",
+                    "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: state file {path}") and reason in err
+        assert not (tmp_path / "current.csv").exists()
+
+    def test_manifest_records_block_plan(self, tmp_path):
+        code = run(["current", "--alpha", "1.0", "--n", "20", "--samples", "101",
+                    "--outdir", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "current.manifest.json").read_text())
+        # 11 blocks of 10 samples, 21 modes in one product each
+        assert manifest["diagnostics"] == {"block_samples": 10, "mode_chunk": 5000,
+                                           "blas_products": 11}
+        assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
+
     def test_state_file_header_token_without_value(self, tmp_path, capsys):
         path = tmp_path / "state.csv"
         path.write_text("# alpha=1 beta\nm,re_c,im_c\n0,1,0\n1,0,0\n")

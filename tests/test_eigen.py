@@ -1,6 +1,4 @@
 import math
-import os
-import threading
 import time
 
 import numpy as np
@@ -10,7 +8,7 @@ import scipy.linalg
 from ringflow import EigenSolveError, RingConfig, build_kernel, eigen, min_eigen
 from ringflow.verify import beta_ordering_increase, kpi_zero_deviation
 
-from conftest import ALPHA_STAR, REFERENCE_LAMBDAS
+from conftest import ALPHA_STAR, REFERENCE_LAMBDAS, needs_openblas_threads, other_threads_cpu_s
 
 
 def test_reference_lambda_800(optimum_eigen_cache):
@@ -100,27 +98,7 @@ def test_lobpcg_matches_dense(alpha, beta, n, zero):
     assert not zero or abs(result.lambda_min) <= 1e-12
 
 
-def _other_threads_cpu_s() -> float:
-    """CPU time of every thread of this process but the calling one."""
-    me = threading.get_native_id()
-    ticks = 0
-    for tid in os.listdir("/proc/self/task"):
-        if int(tid) == me:
-            continue
-        try:
-            with open(f"/proc/self/task/{tid}/stat") as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-        except FileNotFoundError:  # the thread ended
-            continue
-        ticks += int(fields[11]) + int(fields[12])  # utime, stime
-    return ticks / os.sysconf("SC_CLK_TCK")
-
-
-_BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-@pytest.mark.skipif("openblas" not in _BLAS_NAME.lower(), reason="guards numpy's OpenBLAS build only")
+@needs_openblas_threads
 def test_solves_leave_blas_threads_idle():
     # eigh beyond 25 modes (LAPACK dsyevd's divide-and-conquer cutoff) makes
     # dgemm calls that wake OpenBLAS's worker threads, which then busy-wait
@@ -128,12 +106,12 @@ def test_solves_leave_blas_threads_idle():
     # at most 3000: OpenBLAS also threads a ddot above 10000 elements.
     min_eigen(build_kernel(RingConfig(1.0, 0.0, 400)))
     time.sleep(0.5)  # longer than OpenBLAS's spin, so a woken worker sleeps again
-    cpu0, t0 = _other_threads_cpu_s(), time.perf_counter()
+    cpu0, t0 = other_threads_cpu_s(), time.perf_counter()
     for alpha in (0.5, ALPHA_STAR, 2.0, 4.0):
         for n in (400, 800, 1600, 3000):
             min_eigen(build_kernel(RingConfig(alpha, -0.2, n)))
     wall = time.perf_counter() - t0
-    assert _other_threads_cpu_s() - cpu0 <= 0.1 * wall
+    assert other_threads_cpu_s() - cpu0 <= 0.1 * wall
 
 
 def test_bad_lobpcg_pair_raises(monkeypatch):

@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ringflow import (
+    ModeAmplitudes,
     RingConfig,
     build_kernel,
     current_series,
@@ -15,8 +17,10 @@ from ringflow import (
     minimize_two_mode,
     time_quadrature_p,
 )
+from ringflow import state as state_mod
 from ringflow.state import (
     CurrentSeries,
+    _block_plan,
     _remainder,
     read_state_csv,
     write_series_csv,
@@ -24,7 +28,7 @@ from ringflow.state import (
 )
 from ringflow.verify import decay_exponent, quadrature_deviation, random_state
 
-from conftest import ALPHA_STAR
+from conftest import ALPHA_STAR, needs_openblas_threads, other_threads_cpu_s
 
 
 def literal_double_sum_current(state, theta, tau):
@@ -83,6 +87,20 @@ class TestModeAmplitudes:
     def test_make_state_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             make_state(np.zeros(4), 1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 0.0])
+    def test_alpha_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            make_state(np.array([1.0, 0.0]), alpha, 0.0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ModeAmplitudes(coeffs=np.array([1.0, 0.0]), alpha=alpha, beta=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_coefficients_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_state(np.array([1.0, bad]), 1.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            ModeAmplitudes(coeffs=np.array([1.0, bad]), alpha=1.0, beta=0.0)
 
 
 class TestMaximizingState:
@@ -201,6 +219,51 @@ class TestCurrentSeries:
             exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
 
+    def test_exact_phase_reference_many_chunks(self, maximizing_state_2000):
+        # 32001 samples: blocks of 178 and products of 280 modes, 8 a block
+        # (the last of 41), so every sample sums across mode chunks; first and
+        # last sample of the first, second and last block, and tau = 0.5
+        n_samples = 32001
+        series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
+        assert series.diagnostics == {"block_samples": 178, "mode_chunk": 280,
+                                      "blas_products": 180 * 8}
+        for i in (0, 177, 178, 355, 31862, 32000):
+            exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
+            assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 12])
+    def test_mode_chunk_edges(self, monkeypatch, chunk):
+        # products of 1, 2, 5 and 12 modes on states of 2..13 modes, so sums run
+        # across chunk edges and most end on a shorter chunk; blocks of 64 in
+        # spans of 1024 samples, the last of one sample; exact grids as in
+        # test_block_remainders, so 1e-13 tests the chunk, block and span
+        # bookkeeping alone
+        n_samples = 64**2 + 1
+        monkeypatch.setattr(state_mod, "_SERIAL_GEMM_MNK", 16 * 64 * chunk)
+        rng = np.random.default_rng(chunk)
+        for _ in range(3):
+            n = int(rng.integers(2, 14))
+            state = make_state(
+                random_state(rng, n),
+                int(rng.integers(13, 321)) / 64,
+                -int(rng.integers(0, 58)) / 64,
+            )
+            theta = float(rng.uniform(0, 2 * math.pi))
+            series = current_series(state, theta, (-0.5, -0.5 + (n_samples - 1) / 4096), n_samples)
+            assert series.diagnostics == {"block_samples": 64, "mode_chunk": chunk,
+                                          "blas_products": 65 * -(-n // chunk)}
+            for i in (0, 63, 64, 1023, 1024, 4095, 4096):
+                assert series.tj_values[i] == pytest.approx(
+                    literal_double_sum_current(state, theta, series.tau_samples[i]), abs=1e-13
+                )
+
+    @pytest.mark.parametrize("n_samples", [2, 4001, 32001, 10**6, 10**9])
+    def test_products_stay_under_the_threading_floor(self, n_samples):
+        # a product is (2 * block samples) x chunk times chunk x 8
+        plan = _block_plan(n_samples, 10001)
+        assert plan["block_samples"] == math.isqrt(n_samples)
+        assert 16 * plan["block_samples"] * plan["mode_chunk"] <= state_mod._SERIAL_GEMM_MNK
+
     def test_block_remainder_exact(self):
         # with an endpoint near 0, tau - tau_s is not always a double; the
         # remainder is still the exact rational tau - tau_s - o_j, rounded once
@@ -249,6 +312,24 @@ class TestCurrentSeries:
         state = make_state(random_state(rng, 9), 2.2, -0.6)
         # Parseval: the integral of |Psi|^2 over the ring is the coefficient norm
         assert np.sum(np.abs(state.coeffs) ** 2) == pytest.approx(1.0, abs=1e-13)
+
+
+@needs_openblas_threads
+def test_series_leave_blas_threads_idle(maximizing_state_2000):
+    # A complex block product (zgemm) wakes OpenBLAS's worker threads from
+    # m*n*k of about 2e5, a real one from about 1e6 and a ddot above 10000
+    # elements; the worker then busy-waits between calls.  Every product of
+    # current_series stays below, and Simpson's sum over 16385 samples is no ddot.
+    wide = make_state(random_state(np.random.default_rng(3), 10001), ALPHA_STAR, 0.0)
+    current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), 101)
+    time.sleep(0.5)  # longer than OpenBLAS's spin, so a woken worker sleeps again
+    cpu0, t0 = other_threads_cpu_s(), time.perf_counter()
+    for state, n_samples in ((maximizing_state_2000, 4001), (maximizing_state_2000, 32001),
+                             (wide, 4001)):
+        current_series(state, 0.0, (-1.5, 1.5), n_samples)
+    time_quadrature_p(make_state(random_state(np.random.default_rng(4), 9), 1.1, -0.3), 16385)
+    wall = time.perf_counter() - t0
+    assert other_threads_cpu_s() - cpu0 <= 0.1 * wall
 
 
 class TestTimeQuadrature:
