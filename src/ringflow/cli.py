@@ -249,6 +249,7 @@ def cmd_state(args) -> int:
     alpha = _resolve_alpha(args)
     manifest = _start(args)
     state = maximizing_state(alpha, args.beta, args.n)
+    manifest.diagnostics["solve"] = state.solve
     report = {
         "lambda_min": state.lambda_min,
         "mean_energy": mean_energy(state),
@@ -270,6 +271,7 @@ def cmd_current(args) -> int:
     else:
         alpha = _resolve_alpha(args)
         state = maximizing_state(alpha, args.beta, args.n)
+        manifest.diagnostics["solve"] = state.solve
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
     manifest.diagnostics.update(series.diagnostics)
     _emit(manifest, args.outdir, {"current.csv": lambda path: write_series_csv(series, path)})
@@ -281,7 +283,8 @@ def cmd_linelimit(args) -> int:
     manifest = _start(args)
     if args.ring_route:
         alpha = _resolve_alpha(args)
-        value = ring_small_alpha_limit(alpha, args.beta, args.n)
+        manifest.diagnostics["solve"] = solve = {}
+        value = ring_small_alpha_limit(alpha, args.beta, args.n, solve)
         record = {"route": "ring", "alpha": alpha, "beta": canonicalize(args.beta)[0],
                   "n_trunc": args.n, "lambda_min": value}
     else:

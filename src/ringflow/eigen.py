@@ -12,6 +12,12 @@ iteration 0.  The block is 25 modes because LAPACK's dsyevd makes no level-3
 BLAS call up to that size, so the start vector wakes no OpenBLAS worker
 thread.
 
+One LOBPCG step costs one matvec, one Gram product and one 3 x 3
+Rayleigh-Ritz.  x, w, p and their images under K are the rows of one
+(6, N) array allocated per solve; its product with the rows [x, w, p] gives
+both their Gram matrix and K projected on them, and p, K p, x and K x are
+then updated in place.
+
 A caller that solves a ladder of leading blocks in increasing size passes
 each solve's eigenvector as the next one's start, in place of the 25-mode
 block.  The kernel on N modes is the leading block of the kernel on any
@@ -79,6 +85,13 @@ class EigenResult:
     # how LOBPCG started; run diagnostics, so to_record leaves it out
     warm_started: bool = False
 
+    @property
+    def diagnostics(self) -> dict:
+        """How the solve went, for a run manifest: N, LOBPCG iterations, the
+        certified residual and whether a start vector was passed in."""
+        return {"n": self.n_trunc, "iterations": self.iterations,
+                "residual_norm": self.residual_norm, "warm_started": self.warm_started}
+
     def to_record(self) -> dict:
         return {
             "lambda_min": self.lambda_min,
@@ -103,58 +116,74 @@ def _lowest_dense(a: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[0]), vecs[:, 0]
 
 
-def _rayleigh_ritz(basis: np.ndarray, images: np.ndarray):
-    """Lowest Ritz value and coefficients on the rows of basis, images = A basis.
+def _rayleigh_ritz(gram: np.ndarray, proj: np.ndarray):
+    """Lowest Ritz value and coefficients on a basis with Gram matrix gram,
+    proj[i, j] = (A b_i) . b_j.
 
-    None when the Gram matrix of the rows is not positive definite.
+    None when gram is not positive definite.
     """
     try:
-        chol = np.linalg.cholesky(basis @ basis.T)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
     # written so that a NaN pivot fails too
     if not chol.diagonal().min() > _GRAM_PIVOT_MIN:
         return None
     inv = np.linalg.inv(chol)
-    proj = basis @ images.T
     lam, z = _lowest_dense(inv @ ((proj + proj.T) / 2) @ inv.T)
     return lam, inv.T @ z
 
 
-def _lobpcg(apply, x, precond, tol) -> tuple[float, np.ndarray, int]:
+def _lobpcg(apply, start, precond, tol) -> tuple[float, np.ndarray, int]:
     """Single-vector LOBPCG (Knyazev 2001): lowest Ritz pair and iteration count.
 
     Each iteration applies A once, to w, the preconditioned residual made
-    orthogonal to x, and does Rayleigh-Ritz on [x, w, p], p the previous
-    update; p is left out of a step whose Gram matrix is not positive
-    definite (_GRAM_PIVOT_MIN).  Stops when |A x - lambda x| <= tol, after
-    _LOBPCG_MAXITER iterations, or when Rayleigh-Ritz fails on [x, w] too,
-    and returns the last pair: min_eigen's residual certificate judges it.
+    orthogonal to x, and does Rayleigh-Ritz on the unit vectors [x, w, p], p
+    the previous update; p is left out of a step whose Gram matrix is not
+    positive definite (_GRAM_PIVOT_MIN).  x, w, p, A x, A w and A p are the
+    rows of one (6, N) array, so one product with [x, w, p] gives both the
+    Gram matrix and the projection of A, and the updates run in place.
+    Stops when |A x - lambda x| <= tol, after _LOBPCG_MAXITER iterations, or
+    when Rayleigh-Ritz fails on [x, w] too, and returns the last pair:
+    min_eigen's residual certificate judges it.
     """
-    x = x / np.linalg.norm(x)
-    ax = apply(x)
+    rows = np.zeros((6, start.shape[0]))
+    x, w, p, ax, aw, ap = rows
+    # (x, A x), (w, A w) and (p, A p) as pairs of rows
+    pairs_x, pairs_w, pairs_p = rows[0::3], rows[1::3], rows[2::3]
+    np.divide(start, np.sqrt(start @ start), out=x)
+    ax[:] = apply(x)
     lam = float(x @ ax)
-    p = ap = None
+    width = 2  # basis vectors in use: p joins after the first update
     for iterations in range(_LOBPCG_MAXITER + 1):
-        r = ax - lam * x
-        if iterations == _LOBPCG_MAXITER or np.linalg.norm(r) <= tol:
+        # w holds the residual A x - lambda x until it is preconditioned
+        np.multiply(x, lam, out=w)
+        np.subtract(ax, w, out=w)
+        if iterations == _LOBPCG_MAXITER or np.sqrt(w @ w) <= tol:
             break
-        w = precond * r
-        w -= x * (x @ w)
-        w /= np.linalg.norm(w)
-        basis, images = np.array([x, w]), np.array([ax, apply(w)])
-        norm = 0.0 if p is None else np.linalg.norm(p)
-        if norm > 0.0:
-            basis, images = np.vstack([basis, p / norm]), np.vstack([images, ap / norm])
-        ritz = _rayleigh_ritz(basis, images)
-        if ritz is None and len(basis) == 3:
-            basis, images = basis[:2], images[:2]
-            ritz = _rayleigh_ritz(basis, images)
+        w *= precond
+        w -= np.multiply(x, x @ w)
+        w /= np.sqrt(w @ w)
+        aw[:] = apply(w)
+        products = rows @ rows[:3].T
+        ritz = _rayleigh_ritz(products[:width, :width], products[3:3 + width, :width])
+        if ritz is None and width == 3:
+            width = 2
+            ritz = _rayleigh_ritz(products[:2, :2], products[3:5, :2])
         if ritz is None:
             break
         lam, y = ritz
-        p, ap = y[1:] @ basis[1:], y[1:] @ images[1:]
-        x, ax = y[0] * x + p, y[0] * ax + ap
+        if width == 3:
+            pairs_p *= y[2]
+            pairs_p += np.multiply(pairs_w, y[1])
+        else:
+            np.multiply(pairs_w, y[1], out=pairs_p)
+        pairs_x *= y[0]
+        pairs_x += pairs_p
+        norm = np.sqrt(p @ p)
+        if norm > 0.0:
+            pairs_p /= norm
+        width = 3 if norm > 0.0 else 2
     return lam, x, iterations
 
 

@@ -31,18 +31,31 @@ import numpy as np
 
 # Below this the Taylor series 1 - z^2/6 + z^4/120 is more accurate than sin(z)/z.
 _SINC_TAYLOR_CUTOFF = 1e-4
+# Elements per block of sinc's in-place sin(z)/z: 512 KB, a multiple of any
+# SIMD width, so each element meets the same ufunc loop as in one whole-array call.
+_SINC_BLOCK = 1 << 16
 
 
 def sinc(z):
     """sin(z)/z with sinc(0) = 1, safe near zero.
 
     Accepts scalars or arrays.  Not the numpy convention (no implicit pi).
+    The result is |z| overwritten block by block with sin(|z|)/|z|, and then
+    with the Taylor series on the entries below the cutoff: one array the
+    size of z, plus a boolean mask.
     """
-    z = np.abs(np.asarray(z, dtype=float))
-    small = z < _SINC_TAYLOR_CUTOFF
-    zsq = np.where(small, z * z, 1.0)
-    safe = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 - zsq / 6.0 * (1.0 - zsq / 20.0), np.sin(safe) / safe)
+    out = np.array(z, dtype=float, order="C")
+    flat = np.abs(out, out=out).reshape(-1)
+    small = flat < _SINC_TAYLOR_CUTOFF
+    zsq = flat[small]
+    zsq *= zsq
+    flat[small] = 1.0
+    for start in range(0, flat.size, _SINC_BLOCK):
+        block = flat[start:start + _SINC_BLOCK]
+        ratio = np.sin(block)
+        ratio /= block
+        block[...] = ratio
+    flat[small] = 1.0 - zsq / 6.0 * (1.0 - zsq / 20.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -187,28 +200,40 @@ class BackflowKernel:
         return self._diag
 
     def matvec(self, x) -> np.ndarray:
-        """K @ x for x of shape (size,) or (size, k), by one FFT pair on 2k columns."""
+        """K @ x, a new array, for x of shape (size,) or (size, k).
+
+        One FFT pair on 2k zero-padded rows [c*x; s*x], along the contiguous
+        axis; each row is transformed alone, so a column gives bitwise the
+        same numbers alone as in a block.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self.size:
             raise ValueError(f"need shape ({self.size},) or ({self.size}, k), got {x.shape}")
-        cols = x.reshape(self.size, -1)
-        s, c, d = self.sin_phase[:, None], self.cos_phase[:, None], self._diag[:, None]
+        n, rows = self.size, x.reshape(self.size, -1).T
+        k = rows.shape[0]
         if self._circulant is None:
             # first column of a circulant whose leading size x size block is
             # the skew Toeplitz 1/(pi*(m - n)): t below the diagonal, -t above
-            length = _fft_size(2 * self.size - 1)
-            t = 1.0 / (np.pi * np.arange(1, self.size))
+            length = _fft_size(2 * n - 1)
+            t = 1.0 / (np.pi * np.arange(1, n))
             col = np.zeros(length)
-            col[1:self.size] = t
-            col[length - self.size + 1:] = -t[::-1]
-            symbol = np.fft.rfft(col)[:, None]
+            col[1:n] = t
+            col[length - n + 1:] = -t[::-1]
+            symbol = np.fft.rfft(col)
             symbol.setflags(write=False)
             object.__setattr__(self, "_circulant", (length, symbol))
         length, symbol = self._circulant
-        both = np.fft.rfft(np.hstack([c * cols, s * cols]), n=length, axis=0)
-        prod = np.fft.irfft(symbol * both, n=length, axis=0)[:self.size]
-        k = cols.shape[1]
-        return (s * prod[:, :k] - c * prod[:, k:] + d * cols).reshape(x.shape)
+        buf = np.zeros((2 * k, length))
+        np.multiply(rows, self.cos_phase, out=buf[:k, :n])
+        np.multiply(rows, self.sin_phase, out=buf[k:, :n])
+        spectrum = np.fft.rfft(buf)
+        spectrum *= symbol
+        prod = np.fft.irfft(spectrum, n=length)
+        out = np.multiply(prod[:k, :n], self.sin_phase)
+        cos_term = np.multiply(prod[k:, :n], self.cos_phase, out=prod[k:, :n])
+        out -= cos_term
+        out += np.multiply(rows, self._diag, out=prod[:k, :n])
+        return out[0] if x.ndim == 1 else out.T
 
     def leading_block(self, k: int) -> "BackflowKernel":
         """The same operator on the first k modes."""
@@ -226,12 +251,21 @@ def kernel_entries(alpha: float, beta: float, size: int) -> np.ndarray:
 
     beta is taken as given, not canonicalized.  Bitwise symmetric: the sinc
     argument enters through its absolute value, identical for (m, n) and
-    (n, m).  Formed in place, so only s and the sinc values outlive sinc.
+    (n, m).  Formed in place, and m + n - 2*beta is formed again after sinc
+    rather than kept, so at most two size x size arrays are alive at a time.
     """
     m = np.arange(size, dtype=float)
-    s = m[:, None] + m[None, :]
-    s -= 2.0 * beta
-    z = sinc(alpha * s * (m[:, None] - m[None, :]))
+
+    def index_sum():
+        s = m[:, None] + m[None, :]
+        s -= 2.0 * beta
+        return s
+
+    z = index_sum()
+    z *= alpha
+    z *= m[:, None] - m[None, :]
+    z = sinc(z)
+    s = index_sum()
     s *= alpha / np.pi
     s *= z
     return s

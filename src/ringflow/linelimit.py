@@ -79,8 +79,11 @@ def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult
                            rungs)
 
 
-def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
+def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int, solve=None) -> float:
     """lambda_min of the ring kernel at small alpha; tends to -c_line.
+
+    solve, if given, is a dict that receives the solve's diagnostics
+    (EigenResult.diagnostics) for the run manifest.
 
     The mode index covers u = m*sqrt(alpha) up to n_trunc*sqrt(alpha), so
     n_trunc must grow like 1/sqrt(alpha) for the limit to be visible.
@@ -97,5 +100,8 @@ def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> float:
             "u-coverage too small for the line limit",
             stacklevel=2,
         )
-    return min_eigen(build_kernel(config)).lambda_min
+    result = min_eigen(build_kernel(config))
+    if solve is not None:
+        solve.update(result.diagnostics)
+    return result.lambda_min
 

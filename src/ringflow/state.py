@@ -59,6 +59,8 @@ class ModeAmplitudes:
     alpha: float
     beta: float
     lambda_min: float | None = None
+    # how maximizing_state's eigensolve went (EigenResult.diagnostics)
+    solve: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -135,6 +137,7 @@ def maximizing_state(alpha: float, beta: float, n_trunc: int) -> ModeAmplitudes:
         alpha=config.alpha,
         beta=config.beta,
         lambda_min=result.lambda_min,
+        solve=result.diagnostics,
     )
 
 
@@ -269,13 +272,17 @@ def write_state_csv(state: ModeAmplitudes, path) -> None:
 
 def read_state_csv(path) -> ModeAmplitudes:
     """The state in a file write_state_csv wrote: a '# key=value ...' header
-    with alpha and beta, the column line m,re_c,im_c, then one row per mode."""
+    with alpha and beta, the column line m,re_c,im_c, then one row per mode.
+
+    The rows must run m = 0..n-1 in order and a header n_trunc, when given,
+    must be n - 1; otherwise ValueError names the file and the line.
+    """
     lines = Path(path).read_text().splitlines()
     header = None
     body = len(lines)
     for number, line in enumerate(lines):
         if line.startswith("#"):
-            header = {}
+            header, header_line = {}, number + 1
             for tok in line[1:].split():
                 key, sep, value = tok.partition("=")
                 if not sep:
@@ -290,12 +297,29 @@ def read_state_csv(path) -> ModeAmplitudes:
     if missing:
         raise ValueError(f"state file {path} header lacks {', '.join(missing)}")
     values = _coefficient_rows(path, lines, body)
+    _check_mode_rows(path, lines, body, values[:, 0])
+    last_mode = str(len(values) - 1)
+    if header.get("n_trunc", last_mode) != last_mode:
+        raise ValueError(f"state file {path} line {header_line}: n_trunc={header['n_trunc']} "
+                         f"but the file has {len(values)} mode rows")
     coeffs = np.empty(len(values), dtype=complex)
     coeffs.real, coeffs.imag = values[:, 1], values[:, 2]
     try:
         return make_state(coeffs, float(header["alpha"]), float(header["beta"]))
     except ValueError as exc:
         raise ValueError(f"state file {path}: {exc}") from None
+
+
+def _check_mode_rows(path, lines, body, modes) -> None:
+    """ValueError naming the file and the first row whose m is not its index."""
+    wrong = np.flatnonzero(modes != np.arange(len(modes)))
+    if wrong.size:
+        row = wrong[0]
+        # the lines np.loadtxt read as rows: it skips blank and '#' lines
+        numbers = [number for number, line in enumerate(lines[body:], body + 1)
+                   if line.strip() and not line.startswith("#")]
+        raise ValueError(f"state file {path} line {numbers[row]}: m = {modes[row]:g} in the "
+                         f"row of mode {row}; rows must run m = 0..n-1 in order")
 
 
 def _coefficient_rows(path, lines, body) -> np.ndarray:

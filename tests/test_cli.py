@@ -405,11 +405,31 @@ class TestStateAndCurrentCommands:
         code = run(["current", "--alpha", "1.0", "--n", "20", "--samples", "101",
                     "--outdir", str(tmp_path)])
         assert code == 0
-        manifest = json.loads((tmp_path / "current.manifest.json").read_text())
+        diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
+        assert diagnostics.pop("solve")["n"] == 20  # the state's solve, beside the block plan
         # 11 blocks of 10 samples, 21 modes in one product each
-        assert manifest["diagnostics"] == {"block_samples": 10, "mode_chunk": 5000,
-                                           "blas_products": 11}
+        assert diagnostics == {"block_samples": 10, "mode_chunk": 5000, "blas_products": 11}
         assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
+
+    @pytest.mark.parametrize(
+        "header, rows, line, reason",
+        [
+            ("n_trunc=5", "0,1,0\n5,0,0", 4, "m = 5 in the row of mode 1"),
+            ("n_trunc=1", "1,0,0\n0,1,0", 3, "m = 1 in the row of mode 0"),
+            ("n_trunc=2", "0,1,0\n1,0,0", 1, "n_trunc=2 but the file has 2 mode rows"),
+        ],
+        ids=["gap", "reordered", "count-mismatch"],
+    )
+    def test_mode_rows_checked(self, tmp_path, capsys, header, rows, line, reason):
+        # each file is a normalized state that would read as a two-mode state
+        path = tmp_path / "state.csv"
+        path.write_text(f"# alpha=1 beta=0 {header}\nm,re_c,im_c\n{rows}\n")
+        code = run(["current", "--state-file", str(path), "--samples", "3",
+                    "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: state file {path} line {line}: ") and reason in err
+        assert not (tmp_path / "current.csv").exists()
 
     def test_state_file_header_token_without_value(self, tmp_path, capsys):
         path = tmp_path / "state.csv"
@@ -420,6 +440,44 @@ class TestStateAndCurrentCommands:
         assert capsys.readouterr().err == (
             f"error: state file {path} header token 'beta' is not key=value\n")
         assert not (tmp_path / "current.csv").exists()
+
+
+def check_solve(outdir, command, n) -> dict:
+    """The manifest records the command's one solve with a ladder rung's keys."""
+    manifest = json.loads((outdir / f"{command}.manifest.json").read_text())
+    solve = manifest["diagnostics"]["solve"]
+    assert set(solve) == {"n", "iterations", "residual_norm", "warm_started"}
+    assert (solve["n"], solve["warm_started"]) == (n, False)
+    assert solve["iterations"] >= 0 and 0 <= solve["residual_norm"] < 1e-9
+    return solve
+
+
+class TestSolveProvenance:
+    def test_state(self, tmp_path):
+        args = ["state", "--alpha-over-pi", "0.3703965", "--n", "300"]
+        assert run(args + ["--outdir", str(tmp_path)]) == 0
+        assert check_solve(tmp_path, "state", 300)["iterations"] > 0
+        report = json.loads((tmp_path / "state_report.json").read_text())
+        assert set(report) == {"lambda_min", "mean_energy", "coefficient_decay_below_c0_over_m2"}
+
+    def test_current_without_state_file(self, tmp_path):
+        args = ["current", "--alpha-over-pi", "0.37", "--n", "50", "--samples", "9"]
+        assert run(args + ["--outdir", str(tmp_path / "solved")]) == 0
+        check_solve(tmp_path / "solved", "current", 50)
+        # a state read from a file was solved elsewhere: nothing to record
+        assert run(["state", "--alpha-over-pi", "0.37", "--n", "50",
+                    "--outdir", str(tmp_path / "state")]) == 0
+        assert run(["current", "--state-file", str(tmp_path / "state" / "state.csv"),
+                    "--samples", "9", "--outdir", str(tmp_path / "read")]) == 0
+        manifest = json.loads((tmp_path / "read" / "current.manifest.json").read_text())
+        assert "solve" not in manifest["diagnostics"]
+
+    def test_linelimit_ring_route(self, tmp_path):
+        args = ["linelimit", "--ring-route", "--alpha", "1e-3", "--n", "1000"]
+        assert run(args + ["--outdir", str(tmp_path)]) == 0
+        assert check_solve(tmp_path, "linelimit", 1000)["iterations"] > 0
+        record = json.loads((tmp_path / "linelimit.json").read_text())
+        assert set(record) == {"route", "alpha", "beta", "n_trunc", "lambda_min"}
 
 
 class TestLinelimitCommand:

@@ -132,9 +132,9 @@ def test_rank_deficient_gram_drops_p(monkeypatch):
     steps = []
     rayleigh_ritz = eigen._rayleigh_ritz
 
-    def spy(basis, images):
-        ritz = rayleigh_ritz(basis, images)
-        steps.append((len(basis), ritz is None))
+    def spy(gram, proj):
+        ritz = rayleigh_ritz(gram, proj)
+        steps.append((len(gram), ritz is None))
         return ritz
 
     monkeypatch.setattr(eigen, "_rayleigh_ritz", spy)
@@ -176,6 +176,16 @@ def test_warm_start_from_leading_block(optimum_eigen_cache):
     assert warm.iterations < cold.iterations
     assert abs(warm.lambda_min - cold.lambda_min) <= 1e-13
     assert np.max(np.abs(warm.eigenvector - cold.eigenvector)) <= 1e-10
+
+
+@pytest.mark.parametrize("length", [801, 1001], ids=["padded", "full-length"])
+def test_start_left_unchanged(length):
+    # LOBPCG updates its vectors in place, on its own copy of the start
+    start = np.random.default_rng(length).standard_normal(length)
+    kept = start.copy()
+    result = min_eigen(build_kernel(RingConfig(ALPHA_STAR, 0.0, 1000)), start)
+    assert result.warm_started
+    assert np.array_equal(start, kept)
 
 
 def test_start_ignored_within_start_block():

@@ -200,6 +200,23 @@ class TestOperator:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("size", [1, 2, eigen._START_BLOCK + 1, 3000])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
+    def test_matvec_leaves_input_and_returns_new_arrays(self, size, shape):
+        # matvec works in place on its own buffers: a read-only input must do,
+        # and changing one result must change no later one
+        kern = build_kernel(RingConfig(1.7, -0.4, 3000)).leading_block(size)
+        x = np.random.default_rng(size).standard_normal((size, *shape))
+        kept = x.copy()
+        x.setflags(write=False)
+        first = kern.matvec(x)
+        want = first.copy()
+        first[...] = np.nan
+        second = kern.matvec(x)
+        assert np.array_equal(x, kept)
+        assert not np.shares_memory(second, first) and not np.shares_memory(second, x)
+        assert np.array_equal(second, want)
+
     def test_leading_block_is_bitwise_slice(self):
         kern = build_kernel(RingConfig(1.7, -0.4, 900))
         full = kern.dense()

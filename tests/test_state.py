@@ -383,6 +383,17 @@ class TestCsvExports:
         assert loaded.alpha == state.alpha
         assert loaded.beta == state.beta
 
+    def test_solved_state_roundtrip(self, tmp_path):
+        # a file as write_state_csv writes it, n_trunc in the header and rows
+        # m = 0..n_trunc, passes read_state_csv's mode-row checks unchanged
+        state = maximizing_state(1.2, -0.3, 60)
+        path = tmp_path / "state.csv"
+        write_state_csv(state, path)
+        assert path.read_text().splitlines()[0].split()[3] == "n_trunc=60"
+        loaded = read_state_csv(path)
+        assert (loaded.n_trunc, loaded.alpha, loaded.beta) == (60, state.alpha, state.beta)
+        assert np.max(np.abs(loaded.coeffs - state.coeffs)) <= 1e-15
+
     def test_series_csv(self, tmp_path):
         c = np.zeros(3)
         c[1] = 1.0
