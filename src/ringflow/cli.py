@@ -146,6 +146,7 @@ def cmd_eigen(args) -> int:
     manifest = _start(args)
     kernel = build_kernel(RingConfig(alpha, args.beta, args.n))
     result = min_eigen(kernel)
+    manifest.diagnostics["solve"] = result.diagnostics
     record = result.to_record()
     record.update({"alpha": alpha, "beta": kernel.config.beta})
     _emit(manifest, args.outdir, {"eigen.json": record})

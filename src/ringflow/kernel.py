@@ -114,11 +114,13 @@ class RingConfig:
         return self.n_trunc + 1
 
 
-# Dekker's splitter for exact products of doubles, and 2*pi as a sum of two
-# doubles, for the phase reduction in _phase.
+# Dekker's splitter for exact products of doubles, and 2*pi and 1/(2*pi) as
+# sums of two doubles, for the phase reductions in _phase and state.py.
 _SPLIT = 134217729.0  # 2**27 + 1
 _TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
+_INV_TWO_PI_HI = 0.15915494309189535
+_INV_TWO_PI_LO = -9.839338337591243e-18
 
 
 def _two_sum(a, b):
@@ -148,10 +150,17 @@ def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
     sl += 2.0 * uh * ul
     ph, pl = _two_prod(alpha, sh)
     pl += alpha * sl
+    hi, lo = _reduce_two_pi(ph, pl)
+    return hi + lo
+
+
+def _reduce_two_pi(ph, pl):
+    """The double-double ph + pl reduced by a double-double 2*pi to about
+    [-pi, pi], as a double-double (hi, lo); hi is ph less whole turns, exactly."""
     turns = np.rint(ph / _TWO_PI_HI)
     qh, ql = _two_prod(turns, _TWO_PI_HI)
     ql += turns * _TWO_PI_LO
-    return (ph - qh) + (pl - ql)
+    return ph - qh, pl - ql
 
 
 def _fft_size(n: int) -> int:
@@ -173,7 +182,13 @@ class BackflowKernel:
     size is config.size for the full kernel and smaller for a leading block.
     Holds sin_phase and cos_phase, sin and cos of the phases a_m, and the
     diagonal.  matvec computes the FFT of T's circulant embedding on first
-    request and keeps it; dense() builds the entries anew on each call.
+    request and keeps it, and keeps its FFT work buffers beside it, one set
+    per column count k: the zero-padded (2k, L) input, its spectrum and the
+    product, about 48*k*L bytes for the FFT length L.  Buffers allocated
+    afresh were faulted in on every product from N of about 4000 on: 70 page
+    faults a one-column matvec at N = 4000, 464 a three-column one at
+    N = 10000, where kept buffers take 0 and 249 (the rest are pocketfft's own
+    scratch).  dense() builds the entries anew on each call.
     """
 
     config: RingConfig
@@ -182,6 +197,8 @@ class BackflowKernel:
     cos_phase: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
     _circulant: tuple[int, np.ndarray] | None = field(init=False, repr=False, default=None)
+    # column count k -> (padded input, spectrum, product), matvec's FFT buffers
+    _buffers: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not 1 <= self.size <= self.config.size:
@@ -204,7 +221,9 @@ class BackflowKernel:
 
         One FFT pair on 2k zero-padded rows [c*x; s*x], along the contiguous
         axis; each row is transformed alone, so a column gives bitwise the
-        same numbers alone as in a block.
+        same numbers alone as in a block.  The work happens in the kernel's
+        kept buffers, so matvec is not reentrant: two threads must not call
+        it on one kernel at the same time.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self.size:
@@ -223,12 +242,17 @@ class BackflowKernel:
             symbol.setflags(write=False)
             object.__setattr__(self, "_circulant", (length, symbol))
         length, symbol = self._circulant
-        buf = np.zeros((2 * k, length))
+        if k not in self._buffers:
+            # only [:, :n] of buf is ever written, so its padding stays zero
+            self._buffers[k] = (np.zeros((2 * k, length)),
+                                np.empty((2 * k, symbol.size), dtype=complex),
+                                np.empty((2 * k, length)))
+        buf, spectrum, prod = self._buffers[k]
         np.multiply(rows, self.cos_phase, out=buf[:k, :n])
         np.multiply(rows, self.sin_phase, out=buf[k:, :n])
-        spectrum = np.fft.rfft(buf)
+        np.fft.rfft(buf, out=spectrum)
         spectrum *= symbol
-        prod = np.fft.irfft(spectrum, n=length)
+        np.fft.irfft(spectrum, n=length, out=prod)
         out = np.multiply(prod[:k, :n], self.sin_phase)
         cos_term = np.multiply(prod[k:, :n], self.cos_phase, out=prod[k:, :n])
         out -= cos_term

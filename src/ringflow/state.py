@@ -10,25 +10,57 @@ at angle theta is evaluated through the O(N)-per-sample reduction
 
 algebraically identical to the double sum over (m, n).
 
-The evolution factors are not exponentiated per (sample, mode) pair.  The tau
-grid is cut into blocks of B = isqrt(n_samples) samples; a sample in the block
-that starts at tau_s is tau_k = tau_s + o_j + eps_k, with o_j = fl(j*h) for the
-grid step h and eps_k the exact remainder (TwoSum; at most about 1e-16), so
+current_series samples z, w, rz and rw (the sums with r_m c_m, r_m (m-beta) c_m,
+r = 2 alpha (m-beta)^2) on the grid tau_k = np.linspace(lo, hi, n)[k] without
+an exponential per (sample, mode) pair, by one of two methods picked from the
+mode count: a nonuniform FFT from _NUFFT_MIN_MODES = 128 modes on, block
+products below, where they are faster (the table beside the constant).
 
-    e^{-i r tau_k} = e^{-i r tau_s} * e^{-i r o_j} * e^{-i r eps_k},  r = 2 alpha (m-beta)^2.
+Both evaluate the sums at points of an exact grid and add the rest of each
+sample to first order: tau_k = t_k + eps_k with eps_k the exact remainder (at
+most about 1e-16), and z -> z - i eps_k rz (the same for w).  r reaches 1e7 at
+N = 2000, so r*eps reaches 1e-9 and the term matters: on the N = 2000
+maximizing state over (-1/2, 1/2), dropping it moves T*J by up to 1.2e-11 on
+the NUFFT's grid and 2e-11 on the blocks'.  Its second-order term
+(r*eps)^2/2 is below 1e-18.
+
+Nonuniform FFT.  Samples are taken in windows of at most _NUFFT_WINDOW_SAMPLES.
+In a window around sample k0, with j = k - k0 and t_k = lo + k h for the grid
+step h,
+
+    z(t_k) = sum_m b_m e^{-i j x_m},  b_m = a_m e^{-i r_m (lo + k0 h)},  x_m = r_m h mod 2pi,
+
+a type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993) 1368;
+Greengard & Lee, SIAM Rev. 46 (2004) 443).  Each b_m is spread onto a 5-smooth
+grid of 4*quarter points, oversampling R = 2 for the 2*quarter outputs, by a
+Gaussian of half-width 16 grid points and parameter pi*16/(M^2 R (R - 1/2)),
+M = 2*quarter; one FFT per window then gives every output, and dividing by the
+Gaussian's Fourier coefficient undoes the spreading.  The four columns cost
+8*32*N weighted np.bincount entries and four FFTs of the grid per window,
+and no BLAS call.  The start phases r_m (lo + k0 h) and x_m are reduced mod
+2pi in double-double (kernel._phase's helpers), and x_m stays double-double
+until its offset from the grid point below it, so no output carries j times
+the rounding of x_m.  The Gaussian's truncation and aliasing are each below
+e^{-33} of sum |b_m|, raised at most e^{4.2}-fold by the division; the N = 2000
+maximizing state over (-1.5, 1.5) comes out within 4e-15 of an exact-phase
+evaluation at the samples checked, against 3.6e-12 for the block method.
+Working memory is about 0.2 kB a mode, 0.2 kB a window sample and at most
+0.4 MB for the spread's weights, grid points and products, whatever
+n_samples is.
+
+Block products.  The grid is cut into blocks of B = isqrt(n_samples) samples;
+a sample in the block that starts at tau_s is tau_k = tau_s + o_j + eps_k,
+with o_j = fl(j*h) and eps_k the exact remainder (TwoSum), so
+
+    e^{-i r tau_k} = e^{-i r tau_s} * e^{-i r o_j} * e^{-i r eps_k}.
 
 The table E[j, m] = e^{-i r_m o_j} is built once per series (B*N cos and sin
 pairs), each block adds one length-N turn vector e^{-i r_m tau_s} and one
-block product, and the last factor enters to first order,
-z -> z - i eps_k * sum_m E[j, m] e^{-i r_m tau_s} r_m c_m (the same for w).
-Its second-order term (r*eps)^2/2 is below the rounding of fl(r*tau) itself.
-On the N = 2000 maximizing state over (-1/2, 1/2), dropping the correction
-moves T*J by up to 2e-11 (at tau = 1/2); with it, the series matches an
-exact-phase evaluation to 1e-12.
-
-The block product is real.  The table is kept as rows cos(r o_j), sin(r o_j)
-(2B x N), and the turned amplitudes a_m e^{-i r_m tau_s}, a = c, w, r c, r w,
-as the N x 8 real (Re, Im) view of their complex array, with no copy; one
+block product, and the last factor is the remainder term.  The phases are
+plain doubles, so fl(r*tau) carries up to r*tau*1e-16 of error.  The block
+product is real: the table is kept as rows cos(r o_j), sin(r o_j) (2B x N),
+and the turned amplitudes a_m e^{-i r_m tau_s}, a = c, w, r c, r w, as the
+N x 8 real (Re, Im) view of their complex array, with no copy; one
 (2k x N)(N x 8) product then gives every Re = cos.Re + sin.Im and
 Im = cos.Im - sin.Re of the block's k samples.  OpenBLAS hands a real product
 to its worker threads from m*n*k of about 1e6 (a complex one from about 2e5),
@@ -48,7 +80,17 @@ from pathlib import Path
 import numpy as np
 
 from .eigen import EigenResult, min_eigen
-from .kernel import RingConfig, _two_sum, build_kernel, canonicalize
+from .kernel import (
+    RingConfig,
+    _INV_TWO_PI_HI,
+    _INV_TWO_PI_LO,
+    _fft_size,
+    _reduce_two_pi,
+    _two_prod,
+    _two_sum,
+    build_kernel,
+    canonicalize,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +128,8 @@ class CurrentSeries:
     tj_values: np.ndarray
     theta: float
     # how the series was evaluated, for the run manifest, not the data file:
-    # samples per block, modes per matrix product and the number of products
+    # method "nufft" with its windows, grid length and spread half-width, or
+    # the block plan (samples per block, modes per product, products)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -100,10 +143,51 @@ class CurrentSeries:
 # the modes of every block product so that its m*n*k stays at most this.
 _SERIAL_GEMM_MNK = 800_000
 
+# current_series samples a state of at least this many modes by a type-1
+# nonuniform FFT and a smaller one by block products.  Measured with numpy
+# 2.4.6 on 2 cores, Python 3.11, one OpenBLAS thread: _block_series and
+# _nufft_series on the same amplitudes of states decaying as 1/(1+m)^2, on
+# (-1/2, 1/2); the median of 3 alternated rounds of the best of 5 runs, in
+# ms, blocks / NUFFT:
+#
+#   modes   101 samples   1025          4001          16385
+#   8       0.19 / 0.28   0.45 / 0.41   1.07 / 1.65   2.73 / 4.67
+#   64      0.27 / 0.36   0.69 / 0.45   1.70 / 1.76   4.39 / 5.21
+#   96      0.31 / 0.33   0.78 / 0.53   2.09 / 1.79   4.41 / 4.20
+#   128     0.26 / 0.36   0.94 / 0.62   2.51 / 1.80   6.21 / 5.27
+#   192     0.46 / 0.40   1.19 / 0.55   3.16 / 1.86   7.99 / 5.53
+#   256     0.43 / 0.45   1.40 / 0.67   3.75 / 1.94   8.22 / 5.14
+#
+# From 128 modes the NUFFT wins from 1025 samples on and loses by at most
+# 0.1 ms at 101; verify's 8-mode quadratures over 16385 samples stay on blocks.
+_NUFFT_MIN_MODES = 128
+
+# The nonuniform FFT's spread half-width in grid points, and the most
+# samples one transform serves (its window).
+_NUFFT_SPREAD = 16
+_NUFFT_WINDOW_SAMPLES = 4096
+
+# The spread's weights, grid points and products are formed a few grid steps
+# at a time, at most this many elements (128 KB) each, not for all 32 steps of
+# every mode at once: a state of up to 512 modes takes all steps in one pass,
+# one of 2001 modes 8 at a time.  All at once, they held the state-current
+# benchmark's peak_rss_mb at 40.42 MB (block products: 40.35 MB); in steps it
+# reads 39.29 MB (medians of 10 alternated pairs each).  The 4001-sample
+# series takes the same time either way; a 32001-sample one, whose eight
+# windows each form the weights again, about 25% longer (24 -> 30 ms).
+_SPREAD_ELEMENTS = 1 << 14
+
 # current_series evaluates about this many samples at a time (whole blocks, at
 # least one), so its working memory stays at about 128 bytes a sample of that
 # span, not of the series: 32001 samples would otherwise hold 4 MB of sums.
 _SPAN_SAMPLES = 1024
+
+
+# make_state divides coefficients by their norm unless it is within this of
+# 1.  A solved state's norm is 1 to a few units in the last place; dividing by
+# it would move every coefficient by rounding alone, so a state file read back
+# would not be the state that was written.
+_UNIT_NORM_TOL = 1e-14
 
 
 def _phase_normalize(c: np.ndarray) -> np.ndarray:
@@ -114,7 +198,11 @@ def _phase_normalize(c: np.ndarray) -> np.ndarray:
 
 
 def make_state(coeffs, alpha: float, beta: float) -> ModeAmplitudes:
-    """Normalize raw coefficients (norm and overall phase) into a state."""
+    """Normalize raw coefficients (norm and overall phase) into a state.
+
+    Coefficients whose norm is already within _UNIT_NORM_TOL of 1 keep their
+    values; others are divided by their norm.
+    """
     c = np.asarray(coeffs, dtype=complex)
     if not np.all(np.isfinite(c)):  # before the norm, which they would turn into nan
         raise ValueError("coefficients must be finite")
@@ -122,7 +210,9 @@ def make_state(coeffs, alpha: float, beta: float) -> ModeAmplitudes:
     if n == 0:
         raise ValueError("zero coefficient vector")
     beta, _ = canonicalize(beta)
-    return ModeAmplitudes(coeffs=c / n, alpha=alpha, beta=beta)
+    if abs(n - 1.0) > _UNIT_NORM_TOL:
+        c = c / n
+    return ModeAmplitudes(coeffs=c, alpha=alpha, beta=beta)
 
 
 def maximizing_state(alpha: float, beta: float, n_trunc: int) -> ModeAmplitudes:
@@ -153,7 +243,8 @@ def current_series(
     tau_range: tuple[float, float],
     n_samples: int,
 ) -> CurrentSeries:
-    """Sample T*J(theta, tau) on an evenly spaced tau grid (block-factorized phases)."""
+    """Sample T*J(theta, tau) on an evenly spaced tau grid: by a nonuniform
+    FFT for a state of at least _NUFFT_MIN_MODES modes, by block products below."""
     lo, hi = tau_range
     if not all(math.isfinite(x) for x in (theta, lo, hi)):
         raise ValueError(f"theta and the tau range must be finite: {theta}, ({lo}, {hi})")
@@ -168,6 +259,15 @@ def current_series(
     c_theta = state.coeffs * np.exp(1j * m * theta)
     w_coeff = (m - state.beta) * c_theta
     amps = np.stack([c_theta, w_coeff, phase_rate * c_theta, phase_rate * w_coeff], axis=1)
+    series = _nufft_series if n_modes >= _NUFFT_MIN_MODES else _block_series
+    tj, diagnostics = series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
+    return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
+
+
+def _block_series(amps, phase_rate, tau, scale):
+    """(T*J at every tau, the block plan), from block products of a cos/sin table."""
+    n_samples, n_modes = len(tau), len(phase_rate)
+    lo, hi = tau[0], tau[-1]
     diagnostics = _block_plan(n_samples, n_modes)
     block, chunk = diagnostics["block_samples"], diagnostics["mode_chunk"]
     offsets = np.arange(block) * ((hi - lo) / (n_samples - 1))
@@ -213,8 +313,102 @@ def current_series(
         z_im = c[1] - s[0] - eps * (c[4] + s[5])
         w_re = c[2] + s[3] + eps * (c[7] - s[6])
         w_im = c[3] - s[2] - eps * (c[6] + s[7])
-        tj[first:last] = (2.0 * state.alpha / np.pi) * (z_re * w_re + z_im * w_im)
-    return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
+        tj[first:last] = scale * (z_re * w_re + z_im * w_im)
+    return tj, diagnostics
+
+
+def _nufft_series(amps, phase_rate, tau, scale):
+    """(T*J at every tau, the transform's settings), from one Gaussian-gridding
+    type-1 nonuniform FFT of the four amplitude columns per window of samples."""
+    n_samples, n_modes = len(tau), len(phase_rate)
+    lo, h = tau[0], (tau[-1] - tau[0]) / (n_samples - 1)  # np.linspace's step
+    windows = -(-n_samples // _NUFFT_WINDOW_SAMPLES)
+    width = -(-n_samples // windows)  # samples a window; the last may have fewer
+    # A transform gives the outputs j = -quarter .. quarter-1 from a grid of
+    # 4*quarter points; a window of samples k sits at j = k - k0 around its
+    # centre k0.  The Gaussian's parameter is pi*spread / (M^2 R (R - 1/2))
+    # for M = 2*quarter outputs and the oversampling R = 2.
+    quarter = _fft_size(-(-width // 2))
+    grid, spread = 4 * quarter, _NUFFT_SPREAD
+    gauss = math.pi * spread / (3.0 * (2 * quarter) ** 2)
+    # Each mode's frequency x_m = r_m h mod 2pi, in grid steps of 2pi/grid, is
+    # spread to the 2*spread grid points around it with Gaussian weights.
+    # x_m is carried in double-double up to its offset from the grid point
+    # below it, so it is placed to about 1e-16 of a step, and output j does
+    # not carry the j-fold rounding error of x_m rounded to a double.
+    x_hi, x_lo = _reduce_two_pi(*_two_prod(phase_rate, h))
+    per_radian, per_radian_err = _two_prod(float(grid), _INV_TWO_PI_HI)
+    per_radian_err += grid * _INV_TWO_PI_LO
+    x, x_err = _two_prod(x_hi, per_radian)
+    x_err += x_hi * per_radian_err + x_lo * per_radian
+    below = np.floor(x)
+    fraction = (x - below) + x_err
+    below = below.astype(np.intp) % grid
+    del x_hi, x_lo, x, x_err
+    decay = -(2.0 * math.pi / grid) ** 2 / (4.0 * gauss)  # per squared step
+    # the steps -spread+1 .. spread are taken `rows` at a time (see _SPREAD_ELEMENTS)
+    rows = max(1, min(2 * spread, _SPREAD_ELEMENTS // n_modes))
+    weights = np.empty((rows, n_modes))
+    index = np.empty((rows, n_modes), dtype=np.intp)
+    spreading = np.empty_like(weights)
+    # The grid is multiplied by i^xi = e^{2 pi i quarter xi / grid}, exactly,
+    # which moves output j to FFT bin j + quarter; each output is divided by
+    # the Gaussian's Fourier coefficient sqrt(gauss/pi) e^{-j^2 gauss} and by grid.
+    j = np.arange(-quarter, quarter)
+    deconvolve = np.exp(j * (j * gauss)) * (math.sqrt(math.pi / gauss) / grid)
+    turned = np.empty((4, n_modes), dtype=complex)
+    parts = np.empty((4, 2, n_modes))  # Re and Im of each turned column
+    gridded = np.empty((4, grid), dtype=complex)
+    planes = gridded.view(float).reshape(4, grid, 2)
+    by_quarter = gridded.reshape(4, quarter, 4)
+    tj = np.empty(n_samples)
+    for first in range(0, n_samples, width):
+        last = min(first + width, n_samples)
+        centre = first + (last - first) // 2
+        # turn the amplitudes by e^{-i r_m tau_c} at tau_c = lo + centre*h,
+        # carried in double-double and reduced mod 2pi
+        offset, offset_err = _two_prod(float(centre), h)
+        start, start_err = _two_sum(lo, offset)
+        phase_hi, phase_lo = _two_prod(phase_rate, start)
+        phase_lo += phase_rate * (start_err + offset_err)
+        phase = np.add(*_reduce_two_pi(phase_hi, phase_lo))
+        np.multiply(amps.T, np.cos(phase) - 1j * np.sin(phase), out=turned)
+        np.copyto(parts[:, 0], turned.real)
+        np.copyto(parts[:, 1], turned.imag)
+        planes.fill(0.0)
+        for step in range(1 - spread, spread + 1, rows):
+            steps = np.arange(step, min(step + rows, spread + 1))[:, None]
+            count = len(steps)
+            weight, point, product = weights[:count], index[:count], spreading[:count]
+            np.subtract(fraction, steps, out=weight)
+            weight *= weight
+            weight *= decay
+            np.exp(weight, out=weight)
+            np.add(below, steps, out=point)
+            point %= grid
+            for q in range(4):
+                for part in range(2):
+                    np.multiply(weight, parts[q, part], out=product)
+                    planes[q, :, part] += np.bincount(point.ravel(), product.ravel(),
+                                                      minlength=grid)
+        by_quarter[:, :, 1] *= 1j
+        by_quarter[:, :, 2] *= -1.0
+        by_quarter[:, :, 3] *= -1j
+        np.fft.fft(gridded, out=gridded)
+        bins = slice(quarter + first - centre, quarter + last - centre)
+        values = gridded[:, bins]
+        values *= deconvolve[bins]
+        z, w, rz, rw = values
+        eps = _grid_remainder(tau[first:last], lo, h, first)
+        # z - i eps rz and w - i eps rw: the first-order remainder term
+        z_re = z.real + eps * rz.imag
+        z_im = z.imag - eps * rz.real
+        w_re = w.real + eps * rw.imag
+        w_im = w.imag - eps * rw.real
+        tj[first:last] = scale * (z_re * w_re + z_im * w_im)
+    diagnostics = {"method": "nufft", "windows": windows, "grid_length": grid,
+                   "spread_half_width": spread}
+    return tj, diagnostics
 
 
 def _block_plan(n_samples: int, n_modes: int) -> dict:
@@ -231,6 +425,16 @@ def _remainder(tau: np.ndarray, tau_s: float, offsets: np.ndarray) -> np.ndarray
     """tau - tau_s - offsets, with tau - tau_s carried exactly by TwoSum."""
     diff, err = _two_sum(tau, -tau_s)
     return (diff - offsets) + err
+
+
+def _grid_remainder(tau: np.ndarray, lo: float, h: float, first: int) -> np.ndarray:
+    """tau_k - (lo + k h) for k = first, first + 1, ..., with tau - lo (TwoSum)
+    and k h (TwoProduct) carried exactly, so the difference is rounded once
+    in effect: the two leading parts agree to a few units and cancel exactly."""
+    k = np.arange(first, first + len(tau), dtype=float)
+    product, product_err = _two_prod(k, h)
+    diff, diff_err = _two_sum(tau, -lo)
+    return (diff - product) + (diff_err - product_err)
 
 
 def time_quadrature_p(state: ModeAmplitudes, n_samples: int) -> float:

@@ -322,6 +322,20 @@ class TestStateAndCurrentCommands:
         lines = (tmp_path / "current.csv").read_text().splitlines()
         assert len(lines) == 2 + 101
 
+    @pytest.mark.parametrize("n", ["50", "300"], ids=["blocks", "nufft"])
+    def test_state_file_route_matches_in_process(self, tmp_path, n):
+        # the state file holds the solved coefficients to the last bit, and
+        # reading it leaves them so: both routes write the same current.csv
+        series = ["--samples", "9", "--theta", "0.7"]
+        assert run(["state", "--alpha-over-pi", "0.37", "--n", n,
+                    "--outdir", str(tmp_path / "state")]) == 0
+        assert run(["current", "--alpha-over-pi", "0.37", "--n", n, *series,
+                    "--outdir", str(tmp_path / "solved")]) == 0
+        assert run(["current", "--state-file", str(tmp_path / "state" / "state.csv"), *series,
+                    "--outdir", str(tmp_path / "read")]) == 0
+        solved = (tmp_path / "solved" / "current.csv").read_bytes()
+        assert (tmp_path / "read" / "current.csv").read_bytes() == solved
+
     def test_byte_identical_repeat(self, tmp_path):
         args = [
             "current",
@@ -411,6 +425,16 @@ class TestStateAndCurrentCommands:
         assert diagnostics == {"block_samples": 10, "mode_chunk": 5000, "blas_products": 11}
         assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
 
+    def test_manifest_records_nufft(self, tmp_path):
+        code = run(["current", "--alpha", "1.0", "--n", "300", "--samples", "101",
+                    "--outdir", str(tmp_path)])
+        assert code == 0
+        diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
+        assert diagnostics.pop("solve")["n"] == 300
+        # 301 modes: one transform of 2 * 54 outputs on a grid of 216 points
+        assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 216,
+                               "spread_half_width": 16}
+
     @pytest.mark.parametrize(
         "header, rows, line, reason",
         [
@@ -453,6 +477,11 @@ def check_solve(outdir, command, n) -> dict:
 
 
 class TestSolveProvenance:
+    def test_eigen(self, tmp_path):
+        args = ["eigen", "--alpha-over-pi", "0.3703965", "--n", "300"]
+        assert run(args + ["--outdir", str(tmp_path)]) == 0
+        assert check_solve(tmp_path, "eigen", 300)["iterations"] > 0
+
     def test_state(self, tmp_path):
         args = ["state", "--alpha-over-pi", "0.3703965", "--n", "300"]
         assert run(args + ["--outdir", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ringflow import (
     integrated_current,
     sinc,
 )
+from ringflow import kernel
 from ringflow.verify import beta_shift_deviation, random_state, single_mode_deviation
 
 
@@ -34,6 +36,18 @@ class TestSinc:
         for z in (1e-9, 1e-6, 5e-5, 9.9e-5):
             exact = float(mpmath.sin(mpmath.mpf(z)) / mpmath.mpf(z))
             assert sinc(z) == pytest.approx(exact, abs=3e-16)
+
+
+def test_two_pi_constants_are_double_doubles():
+    # the phase reductions carry 2*pi and 1/(2*pi) as hi + lo to about 1e-32
+    import mpmath
+
+    with mpmath.workdps(50):
+        two_pi = 2 * mpmath.pi
+        for (hi, lo), exact in (((kernel._TWO_PI_HI, kernel._TWO_PI_LO), two_pi),
+                                ((kernel._INV_TWO_PI_HI, kernel._INV_TWO_PI_LO), 1 / two_pi)):
+            assert hi == float(exact)
+            assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= 1e-32 * exact
 
 
 class TestCanonicalize:
@@ -216,6 +230,24 @@ class TestOperator:
         assert np.array_equal(x, kept)
         assert not np.shares_memory(second, first) and not np.shares_memory(second, x)
         assert np.array_equal(second, want)
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
+    def test_matvec_keeps_its_buffers(self, shape):
+        # after the first product at a column count, a matvec allocates its
+        # result and next to nothing else: the FFT work buffers are kept
+        kern = build_kernel(RingConfig(1.7, -0.4, 4999))
+        x = np.random.default_rng(5).standard_normal((kern.size, *shape))
+        kern.matvec(x)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                result = kern.matvec(x)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak <= result.nbytes + 16384  # each buffer: 160 kB a column
+                del result
+        finally:
+            tracemalloc.stop()
 
     def test_leading_block_is_bitwise_slice(self):
         kern = build_kernel(RingConfig(1.7, -0.4, 900))

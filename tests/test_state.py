@@ -220,16 +220,48 @@ class TestCurrentSeries:
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
 
     def test_exact_phase_reference_many_chunks(self, maximizing_state_2000):
-        # 32001 samples: blocks of 178 and products of 280 modes, 8 a block
-        # (the last of 41), so every sample sums across mode chunks; first and
-        # last sample of the first, second and last block, and tau = 0.5
+        # 32001 samples: eight transforms of 4001 samples (the last of 3994);
+        # samples near the start of the first and the end of the last, among
+        # them tau = -0.5 and 0.5
         n_samples = 32001
         series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
-        assert series.diagnostics == {"block_samples": 178, "mode_chunk": 280,
-                                      "blas_products": 180 * 8}
+        assert series.diagnostics == {"method": "nufft", "windows": 8, "grid_length": 8100,
+                                      "spread_half_width": 16}
         for i in (0, 177, 178, 355, 31862, 32000):
             exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
+
+    def test_exact_phase_reference_default_window(self, maximizing_state_2000):
+        # the CLI's window: both ends tau = -1.5 and 1.5, where r*tau is
+        # largest, and the centre of the one transform, where its output j = 0
+        n_samples = 4001
+        series = current_series(maximizing_state_2000, 0.0, (-1.5, 1.5), n_samples)
+        assert (series.tau_samples[0], series.tau_samples[-1]) == (-1.5, 1.5)
+        for i in (0, 1, 1000, 2000, 2001, 3999, 4000):
+            exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
+            assert series.tj_values[i] == pytest.approx(exact, abs=1e-12)
+        assert series.diagnostics["method"] == "nufft"
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["blocks-below", "nufft-from"])
+    def test_methods_agree_at_the_crossover(self, monkeypatch, offset):
+        # states of _NUFFT_MIN_MODES - 1 and _NUFFT_MIN_MODES modes, each
+        # evaluated by the method the mode count picks and by the other one,
+        # over two transform windows; exact grids as in test_block_remainders
+        n_modes = state_mod._NUFFT_MIN_MODES + offset
+        rng = np.random.default_rng(n_modes)
+        m = np.arange(n_modes)
+        state = make_state(random_state(rng, n_modes) / (1 + m), 77 / 64, -13 / 64)
+        window = (-0.5, -0.5 + 6000 / 4096)
+        picked = current_series(state, 0.9, window, 6001)
+        assert ("method" in picked.diagnostics) == (offset == 0)
+        monkeypatch.setattr(state_mod, "_NUFFT_MIN_MODES", n_modes + 1 if offset == 0 else n_modes)
+        other = current_series(state, 0.9, window, 6001)
+        assert ("method" in other.diagnostics) == (offset != 0)
+        assert np.max(np.abs(picked.tj_values - other.tj_values)) <= 1e-12
+        for i in (0, 3000, 3001, 6000):
+            assert picked.tj_values[i] == pytest.approx(
+                literal_double_sum_current(state, 0.9, picked.tau_samples[i]), abs=1e-12
+            )
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 12])
     def test_mode_chunk_edges(self, monkeypatch, chunk):
