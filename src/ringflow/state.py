@@ -12,21 +12,18 @@ algebraically identical to the double sum over (m, n).
 
 current_series samples z, w, rz and rw (the sums with r_m c_m, r_m (m-beta) c_m,
 r = 2 alpha (m-beta)^2) on the grid tau_k = np.linspace(lo, hi, n)[k] without
-an exponential per (sample, mode) pair, by one of two methods picked from the
-mode count: a nonuniform FFT from _NUFFT_MIN_MODES = 128 modes on, block
-products below, where they are faster (the table beside the constant).
+an exponential per (sample, mode) pair, by a type-1 nonuniform FFT at every
+mode count.
 
-Both evaluate the sums at points of an exact grid and add the rest of each
-sample to first order: tau_k = t_k + eps_k with eps_k the exact remainder (at
-most about 1e-16), and z -> z - i eps_k rz (the same for w).  r reaches 1e7 at
-N = 2000, so r*eps reaches 1e-9 and the term matters: on the N = 2000
-maximizing state over (-1/2, 1/2), dropping it moves T*J by up to 1.2e-11 on
-the NUFFT's grid and 2e-11 on the blocks'.  Its second-order term
-(r*eps)^2/2 is below 1e-18.
+It evaluates the sums at the points t_k = lo + k h of an exact grid of step h
+and adds the rest of each sample to first order: tau_k = t_k + eps_k with
+eps_k the exact remainder (at most about 1e-16), and z -> z - i eps_k rz (the
+same for w).  r reaches 1e7 at N = 2000, so r*eps reaches 1e-9 and the term
+matters: on the N = 2000 maximizing state over (-1/2, 1/2), dropping it moves
+T*J by up to 1.2e-11.  Its second-order term (r*eps)^2/2 is below 1e-18.
 
-Nonuniform FFT.  Samples are taken in windows of at most _NUFFT_WINDOW_SAMPLES.
-In a window around sample k0, with j = k - k0 and t_k = lo + k h for the grid
-step h,
+Samples are taken in windows of at most _NUFFT_WINDOW_SAMPLES.  In a window
+around sample k0, with j = k - k0,
 
     z(t_k) = sum_m b_m e^{-i j x_m},  b_m = a_m e^{-i r_m (lo + k0 h)},  x_m = r_m h mod 2pi,
 
@@ -41,34 +38,22 @@ and no BLAS call.  The start phases r_m (lo + k0 h) and x_m are reduced mod
 2pi in double-double (kernel._phase's helpers), and x_m stays double-double
 until its offset from the grid point below it, so no output carries j times
 the rounding of x_m.  The Gaussian's truncation and aliasing are each below
-e^{-33} of sum |b_m|, raised at most e^{4.2}-fold by the division; the N = 2000
-maximizing state over (-1.5, 1.5) comes out within 4e-15 of an exact-phase
-evaluation at the samples checked, against 3.6e-12 for the block method.
+e^{-33} of sum |b_m|.  The division raises them, and the FFT's rounding,
+e^{(4 pi/3)(j/quarter)^2}-fold at output j: 66-fold at the band edge
+|j| = quarter.  So quarter is at least 3/4 of the window's samples, which
+keeps every output used within |j| <= 2 quarter/3, at most 6.4-fold.
+
+Measured against each phase r_m*tau formed exactly and reduced mod 2pi in
+40 digits, at the samples checked: the N = 2000 maximizing state over
+(-1.5, 1.5) with 4001 samples is within 9e-16; six 127-mode states with
+coefficients decaying as 1/m^1.5, over (-7.3, 12.9) with 3 to 9001 samples,
+within 1.8e-14; 400 random states of 2 to 16 modes sampled twice (one output
+at j = -1) within 4.3e-14.  The same sums with each phase rounded to a
+double, fl(r_m*tau), are up to 1.6e-10 off on those 127-mode states.
+
 Working memory is about 0.2 kB a mode, 0.2 kB a window sample and at most
 0.4 MB for the spread's weights, grid points and products, whatever
 n_samples is.
-
-Block products.  The grid is cut into blocks of B = isqrt(n_samples) samples;
-a sample in the block that starts at tau_s is tau_k = tau_s + o_j + eps_k,
-with o_j = fl(j*h) and eps_k the exact remainder (TwoSum), so
-
-    e^{-i r tau_k} = e^{-i r tau_s} * e^{-i r o_j} * e^{-i r eps_k}.
-
-The table E[j, m] = e^{-i r_m o_j} is built once per series (B*N cos and sin
-pairs), each block adds one length-N turn vector e^{-i r_m tau_s} and one
-block product, and the last factor is the remainder term.  The phases are
-plain doubles, so fl(r*tau) carries up to r*tau*1e-16 of error.  The block
-product is real: the table is kept as rows cos(r o_j), sin(r o_j) (2B x N),
-and the turned amplitudes a_m e^{-i r_m tau_s}, a = c, w, r c, r w, as the
-N x 8 real (Re, Im) view of their complex array, with no copy; one
-(2k x N)(N x 8) product then gives every Re = cos.Re + sin.Im and
-Im = cos.Im - sin.Re of the block's k samples.  OpenBLAS hands a real product
-to its worker threads from m*n*k of about 1e6 (a complex one from about 2e5),
-and a woken worker busy-waits on a second core, so the modes are cut into
-chunks that keep each product within _SERIAL_GEMM_MNK: every series runs on
-the calling thread.  Blocks are evaluated in spans of about _SPAN_SAMPLES
-samples: the products fill the span's sums, then the remainder term and T*J
-run over the whole span, so the working memory does not grow with n_samples.
 """
 
 from __future__ import annotations
@@ -128,39 +113,9 @@ class CurrentSeries:
     tj_values: np.ndarray
     theta: float
     # how the series was evaluated, for the run manifest, not the data file:
-    # method "nufft" with its windows, grid length and spread half-width, or
-    # the block plan (samples per block, modes per product, products)
+    # method "nufft" with its windows, grid length and spread half-width
     diagnostics: dict = field(default_factory=dict)
 
-
-# OpenBLAS runs a real matrix product (dgemm) on the calling thread while
-# m*n*k stays below about 1.0e6; above that it wakes its worker threads, which
-# then busy-wait between calls and bill a second core.  Measured with numpy
-# 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels) on 2 cores, 200 products after a
-# 0.5 s idle: (63 x 3900)(3900 x 4), m*n*k = 0.98e6, took 0.016 s with no CPU
-# on other threads; (63 x 4001)(4001 x 4), 1.01e6, took 1.15 s, 0.56 s of it on
-# another thread.  A complex zgemm threads from about 2e5.  current_series cuts
-# the modes of every block product so that its m*n*k stays at most this.
-_SERIAL_GEMM_MNK = 800_000
-
-# current_series samples a state of at least this many modes by a type-1
-# nonuniform FFT and a smaller one by block products.  Measured with numpy
-# 2.4.6 on 2 cores, Python 3.11, one OpenBLAS thread: _block_series and
-# _nufft_series on the same amplitudes of states decaying as 1/(1+m)^2, on
-# (-1/2, 1/2); the median of 3 alternated rounds of the best of 5 runs, in
-# ms, blocks / NUFFT:
-#
-#   modes   101 samples   1025          4001          16385
-#   8       0.19 / 0.28   0.45 / 0.41   1.07 / 1.65   2.73 / 4.67
-#   64      0.27 / 0.36   0.69 / 0.45   1.70 / 1.76   4.39 / 5.21
-#   96      0.31 / 0.33   0.78 / 0.53   2.09 / 1.79   4.41 / 4.20
-#   128     0.26 / 0.36   0.94 / 0.62   2.51 / 1.80   6.21 / 5.27
-#   192     0.46 / 0.40   1.19 / 0.55   3.16 / 1.86   7.99 / 5.53
-#   256     0.43 / 0.45   1.40 / 0.67   3.75 / 1.94   8.22 / 5.14
-#
-# From 128 modes the NUFFT wins from 1025 samples on and loses by at most
-# 0.1 ms at 101; verify's 8-mode quadratures over 16385 samples stay on blocks.
-_NUFFT_MIN_MODES = 128
 
 # The nonuniform FFT's spread half-width in grid points, and the most
 # samples one transform serves (its window).
@@ -170,18 +125,12 @@ _NUFFT_WINDOW_SAMPLES = 4096
 # The spread's weights, grid points and products are formed a few grid steps
 # at a time, at most this many elements (128 KB) each, not for all 32 steps of
 # every mode at once: a state of up to 512 modes takes all steps in one pass,
-# one of 2001 modes 8 at a time.  All at once, they held the state-current
-# benchmark's peak_rss_mb at 40.42 MB (block products: 40.35 MB); in steps it
-# reads 39.29 MB (medians of 10 alternated pairs each).  The 4001-sample
-# series takes the same time either way; a 32001-sample one, whose eight
-# windows each form the weights again, about 25% longer (24 -> 30 ms).
+# one of 2001 modes 8 at a time.  All at once, they raised the state-current
+# benchmark's peak_rss_mb by 1.1 MB (medians of 10 alternated pairs each).
+# The 4001-sample series takes the same time either way; a 32001-sample one,
+# whose eight windows each form the weights again, about 25% longer
+# (24 -> 30 ms).
 _SPREAD_ELEMENTS = 1 << 14
-
-# current_series evaluates about this many samples at a time (whole blocks, at
-# least one), so its working memory stays at about 128 bytes a sample of that
-# span, not of the series: 32001 samples would otherwise hold 4 MB of sums.
-_SPAN_SAMPLES = 1024
-
 
 # make_state divides coefficients by their norm unless it is within this of
 # 1.  A solved state's norm is 1 to a few units in the last place; dividing by
@@ -243,8 +192,7 @@ def current_series(
     tau_range: tuple[float, float],
     n_samples: int,
 ) -> CurrentSeries:
-    """Sample T*J(theta, tau) on an evenly spaced tau grid: by a nonuniform
-    FFT for a state of at least _NUFFT_MIN_MODES modes, by block products below."""
+    """Sample T*J(theta, tau) on an evenly spaced tau grid by a nonuniform FFT."""
     lo, hi = tau_range
     if not all(math.isfinite(x) for x in (theta, lo, hi)):
         raise ValueError(f"theta and the tau range must be finite: {theta}, ({lo}, {hi})")
@@ -253,68 +201,13 @@ def current_series(
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     tau = np.linspace(lo, hi, n_samples)
-    n_modes = len(state.coeffs)
-    m = np.arange(n_modes)
+    m = np.arange(len(state.coeffs))
     phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
     c_theta = state.coeffs * np.exp(1j * m * theta)
     w_coeff = (m - state.beta) * c_theta
     amps = np.stack([c_theta, w_coeff, phase_rate * c_theta, phase_rate * w_coeff], axis=1)
-    series = _nufft_series if n_modes >= _NUFFT_MIN_MODES else _block_series
-    tj, diagnostics = series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
+    tj, diagnostics = _nufft_series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
     return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
-
-
-def _block_series(amps, phase_rate, tau, scale):
-    """(T*J at every tau, the block plan), from block products of a cos/sin table."""
-    n_samples, n_modes = len(tau), len(phase_rate)
-    lo, hi = tau[0], tau[-1]
-    diagnostics = _block_plan(n_samples, n_modes)
-    block, chunk = diagnostics["block_samples"], diagnostics["mode_chunk"]
-    offsets = np.arange(block) * ((hi - lo) / (n_samples - 1))
-    # rows 2j and 2j+1: cos and sin of r_m o_j, so E[j] = table[2j] - i table[2j+1]
-    table = np.empty((block, 2, n_modes))
-    phase = np.outer(offsets, phase_rate)
-    np.cos(phase, out=table[:, 0])
-    np.sin(phase, out=table[:, 1])
-    del phase
-    table = table.reshape(2 * block, n_modes)
-    # A span of whole blocks is evaluated at a time: its block products fill
-    # sums, then the remainder term and T*J run over all its samples at once.
-    # sums[i] = [table[2j] @ x, table[2j+1] @ x] for sample i = start + j, with
-    # x the block's turned amplitudes read as N rows of (Re, Im) pairs of z, w,
-    # rz and rw, so Re = sums[i, 0, 2q] + sums[i, 1, 2q+1] and
-    # Im = sums[i, 0, 2q+1] - sums[i, 1, 2q] for the q-th of them.
-    span = block * max(1, _SPAN_SAMPLES // block)
-    span_offsets = np.tile(offsets, span // block)
-    sums = np.empty((min(span, n_samples), 2, 8))
-    tj = np.empty(n_samples)
-    turn = np.empty(n_modes, dtype=complex)
-    rotated = np.empty_like(amps)
-    rows = rotated.view(float)
-    for first in range(0, n_samples, span):
-        last = min(first + span, n_samples)
-        for start in range(first, last, block):
-            k = min(block, last - start)
-            x = phase_rate * -tau[start]
-            np.cos(x, out=turn.real)
-            np.sin(x, out=turn.imag)
-            np.multiply(amps, turn[:, None], out=rotated)
-            out = sums[start - first : start - first + k].reshape(2 * k, 8)
-            np.matmul(table[: 2 * k, :chunk], rows[:chunk], out=out)
-            for mode in range(chunk, n_modes, chunk):
-                out += table[: 2 * k, mode : mode + chunk] @ rows[mode : mode + chunk]
-        width = last - first
-        eps = _remainder(
-            tau[first:last], np.repeat(tau[first:last:block], block)[:width], span_offsets[:width]
-        )
-        # z - i eps rz and w - i eps rw: the first-order remainder term
-        c, s = sums[:width, 0].T, sums[:width, 1].T
-        z_re = c[0] + s[1] + eps * (c[5] - s[4])
-        z_im = c[1] - s[0] - eps * (c[4] + s[5])
-        w_re = c[2] + s[3] + eps * (c[7] - s[6])
-        w_im = c[3] - s[2] - eps * (c[6] + s[7])
-        tj[first:last] = scale * (z_re * w_re + z_im * w_im)
-    return tj, diagnostics
 
 
 def _nufft_series(amps, phase_rate, tau, scale):
@@ -327,8 +220,10 @@ def _nufft_series(amps, phase_rate, tau, scale):
     # A transform gives the outputs j = -quarter .. quarter-1 from a grid of
     # 4*quarter points; a window of samples k sits at j = k - k0 around its
     # centre k0.  The Gaussian's parameter is pi*spread / (M^2 R (R - 1/2))
-    # for M = 2*quarter outputs and the oversampling R = 2.
-    quarter = _fft_size(-(-width // 2))
+    # for M = 2*quarter outputs and the oversampling R = 2.  quarter is at
+    # least 3/4 of the window's samples, so every |j| <= 2*quarter/3, where
+    # the deconvolution raises rounding at most 6.4-fold (66-fold at quarter).
+    quarter = _fft_size(-(-3 * width // 4))
     grid, spread = 4 * quarter, _NUFFT_SPREAD
     gauss = math.pi * spread / (3.0 * (2 * quarter) ** 2)
     # Each mode's frequency x_m = r_m h mod 2pi, in grid steps of 2pi/grid, is
@@ -399,7 +294,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
         values = gridded[:, bins]
         values *= deconvolve[bins]
         z, w, rz, rw = values
-        eps = _grid_remainder(tau[first:last], lo, h, first)
+        eps = _grid_offsets(tau[first:last], lo, h, first)
         # z - i eps rz and w - i eps rw: the first-order remainder term
         z_re = z.real + eps * rz.imag
         z_im = z.imag - eps * rz.real
@@ -411,23 +306,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
     return tj, diagnostics
 
 
-def _block_plan(n_samples: int, n_modes: int) -> dict:
-    """Samples per block (isqrt(n_samples)), modes per matrix product, so that
-    each product's m*n*k = (2*block)*chunk*8 stays within _SERIAL_GEMM_MNK,
-    and the number of products a series makes."""
-    block = math.isqrt(n_samples)
-    chunk = max(1, _SERIAL_GEMM_MNK // (16 * block))
-    products = -(-n_samples // block) * -(-n_modes // chunk)
-    return {"block_samples": block, "mode_chunk": chunk, "blas_products": products}
-
-
-def _remainder(tau: np.ndarray, tau_s: float, offsets: np.ndarray) -> np.ndarray:
-    """tau - tau_s - offsets, with tau - tau_s carried exactly by TwoSum."""
-    diff, err = _two_sum(tau, -tau_s)
-    return (diff - offsets) + err
-
-
-def _grid_remainder(tau: np.ndarray, lo: float, h: float, first: int) -> np.ndarray:
+def _grid_offsets(tau: np.ndarray, lo: float, h: float, first: int) -> np.ndarray:
     """tau_k - (lo + k h) for k = first, first + 1, ..., with tau - lo (TwoSum)
     and k h (TwoProduct) carried exactly, so the difference is rounded once
     in effect: the two leading parts agree to a few units and cancel exactly."""

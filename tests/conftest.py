@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,22 @@ def other_threads_cpu_s() -> float:
             continue
         ticks += int(fields[11]) + int(fields[12])  # utime, stime
     return ticks / os.sysconf("SC_CLK_TCK")
+
+
+def exact_phases(state, tau):
+    """Each phase r_m*tau, r_m = 2*alpha*(m - beta)^2, formed as a rational and
+    reduced mod 2*pi in 40-digit arithmetic, then rounded to a double."""
+    import mpmath
+
+    m = np.arange(len(state.coeffs))
+    rate = 2.0 * state.alpha * (m - state.beta) ** 2
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        phases = []
+        for r in rate:
+            p = Fraction(float(r)) * Fraction(float(tau))
+            phases.append(float(mpmath.fmod(mpmath.mpf(p.numerator) / p.denominator, two_pi)))
+    return np.array(phases)
 
 
 _BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")

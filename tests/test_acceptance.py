@@ -27,7 +27,7 @@ from ringflow import (
 )
 from ringflow import verify
 
-from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS
+from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS, exact_phases
 
 C_RING = 0.116816
 C_LINE = 0.0384517
@@ -170,7 +170,8 @@ def test_criterion_9_oracle_equivalence():
     worst_quad = verify.quadrature_deviation(
         rng, 100, alphas=(0.1, 6.0), betas=(-0.999, 0.0), n_modes=(2, 17), samples=65537
     )
-    # literal double sum against the z*w reduction at a random sample
+    # literal double sum, each phase r_m*tau exact, against the z*w reduction
+    # at a random sample
     worst_reduction = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 17))
@@ -180,7 +181,7 @@ def test_criterion_9_oracle_equivalence():
         theta = float(rng.uniform(0, 2 * math.pi))
         tau = float(rng.uniform(-1, 1))
         mm = np.arange(n)
-        phases = np.exp(1j * mm * theta) * np.exp(-2j * alpha * (mm - beta) ** 2 * tau)
+        phases = np.exp(1j * mm * theta) * np.exp(-1j * exact_phases(state, tau))
         ww = phases * state.coeffs
         terms = (mm[:, None] + mm[None, :] - 2 * beta) * np.conj(ww)[:, None] * ww[None, :]
         literal = alpha / math.pi * np.real(np.sum(terms))

@@ -1,6 +1,5 @@
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,27 +16,23 @@ from ringflow import (
     minimize_two_mode,
     time_quadrature_p,
 )
-from ringflow import state as state_mod
 from ringflow.state import (
     CurrentSeries,
-    _block_plan,
-    _remainder,
     read_state_csv,
     write_series_csv,
     write_state_csv,
 )
 from ringflow.verify import decay_exponent, quadrature_deviation, random_state
 
-from conftest import ALPHA_STAR, needs_openblas_threads, other_threads_cpu_s
+from conftest import ALPHA_STAR, exact_phases, needs_openblas_threads, other_threads_cpu_s
 
 
 def literal_double_sum_current(state, theta, tau):
-    """Direct O(N^2) evaluation of the mode double sum for T*J(theta, tau)."""
+    """Direct O(N^2) evaluation of the mode double sum for T*J(theta, tau),
+    with exact phases, so the evolution factors carry no phase error."""
     c = state.coeffs
     m = np.arange(len(c))
-    phases = np.exp(1j * m * theta) * np.exp(
-        -2j * state.alpha * (m - state.beta) ** 2 * tau
-    )
+    phases = np.exp(1j * m * theta) * np.exp(-1j * exact_phases(state, tau))
     total = 0.0
     for mm in range(len(c)):
         for nn in range(len(c)):
@@ -51,20 +46,10 @@ def literal_double_sum_current(state, theta, tau):
 
 
 def exact_phase_current(state, theta, tau):
-    """T*J(theta, tau) with each phase r_m*tau formed as a rational and reduced
-    mod 2*pi in 40-digit arithmetic, so the evolution factors carry no phase error."""
-    import mpmath
-
+    """T*J(theta, tau) through the z*w reduction, with exact phases."""
     m = np.arange(len(state.coeffs))
-    rate = 2.0 * state.alpha * (m - state.beta) ** 2
     c_theta = state.coeffs * np.exp(1j * m * theta)
-    with mpmath.workdps(40):
-        two_pi = 2 * mpmath.pi
-        phases = []
-        for r in rate:
-            p = Fraction(float(r)) * Fraction(float(tau))
-            phases.append(float(mpmath.fmod(mpmath.mpf(p.numerator) / p.denominator, two_pi)))
-    evol = np.exp(-1j * np.array(phases))
+    evol = np.exp(-1j * exact_phases(state, tau))
     z = evol @ c_theta
     w = evol @ ((m - state.beta) * c_theta)
     return 2.0 * state.alpha / math.pi * float(np.real(np.conj(z) * w))
@@ -183,15 +168,14 @@ class TestCurrentSeries:
                 )
 
     @pytest.mark.parametrize("n_samples", [2, 3, 63**2 - 1, 63**2, 63**2 + 1])
-    def test_block_remainders(self, n_samples):
-        # Blocks hold isqrt(n_samples) samples: these counts give one-sample
-        # blocks, a full last block, and last blocks of one and of B - 1 samples.
-        # alpha, beta and the tau grid are multiples of 2^-6 and 2^-12, so every
-        # phase r*tau is exact in both evaluations and 1e-13 tests the block
-        # bookkeeping alone; with arbitrary doubles the rounding of r*tau near
-        # 3e3 moves either evaluation by up to 2.5e-12 from the exact phases.
-        block = math.isqrt(n_samples)
-        last = (n_samples - 1) // block * block
+    def test_exact_grid_samples(self, n_samples):
+        # One window of 2, 3 or about 3969 samples on states of 2..12 modes:
+        # both ends, and each side of stride = isqrt(n_samples) and of the last
+        # multiple of stride.  alpha, beta and the tau grid are multiples of
+        # 2^-6 and 2^-12, so every phase r*tau is exact in doubles as well,
+        # and tau_k lies on the grid lo + k h
+        stride = math.isqrt(n_samples)
+        last = (n_samples - 1) // stride * stride
         rng = np.random.default_rng(n_samples)
         for _ in range(3):
             n = int(rng.integers(2, 13))
@@ -203,15 +187,15 @@ class TestCurrentSeries:
             theta = float(rng.uniform(0, 2 * math.pi))
             lo = int(rng.integers(-64, 65)) / 64
             series = current_series(state, theta, (lo, lo + (n_samples - 1) / 4096), n_samples)
-            picks = {0, block - 1, block, last - 1, last, n_samples - 1}
+            picks = {0, stride - 1, stride, last - 1, last, n_samples - 1}
             for i in sorted(k for k in picks if 0 <= k < n_samples):
                 assert series.tj_values[i] == pytest.approx(
                     literal_double_sum_current(state, theta, series.tau_samples[i]), abs=1e-13
                 )
 
     def test_exact_phase_reference_full_size(self, maximizing_state_2000):
-        # first and last sample of three blocks (B = 63), and tau = 0.5, where
-        # dropping the first-order remainder term moves T*J most (2e-11)
+        # both ends, among them tau = 0.5, where dropping the first-order
+        # remainder term moves T*J most (1.2e-11), and samples between
         n_samples = 4001
         series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
         assert series.tau_samples[-1] == 0.5
@@ -225,7 +209,7 @@ class TestCurrentSeries:
         # them tau = -0.5 and 0.5
         n_samples = 32001
         series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
-        assert series.diagnostics == {"method": "nufft", "windows": 8, "grid_length": 8100,
+        assert series.diagnostics == {"method": "nufft", "windows": 8, "grid_length": 12288,
                                       "spread_half_width": 16}
         for i in (0, 177, 178, 355, 31862, 32000):
             exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
@@ -242,70 +226,20 @@ class TestCurrentSeries:
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-12)
         assert series.diagnostics["method"] == "nufft"
 
-    @pytest.mark.parametrize("offset", [-1, 0], ids=["blocks-below", "nufft-from"])
-    def test_methods_agree_at_the_crossover(self, monkeypatch, offset):
-        # states of _NUFFT_MIN_MODES - 1 and _NUFFT_MIN_MODES modes, each
-        # evaluated by the method the mode count picks and by the other one,
-        # over two transform windows; exact grids as in test_block_remainders
-        n_modes = state_mod._NUFFT_MIN_MODES + offset
-        rng = np.random.default_rng(n_modes)
-        m = np.arange(n_modes)
-        state = make_state(random_state(rng, n_modes) / (1 + m), 77 / 64, -13 / 64)
-        window = (-0.5, -0.5 + 6000 / 4096)
-        picked = current_series(state, 0.9, window, 6001)
-        assert ("method" in picked.diagnostics) == (offset == 0)
-        monkeypatch.setattr(state_mod, "_NUFFT_MIN_MODES", n_modes + 1 if offset == 0 else n_modes)
-        other = current_series(state, 0.9, window, 6001)
-        assert ("method" in other.diagnostics) == (offset != 0)
-        assert np.max(np.abs(picked.tj_values - other.tj_values)) <= 1e-12
-        for i in (0, 3000, 3001, 6000):
-            assert picked.tj_values[i] == pytest.approx(
-                literal_double_sum_current(state, 0.9, picked.tau_samples[i]), abs=1e-12
+    def test_phases_exact_far_from_zero(self):
+        # 127 modes over (-7.3, 12.9), where r*tau reaches 1.3e6: phases
+        # rounded to doubles put up to 5e-11 on T*J, double-double ones none.
+        # Both ends, both sides of the window edges (three windows of 3001
+        # samples) and samples between
+        m = np.arange(127)
+        rng = np.random.default_rng(127)
+        state = make_state(random_state(rng, 127) / (1 + m) ** 1.5, 3.1, -0.3)
+        series = current_series(state, 0.9, (-7.3, 12.9), 9001)
+        assert (series.tau_samples[0], series.tau_samples[-1]) == (-7.3, 12.9)
+        for i in (0, 1, 3000, 3001, 4500, 6001, 6002, 6750, 8999, 9000):
+            assert series.tj_values[i] == pytest.approx(
+                exact_phase_current(state, 0.9, series.tau_samples[i]), abs=1e-13
             )
-
-    @pytest.mark.parametrize("chunk", [1, 2, 5, 12])
-    def test_mode_chunk_edges(self, monkeypatch, chunk):
-        # products of 1, 2, 5 and 12 modes on states of 2..13 modes, so sums run
-        # across chunk edges and most end on a shorter chunk; blocks of 64 in
-        # spans of 1024 samples, the last of one sample; exact grids as in
-        # test_block_remainders, so 1e-13 tests the chunk, block and span
-        # bookkeeping alone
-        n_samples = 64**2 + 1
-        monkeypatch.setattr(state_mod, "_SERIAL_GEMM_MNK", 16 * 64 * chunk)
-        rng = np.random.default_rng(chunk)
-        for _ in range(3):
-            n = int(rng.integers(2, 14))
-            state = make_state(
-                random_state(rng, n),
-                int(rng.integers(13, 321)) / 64,
-                -int(rng.integers(0, 58)) / 64,
-            )
-            theta = float(rng.uniform(0, 2 * math.pi))
-            series = current_series(state, theta, (-0.5, -0.5 + (n_samples - 1) / 4096), n_samples)
-            assert series.diagnostics == {"block_samples": 64, "mode_chunk": chunk,
-                                          "blas_products": 65 * -(-n // chunk)}
-            for i in (0, 63, 64, 1023, 1024, 4095, 4096):
-                assert series.tj_values[i] == pytest.approx(
-                    literal_double_sum_current(state, theta, series.tau_samples[i]), abs=1e-13
-                )
-
-    @pytest.mark.parametrize("n_samples", [2, 4001, 32001, 10**6, 10**9])
-    def test_products_stay_under_the_threading_floor(self, n_samples):
-        # a product is (2 * block samples) x chunk times chunk x 8
-        plan = _block_plan(n_samples, 10001)
-        assert plan["block_samples"] == math.isqrt(n_samples)
-        assert 16 * plan["block_samples"] * plan["mode_chunk"] <= state_mod._SERIAL_GEMM_MNK
-
-    def test_block_remainder_exact(self):
-        # with an endpoint near 0, tau - tau_s is not always a double; the
-        # remainder is still the exact rational tau - tau_s - o_j, rounded once
-        tau = np.linspace(1e-9, 1.0, 4001)[:63]
-        offsets = np.arange(63) * ((1.0 - 1e-9) / 4000)
-        eps = _remainder(tau, tau[0], offsets)
-        for e, t, o in zip(eps, tau, offsets):
-            exact = Fraction(t) - Fraction(tau[0]) - Fraction(o)
-            assert abs(Fraction(e) - exact) <= abs(exact) * 2**-53
-        assert np.any(tau - tau[0] - offsets != eps)
 
     def test_empty_range_rejected(self):
         state = make_state(np.array([1.0, 0.0]), 1.0, 0.0)
@@ -348,10 +282,11 @@ class TestCurrentSeries:
 
 @needs_openblas_threads
 def test_series_leave_blas_threads_idle(maximizing_state_2000):
-    # A complex block product (zgemm) wakes OpenBLAS's worker threads from
+    # OpenBLAS wakes its worker threads for a complex matrix product from
     # m*n*k of about 2e5, a real one from about 1e6 and a ddot above 10000
-    # elements; the worker then busy-waits between calls.  Every product of
-    # current_series stays below, and Simpson's sum over 16385 samples is no ddot.
+    # elements; the worker then busy-waits between calls.  current_series makes
+    # no BLAS call (np.bincount and pocketfft), and Simpson's sum over 16385
+    # samples is no ddot.
     wide = make_state(random_state(np.random.default_rng(3), 10001), ALPHA_STAR, 0.0)
     current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), 101)
     time.sleep(0.5)  # longer than OpenBLAS's spin, so a woken worker sleeps again
