@@ -415,19 +415,27 @@ class TestStateAndCurrentCommands:
         assert err.startswith(f"error: state file {path}") and reason in err
         assert not (tmp_path / "current.csv").exists()
 
+    def test_manifest_records_block_plan(self, tmp_path):
+        # a 21-mode state's plan: one transform of 2 * 80 outputs (80 is the
+        # smallest 5-smooth number >= 3/4 of 101 samples) on a grid of 320
+        code = run(["current", "--alpha", "1.0", "--n", "20", "--samples", "101",
+                    "--outdir", str(tmp_path)])
+        assert code == 0
+        diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
+        assert diagnostics.pop("solve")["n"] == 20  # the state's solve, beside the plan
+        assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
+                               "spread_half_width": 16}
+        assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
+
     def test_manifest_records_nufft(self, tmp_path):
-        # 101 samples, for 21 modes as for 301: one transform of 2 * 80 outputs
-        # (80 is the smallest 5-smooth number >= 3/4 of 101) on a grid of 320
-        for n in ("20", "300"):
-            code = run(["current", "--alpha", "1.0", "--n", n, "--samples", "101",
-                        "--outdir", str(tmp_path / n)])
-            assert code == 0
-            manifest = json.loads((tmp_path / n / "current.manifest.json").read_text())
-            diagnostics = manifest["diagnostics"]
-            assert diagnostics.pop("solve")["n"] == int(n)  # the state's solve
-            assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
-                                   "spread_half_width": 16}
-            assert (tmp_path / n / "current.csv").read_text().splitlines()[1] == "tau,tj"
+        code = run(["current", "--alpha", "1.0", "--n", "300", "--samples", "101",
+                    "--outdir", str(tmp_path)])
+        assert code == 0
+        diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
+        assert diagnostics.pop("solve")["n"] == 300
+        # 301 modes, as 21: the plan depends on the samples, not the modes
+        assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
+                               "spread_half_width": 16}
 
     @pytest.mark.parametrize(
         "header, rows, line, reason",
