@@ -4,7 +4,8 @@ Every subcommand writes deterministic CSV/JSON outputs plus a run manifest
 with content digests.  Exit codes: 0 success, 2 validation error, 1
 computation failure.
 
-alpha can be given as --alpha or --alpha-over-pi.  An option's value comes
+alpha can be given as --alpha or --alpha-over-pi (current --state-file
+takes it from the file and accepts neither).  An option's value comes
 from, in this order: its flag, a flat key=value config file (--config),
 RINGFLOW_JOBS for --jobs (sweep and infimum only) and its default.  A config
 value is read with its option's type, so path, schedule and number options
@@ -15,8 +16,6 @@ given, is an integer >= 1.  A bad value exits 2 with argparse's message.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
@@ -29,7 +28,7 @@ from .eigen import min_eigen
 from .extrapolate import DEFAULT_SWEEP_SCHEDULE, REFERENCE_SCHEDULE, extrapolated_infimum
 from .kernel import RingConfig, build_kernel, canonicalize
 from .linelimit import line_limit_min, ring_small_alpha_limit
-from .manifest import RunManifest
+from .manifest import RunManifest, _write_csv, _write_json
 from .state import (
     current_series,
     maximizing_state,
@@ -135,7 +134,7 @@ def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
         if callable(content):
             content(path)
         else:
-            path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+            _write_json(path, content)
         manifest.add_output(path)
     manifest.write(outdir / f"{manifest.command}.manifest.json")
 
@@ -167,14 +166,9 @@ def cmd_extrapolate(args) -> int:
 
 
 def _write_sweep_csv(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("alpha_over_pi,beta,p,residual\n")
-        for rec in records:
-            # a failed point carries nan for both, which formats as "nan"
-            fh.write(
-                f"{_fmt(rec.alpha / math.pi)},{_fmt(rec.beta)},"
-                f"{_fmt(rec.p_estimate)},{_fmt(rec.fit_residual)}\n"
-            )
+    # a failed point carries nan for both p and residual, which formats as "nan"
+    rows = [(r.alpha / math.pi, r.beta, r.p_estimate, r.fit_residual) for r in records]
+    _write_csv(path, "alpha_over_pi,beta,p,residual\n", "%.17g,%.17g,%.17g,%.17g\n", *zip(*rows))
 
 
 def cmd_sweep(args) -> int:
@@ -217,13 +211,6 @@ def cmd_infimum(args) -> int:
     return 0
 
 
-def _write_twomode_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("alpha_over_pi,beta,p_min\n")
-        for aop, b, p in rows:
-            fh.write(f"{_fmt(aop)},{_fmt(b)},{_fmt(p)}\n")
-
-
 def cmd_twomode(args) -> int:
     manifest = _start(args)
     if args.global_opt:
@@ -240,7 +227,9 @@ def cmd_twomode(args) -> int:
         return 0
     grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
     rows = two_mode_curve(args.m1, args.m2, grid)
-    _emit(manifest, args.outdir, {"twomode_curve.csv": lambda path: _write_twomode_csv(rows, path)})
+    head, row = "alpha_over_pi,beta,p_min\n", "%.17g,%.17g,%.17g\n"
+    _emit(manifest, args.outdir,
+          {"twomode_curve.csv": lambda path: _write_csv(path, head, row, *zip(*rows))})
     print(f"wrote {args.outdir / 'twomode_curve.csv'}")
     return 0
 
@@ -266,6 +255,8 @@ def cmd_state(args) -> int:
 
 
 def cmd_current(args) -> int:
+    if args.state_file is not None and {args.alpha, args.alpha_over_pi} != {None}:
+        raise SystemExit2("--state-file sets alpha; give it without --alpha or --alpha-over-pi")
     manifest = _start(args)
     if args.state_file is not None:
         state = read_state_csv(args.state_file)
@@ -284,18 +275,18 @@ def cmd_linelimit(args) -> int:
     manifest = _start(args)
     if args.ring_route:
         alpha = _resolve_alpha(args)
-        manifest.diagnostics["solve"] = solve = {}
-        value = ring_small_alpha_limit(alpha, args.beta, args.n, solve)
+        result = ring_small_alpha_limit(alpha, args.beta, args.n)
+        manifest.diagnostics["solve"] = result.diagnostics
         record = {"route": "ring", "alpha": alpha, "beta": canonicalize(args.beta)[0],
-                  "n_trunc": args.n, "lambda_min": value}
+                  "n_trunc": args.n, "lambda_min": result.lambda_min}
     else:
         result = line_limit_min(args.u_max, args.n_points)
-        value = result.lambda_min
-        record = {"route": "nystrom", "u_max": args.u_max, "n_points": args.n_points}
-        record.update(dataclasses.asdict(result))
+        record = {"route": "nystrom", "u_max": args.u_max, "n_points": args.n_points,
+                  "lambda_min": result.lambda_min, "lambda_interval": result.lambda_interval,
+                  "lambda_half_interval": result.lambda_half_interval, "u_half": result.u_half}
         manifest.diagnostics["rungs"] = result.rungs
     _emit(manifest, args.outdir, {"linelimit.json": record})
-    print(f"lambda_min = {_fmt(value)}")
+    print(f"lambda_min = {_fmt(result.lambda_min)}")
     return 0
 
 

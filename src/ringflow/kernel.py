@@ -80,6 +80,12 @@ def canonicalize(beta_raw: float) -> tuple[float, int]:
     return beta, shift
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha is positive and finite."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def _check_beta_max(beta_max: float) -> None:
     """Raise ValueError unless beta_max, the upper end of a beta search, lies in (-1, 0]."""
     if not (-1 < beta_max <= 0):
@@ -100,8 +106,7 @@ class RingConfig:
     beta_shift: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         beta, shift = canonicalize(self.beta)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "beta_shift", shift)

@@ -17,7 +17,8 @@ and their Nystrom matrix is the leading k x k block of the full one, so the
 two are one truncation ladder (extrapolate.solve_ladder: 46 LOBPCG
 iterations in place of 67 at u_max = 40, n = 4000), and a degree-1 fit in
 1/u through its rungs leaves O(1/U^2).  The raw interval eigenvalue,
-ring_small_alpha_limit((u_max/n)**2, -0.5, n - 1), is reported beside it.
+ring_small_alpha_limit((u_max/n)**2, -0.5, n - 1).lambda_min, is reported
+beside it.
 
 Near u_max the phase u_m^2 - u_n^2 steps by about 2 u_max^2/n between nodes.
 Against n = 16000 at u_max = 40 the estimate errs by 1.6e-6 at u_max^2/n =
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
-from .eigen import min_eigen
+from .eigen import EigenResult, min_eigen
 from .extrapolate import fit_inverse_powers, solve_ladder
 from .kernel import RingConfig, build_kernel
 
@@ -38,17 +39,14 @@ from .kernel import RingConfig, build_kernel
 @dataclass(frozen=True)
 class LineLimitResult:
     """The extrapolated estimate and the interval eigenvalues on (0, u_max]
-    and (0, u_half] that it combines; rungs, the ladder's diagnostics for the
-    run manifest, is not a field, so dataclasses.asdict leaves it out."""
+    and (0, u_half] that it combines, with the ladder's diagnostics (rungs)
+    for the run manifest."""
 
     lambda_min: float
     lambda_interval: float
     lambda_half_interval: float
     u_half: float
-    rungs: InitVar[tuple[dict, ...]] = ()
-
-    def __post_init__(self, rungs):
-        object.__setattr__(self, "rungs", rungs)
+    rungs: tuple[dict, ...] = field(default=(), compare=False)
 
 
 def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult:
@@ -79,11 +77,9 @@ def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult
                            rungs)
 
 
-def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int, solve=None) -> float:
-    """lambda_min of the ring kernel at small alpha; tends to -c_line.
-
-    solve, if given, is a dict that receives the solve's diagnostics
-    (EigenResult.diagnostics) for the run manifest.
+def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int) -> EigenResult:
+    """The smallest eigenpair of the ring kernel at small alpha; its
+    lambda_min tends to -c_line.
 
     The mode index covers u = m*sqrt(alpha) up to n_trunc*sqrt(alpha), so
     n_trunc must grow like 1/sqrt(alpha) for the limit to be visible.
@@ -100,8 +96,5 @@ def ring_small_alpha_limit(alpha: float, beta: float, n_trunc: int, solve=None) 
             "u-coverage too small for the line limit",
             stacklevel=2,
         )
-    result = min_eigen(build_kernel(config))
-    if solve is not None:
-        solve.update(result.diagnostics)
-    return result.lambda_min
+    return min_eigen(build_kernel(config))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_beta_max, canonicalize, sinc
+from .kernel import _check_alpha, _check_beta_max, canonicalize, sinc
 
 
 # the beta values of two_mode_curve, a plotting choice
@@ -40,8 +40,7 @@ class TwoModeResult:
 def two_mode_p(m1, m2, alpha, beta, phi, gamma):
     """Integrated current of the (m1, m2) superposition at given (phi, gamma)."""
     _check_pair(m1, m2)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     beta, _ = canonicalize(beta)
     a = m1 + m2 - 2.0 * beta
     b = float(m2 - m1)
@@ -64,8 +63,7 @@ def two_mode_p_min(m1, m2, alpha, beta):
 def minimize_two_mode(m1, m2, alpha, beta) -> TwoModeResult:
     """Closed-form minimizer over the superposition parameters (phi, gamma)."""
     _check_pair(m1, m2)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     beta, _ = canonicalize(beta)
     a = m1 + m2 - 2.0 * beta
     b = float(m2 - m1)

@@ -43,6 +43,15 @@ def exact_phases(state, tau):
     return np.array(phases)
 
 
+def literal_double_sum_current(state, theta, tau):
+    """T*J(theta, tau) as the literal O(N^2) mode double sum, with exact
+    phases, so the evolution factors carry no phase error."""
+    m = np.arange(len(state.coeffs))
+    ww = np.exp(1j * m * theta) * np.exp(-1j * exact_phases(state, tau)) * state.coeffs
+    terms = (m[:, None] + m[None, :] - 2 * state.beta) * np.conj(ww)[:, None] * ww[None, :]
+    return state.alpha / math.pi * float(np.real(np.sum(terms)))
+
+
 _BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 # for tests that read other threads' CPU time to catch busy-waiting OpenBLAS workers

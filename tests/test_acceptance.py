@@ -27,7 +27,7 @@ from ringflow import (
 )
 from ringflow import verify
 
-from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS, exact_phases
+from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS, literal_double_sum_current
 
 C_RING = 0.116816
 C_LINE = 0.0384517
@@ -122,7 +122,7 @@ def test_criterion_5_line_limit_ring_route():
     # O(sqrt(alpha)) grid error puts it 2.04e-3 below the beta = -1/2 midpoint
     # value -0.0373757, which lies 1.08e-3 above -c_line from truncation at
     # u ~ 31.6.  The 9.6e-4 margin is those two errors partly cancelling.
-    lam = ring_small_alpha_limit(1e-3, 0.0, 1000)
+    lam = ring_small_alpha_limit(1e-3, 0.0, 1000).lambda_min
     ok = abs(lam - (-C_LINE)) <= 1e-3
     report("criterion 5b: c_line via ring kernel (alpha=1e-3, N=1000)", ok, f"lambda = {lam:.7f}")
 
@@ -180,11 +180,7 @@ def test_criterion_9_oracle_equivalence():
         state = make_state(verify.random_state(rng, n), alpha, beta)
         theta = float(rng.uniform(0, 2 * math.pi))
         tau = float(rng.uniform(-1, 1))
-        mm = np.arange(n)
-        phases = np.exp(1j * mm * theta) * np.exp(-1j * exact_phases(state, tau))
-        ww = phases * state.coeffs
-        terms = (mm[:, None] + mm[None, :] - 2 * beta) * np.conj(ww)[:, None] * ww[None, :]
-        literal = alpha / math.pi * np.real(np.sum(terms))
+        literal = literal_double_sum_current(state, theta, tau)
         reduced = current_series(state, theta, (tau, tau + 1.0), 2).tj_values[0]
         worst_reduction = max(worst_reduction, abs(literal - reduced))
     ok = worst_quad <= 1e-8 and worst_reduction <= 1e-13

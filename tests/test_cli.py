@@ -467,6 +467,19 @@ class TestStateAndCurrentCommands:
             f"error: state file {path} header token 'beta' is not key=value\n")
         assert not (tmp_path / "current.csv").exists()
 
+    @pytest.mark.parametrize("alpha", [["--alpha", "5"], ["--alpha-over-pi", "0.37"]],
+                             ids=["alpha", "alpha-over-pi"])
+    def test_state_file_with_alpha_rejected(self, tmp_path, capsys, alpha):
+        # the file sets alpha; a flag's alpha would go unused yet enter the manifest
+        path = tmp_path / "state.csv"
+        path.write_text("# alpha=1 beta=0\nm,re_c,im_c\n0,1,0\n1,0,0\n")
+        code = run(["current", "--state-file", str(path), *alpha, "--n", "7",
+                    "--samples", "3", "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--state-file" in err and alpha[0] in err
+        assert not (tmp_path / "out" / "current.csv").exists()
+
 
 def check_solve(outdir, command, n) -> dict:
     """The manifest records the command's one solve with a ladder rung's keys."""

@@ -124,3 +124,19 @@ def test_one_truncation_ladder_and_one_fit():
         and (len(node.args) > 1 or any(k.arg == "start" for k in node.keywords))
     }
     assert started == {("extrapolate.py", "solve_ladder")}, started
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    # open with a mode that writes, appends or creates, or a Path writer
+    if _callee(call) in ("write_text", "write_bytes"):
+        return True
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return _callee(call) == "open" and any(
+        not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_manifest_writes_files():
+    # manifest.py's _write_json and _write_csv write every data file and manifest
+    writers = {(name, node.lineno) for name, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _writes_a_file(node)}
+    assert {name for name, _ in writers} == {"manifest.py"}, writers

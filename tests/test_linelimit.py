@@ -42,12 +42,12 @@ class TestLineLimit:
     def test_interval_truncated_value(self):
         # the operator restricted to (0, 10] converges to about -0.03513 in
         # the grid; the remaining gap to -c_line is half-line truncation error
-        lam = ring_small_alpha_limit((10.0 / 2000) ** 2, -0.5, 1999)
+        lam = ring_small_alpha_limit((10.0 / 2000) ** 2, -0.5, 1999).lambda_min
         assert lam == pytest.approx(-0.035127, abs=5e-5)
 
     def test_reports_interval_eigenvalues(self):
         result = line_limit_min(10.0, 400)
-        interval = ring_small_alpha_limit((10.0 / 400) ** 2, -0.5, 399)
+        interval = ring_small_alpha_limit((10.0 / 400) ** 2, -0.5, 399).lambda_min
         assert result.lambda_interval == pytest.approx(interval, abs=1e-14)
         assert result.u_half == 5.0
         assert result.lambda_min == pytest.approx(
@@ -104,7 +104,7 @@ class TestLineLimit:
 
 class TestRingRoute:
     def test_small_alpha_limit(self):
-        lam = ring_small_alpha_limit(1e-3, 0.0, 1000)
+        lam = ring_small_alpha_limit(1e-3, 0.0, 1000).lambda_min
         assert abs(lam + C_LINE) <= 1e-3
 
     def test_endpoint_rule_gap_shrinks_like_sqrt_alpha(self):
@@ -112,18 +112,19 @@ class TestRingRoute:
         # at u_max ~ 40 their gap is -4.09e-3 at alpha = 4e-3 and -2.05e-3 at
         # alpha = 1e-3, so it halves when alpha drops by 4
         gaps = [
-            ring_small_alpha_limit(alpha, 0.0, n) - ring_small_alpha_limit(alpha, -0.5, n)
+            ring_small_alpha_limit(alpha, 0.0, n).lambda_min
+            - ring_small_alpha_limit(alpha, -0.5, n).lambda_min
             for alpha, n in ((4e-3, 632), (1e-3, 1265))
         ]
         assert gaps[0] < gaps[1] < 0
         assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.05)
 
     def test_beta_independence_of_limit(self):
-        lam = ring_small_alpha_limit(1e-3, -0.5, 1000)
+        lam = ring_small_alpha_limit(1e-3, -0.5, 1000).lambda_min
         assert abs(lam + C_LINE) <= 1.2e-3
 
     def test_far_from_limit_at_alpha_pi(self):
-        lam = ring_small_alpha_limit(math.pi, 0.0, 200)
+        lam = ring_small_alpha_limit(math.pi, 0.0, 200).lambda_min
         assert abs(lam) < 1e-12
 
     def test_coverage_warning(self):
@@ -131,6 +132,6 @@ class TestRingRoute:
             ring_small_alpha_limit(1e-4, 0.0, 100)
 
     def test_routes_agree_at_converged_settings(self):
-        ring = ring_small_alpha_limit(1e-3, 0.0, 1000)
+        ring = ring_small_alpha_limit(1e-3, 0.0, 1000).lambda_min
         nystrom = line_limit_min(40.0, 4000).lambda_min
         assert abs(ring - nystrom) <= 2e-3

@@ -8,6 +8,7 @@ from ringflow import (
     ModeAmplitudes,
     RingConfig,
     build_kernel,
+    cli,
     current_series,
     integrated_current,
     make_state,
@@ -22,27 +23,17 @@ from ringflow.state import (
     write_series_csv,
     write_state_csv,
 )
+from ringflow.sweep import SweepRecord
+from ringflow.twomode import two_mode_curve
 from ringflow.verify import decay_exponent, quadrature_deviation, random_state
 
-from conftest import ALPHA_STAR, exact_phases, needs_openblas_threads, other_threads_cpu_s
-
-
-def literal_double_sum_current(state, theta, tau):
-    """Direct O(N^2) evaluation of the mode double sum for T*J(theta, tau),
-    with exact phases, so the evolution factors carry no phase error."""
-    c = state.coeffs
-    m = np.arange(len(c))
-    phases = np.exp(1j * m * theta) * np.exp(-1j * exact_phases(state, tau))
-    total = 0.0
-    for mm in range(len(c)):
-        for nn in range(len(c)):
-            total += (
-                (mm + nn - 2 * state.beta)
-                * np.conj(c[mm] * phases[mm])
-                * c[nn]
-                * phases[nn]
-            ).real
-    return state.alpha / math.pi * total
+from conftest import (
+    ALPHA_STAR,
+    exact_phases,
+    literal_double_sum_current,
+    needs_openblas_threads,
+    other_threads_cpu_s,
+)
 
 
 def exact_phase_current(state, theta, tau):
@@ -387,3 +378,19 @@ class TestCsvExports:
         write_state_csv(state, tmp_path / "state.csv")
         rows = "".join(f"{m},{x.real:.17g},{x.imag:.17g}\n" for m, x in enumerate(state.coeffs))
         assert "".join((tmp_path / "state.csv").read_text().splitlines(keepends=True)[2:]) == rows
+
+        # the last point failed: nan for p and residual
+        records = [SweepRecord(a * math.pi, b, p, r)
+                   for a, b, p, r in zip(special, special[::-1], special[1:], special[2:])]
+        records.append(SweepRecord(0.7 * math.pi, -0.0, math.nan, math.nan, "failed"))
+        cli._write_sweep_csv(records, tmp_path / "sweep.csv")
+        rows = "".join(f"{r.alpha / math.pi:.17g},{r.beta:.17g},{r.p_estimate:.17g},"
+                       f"{r.fit_residual:.17g}\n" for r in records)
+        assert rows.endswith(",-0,nan,nan\n")
+        assert (tmp_path / "sweep.csv").read_text() == "alpha_over_pi,beta,p,residual\n" + rows
+
+        assert cli.main(["twomode", "--alpha-over-pi-min", "1e-300", "--alpha-over-pi-max", "2",
+                         "--steps", "7", "--outdir", str(tmp_path)]) == 0
+        curve = two_mode_curve(0, 1, np.linspace(1e-300, 2.0, 7))
+        rows = "".join(f"{a:.17g},{b:.17g},{p:.17g}\n" for a, b, p in curve)
+        assert (tmp_path / "twomode_curve.csv").read_text() == "alpha_over_pi,beta,p_min\n" + rows

@@ -33,6 +33,15 @@ class TestTwoModeP:
             two_mode_p(-1, 2, 1.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_alpha_must_be_positive_and_finite(alpha):
+    # the check RingConfig makes: a nan or inf alpha would give a nan current
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        two_mode_p(0, 1, alpha, 0.0, 0.5, 0.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        minimize_two_mode(0, 1, alpha, 0.0)
+
+
 class TestMinimizeTwoMode:
     def test_zero_at_alpha_pi(self):
         res = minimize_two_mode(0, 1, math.pi, 0.0)
