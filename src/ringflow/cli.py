@@ -4,8 +4,8 @@ Every subcommand writes deterministic CSV/JSON outputs plus a run manifest
 with content digests.  Exit codes: 0 success, 2 validation error, 1
 computation failure.
 
-alpha can be given as --alpha or --alpha-over-pi (current --state-file
-takes it from the file and accepts neither).  An option's value comes
+alpha can be given as --alpha or --alpha-over-pi; current samples the state
+file that state writes, which sets alpha and beta.  An option's value comes
 from, in this order: its flag, a flat key=value config file (--config),
 RINGFLOW_JOBS for --jobs (sweep and infimum only) and its default.  A config
 value is read with its option's type, so path, schedule and number options
@@ -58,18 +58,12 @@ def _read_config(path) -> dict:
 
 def _resolve_alpha(args) -> float:
     if args.alpha is not None and args.alpha_over_pi is not None:
-        raise SystemExit2("give either --alpha or --alpha-over-pi, not both")
+        raise ValueError("give either --alpha or --alpha-over-pi, not both")
     if args.alpha is not None:
         return args.alpha
     if args.alpha_over_pi is not None:
         return args.alpha_over_pi * math.pi
-    raise SystemExit2("alpha is required (--alpha or --alpha-over-pi)")
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+    raise ValueError("alpha is required (--alpha or --alpha-over-pi)")
 
 
 def _add_alpha_beta(parser, beta_default=None):
@@ -110,7 +104,7 @@ def _jobs_arg(raw: str) -> int:
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
-            raise SystemExit2(f"--{name.replace('_', '-')} is required")
+            raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
 def _start(args) -> RunManifest:
@@ -175,9 +169,7 @@ def cmd_sweep(args) -> int:
     _require(args, "alpha_over_pi_min", "alpha_over_pi_max", "steps")
     manifest = _start(args)
     grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
-    records = sweep_alpha(
-        args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs
-    )
+    records = sweep_alpha(args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs)
     manifest.diagnostics["scans"] = [scan_diagnostics(len(grid), args.schedule, args.jobs)]
     _emit(manifest, args.outdir, {"sweep.csv": lambda path: _write_sweep_csv(records, path)})
     failures = sum(1 for r in records if r.error is not None)
@@ -255,15 +247,9 @@ def cmd_state(args) -> int:
 
 
 def cmd_current(args) -> int:
-    if args.state_file is not None and {args.alpha, args.alpha_over_pi} != {None}:
-        raise SystemExit2("--state-file sets alpha; give it without --alpha or --alpha-over-pi")
+    _require(args, "state_file")
     manifest = _start(args)
-    if args.state_file is not None:
-        state = read_state_csv(args.state_file)
-    else:
-        alpha = _resolve_alpha(args)
-        state = maximizing_state(alpha, args.beta, args.n)
-        manifest.diagnostics["solve"] = state.solve
+    state = read_state_csv(args.state_file)
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
     manifest.diagnostics.update(series.diagnostics)
     _emit(manifest, args.outdir, {"current.csv": lambda path: write_series_csv(series, path)})
@@ -271,7 +257,20 @@ def cmd_current(args) -> int:
     return 0
 
 
+# each linelimit route's options with their defaults, keyed by --ring-route
+_LINELIMIT_OPTIONS = {False: {"u_max": 10.0, "n_points": 2000},
+                      True: {"alpha": None, "alpha_over_pi": None, "beta": 0.0, "n": 1000}}
+
+
 def cmd_linelimit(args) -> int:
+    # an option of the other route would go unread, yet enter the manifest
+    for name in _LINELIMIT_OPTIONS[not args.ring_route]:
+        if getattr(args, name) is not None:
+            route = "--ring-route" if args.ring_route else "the Nystrom route (no --ring-route)"
+            raise ValueError(f"--{name.replace('_', '-')} is not an option of {route}")
+    for name, default in _LINELIMIT_OPTIONS[args.ring_route].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     manifest = _start(args)
     if args.ring_route:
         alpha = _resolve_alpha(args)
@@ -352,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_state)
 
-    p = sub.add_parser("current", help="time-resolved current of a state")
-    _add_alpha_beta(p, beta_default=0.0)
-    p.add_argument("--n", type=int, default=2000)
+    p = sub.add_parser("current", help="time-resolved current of a state file")
     p.add_argument("--state-file", type=Path, default=None)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--tau-min", type=float, default=-1.5)
@@ -364,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_current)
 
     p = sub.add_parser("linelimit", help="straight-line constant via Nystrom or ring route")
-    p.add_argument("--u-max", type=float, default=10.0)
-    p.add_argument("--n-points", type=int, default=2000)
+    p.add_argument("--u-max", type=float, default=None)
+    p.add_argument("--n-points", type=int, default=None)
     p.add_argument("--ring-route", action="store_true")
-    _add_alpha_beta(p, beta_default=0.0)
-    p.add_argument("--n", type=int, default=1000)
+    _add_alpha_beta(p)  # defaults by route, in _LINELIMIT_OPTIONS
+    p.add_argument("--n", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_linelimit)
 
@@ -422,7 +419,7 @@ def main(argv=None) -> int:
         if getattr(args, "reference_schedule", False):
             args.schedule = list(REFERENCE_SCHEDULE)
         return args.func(args)
-    except SystemExit as exc:  # argparse's usage errors and SystemExit2
+    except SystemExit as exc:  # argparse's usage errors
         return exc.code
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

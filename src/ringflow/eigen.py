@@ -102,13 +102,11 @@ class EigenResult:
         }
 
 
-def _sign_normalize(v: np.ndarray) -> np.ndarray:
-    for x in v:
+def _phase_normalize(c: np.ndarray) -> np.ndarray:
+    for x in c:
         if abs(x) > 1e-12:
-            if x < 0:
-                v = -v
-            break
-    return v
+            return c * (np.conj(x) / abs(x))
+    return c.copy()
 
 
 def _lowest_dense(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -238,7 +236,7 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
     lam, vec, iterations = _lowest_lobpcg(kernel, scale, start)
     n_trunc = vec.shape[0] - 1
 
-    vec = _sign_normalize(np.ascontiguousarray(vec))
+    vec = _phase_normalize(vec)
     vec = vec / np.linalg.norm(vec)
     residual = float(np.linalg.norm(kernel.matvec(vec) - lam * vec))
     if not residual <= _RESIDUAL_FACTOR * scale:

@@ -22,6 +22,7 @@ exceeds the variational bound lambda(320000).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,13 +154,19 @@ def extrapolated_infimum(
     (a0, fit); fit.rungs holds the ladder's diagnostics.  ExtrapolationError
     as in solve_ladder.
     """
-    schedule = sorted(int(n) for n in schedule)
-    if len(schedule) < 4:
-        raise ValueError("schedule must contain at least 4 truncation sizes")
-    configs = [RingConfig(alpha, beta, n) for n in schedule]  # ValueError before any solve
+    configs = [RingConfig(alpha, beta, n) for n in _check_schedule(schedule)]  # before any solve
     results, rungs = solve_ladder(map(build_kernel, configs))
     fit = replace(fit_quadratic((r.n_trunc, r.lambda_min) for r in results), rungs=rungs)
     return fit.a0, fit
+
+
+def _check_schedule(schedule) -> list[int]:
+    """The schedule sorted; ValueError unless it is at least 4 distinct integers >= 1."""
+    sizes = sorted(schedule)
+    if not (len(set(sizes)) == len(sizes) >= 4
+            and all(isinstance(n, numbers.Integral) and n >= 1 for n in sizes)):
+        raise ValueError(f"schedule needs at least 4 distinct sizes n_trunc >= 1, got {sizes}")
+    return [int(n) for n in sizes]
 
 
 def _check_interlacing(lower, upper, kernel) -> None:

@@ -64,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import EigenResult, min_eigen
+from .eigen import EigenResult, _phase_normalize, min_eigen
 from .kernel import (
     RingConfig,
     _INV_TWO_PI_HI,
@@ -138,13 +138,6 @@ _SPREAD_ELEMENTS = 1 << 14
 # it would move every coefficient by rounding alone, so a state file read back
 # would not be the state that was written.
 _UNIT_NORM_TOL = 1e-14
-
-
-def _phase_normalize(c: np.ndarray) -> np.ndarray:
-    for x in c:
-        if abs(x) > 1e-12:
-            return c * (np.conj(x) / abs(x))
-    return c.copy()
 
 
 def make_state(coeffs, alpha: float, beta: float) -> ModeAmplitudes:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extrapolate import DEFAULT_SWEEP_SCHEDULE, extrapolated_infimum
-from .kernel import _check_beta_max, canonicalize
+from .extrapolate import DEFAULT_SWEEP_SCHEDULE, _check_schedule, extrapolated_infimum
+from .kernel import _check_alpha, _check_beta_max, canonicalize
 
 # How pool workers start.  Named, because Python 3.14 moves the Linux default
 # to forkserver.  A forked worker inherits the loaded modules, where a spawned
@@ -123,11 +123,15 @@ def sweep_alpha(
     every jobs.  A grid runs on sweep_workers(...) forked worker processes,
     one chunk of the grid each, or in the calling process when that is 1:
     each worker must get _MODES_PER_WORKER modes for the fork to pay.  A
-    worker process that dies raises RuntimeError.
+    worker process that dies raises RuntimeError, a bad schedule or grid
+    alpha ValueError before any solve.
     """
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise ValueError("empty alpha grid")
+    _check_schedule(schedule)
+    for alpha in alpha_grid:
+        _check_alpha(float(alpha))
     workers = sweep_workers(len(alpha_grid), schedule, jobs)
     beta, _ = canonicalize(beta)
     point = functools.partial(_one_point, beta=beta, schedule=schedule)

@@ -17,6 +17,12 @@ def run(args):
     return main(args)
 
 
+def write_state(outdir, *options) -> str:
+    """Solve a state with the state command; the path of the state.csv it writes."""
+    assert run(["state", *options, "--outdir", str(outdir)]) == 0
+    return str(outdir / "state.csv")
+
+
 def check_manifest(outdir, command, data_files):
     """The manifest names the command and holds one valid digest per data file."""
     manifest = json.loads((outdir / f"{command}.manifest.json").read_text())
@@ -124,6 +130,30 @@ class TestSweepCommand:
             assert (scan["workers"], scan["start_method"]) == (workers, method)
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [(["--alpha-over-pi-min", "-0.5", "--alpha-over-pi-max", "0.5", "--steps", "3"],
+          "alpha must be positive"),
+         (["--schedule", "20,30,40"], "at least 4"),
+         (["--schedule", "20,20,30,40"], "distinct"),
+         (["--schedule", "0,30,40,50"], "n_trunc >= 1")],
+        ids=["non-positive-alpha", "three-sizes", "repeated-size", "zero-size"],
+    )
+    def test_bad_inputs_exit_2_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                options, message):
+        # validation errors, not per-point solver failures written as nan rows
+        import ringflow.sweep as sw
+
+        def no_solve(alpha, beta, schedule):
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", no_solve)
+        args = self.SWEEP_ARGS + ["--schedule", "20,30,40,50", *options]
+        assert run(args + ["--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_dead_worker_exits_1(self, tmp_path, monkeypatch, capsys):
         import ringflow.sweep as sw
 
@@ -150,10 +180,8 @@ MANIFEST_CASES = {
     "twomode-curve": (["twomode", "--steps", "5"], ["twomode_curve.csv"]),
     "twomode-global": (["twomode", "--global"], ["twomode_global.json"]),
     "state": (["state", "--alpha", "1.0", "--n", "20"], ["state.csv", "state_report.json"]),
-    "current": (
-        ["current", "--alpha", "1.0", "--n", "20", "--samples", "11"],
-        ["current.csv"],
-    ),
+    # samples the "state" case's state, solved into a directory beside the outdir
+    "current": (["current", "--samples", "11"], ["current.csv"]),
     "linelimit-nystrom": (["linelimit", "--n-points", "100"], ["linelimit.json"]),
     "linelimit-ring": (
         ["linelimit", "--ring-route", "--alpha", "0.1", "--n", "100"],
@@ -165,8 +193,11 @@ MANIFEST_CASES = {
 @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
 def test_manifest_digests(tmp_path, case):
     argv, data_files = MANIFEST_CASES[case]
-    assert run(argv + ["--outdir", str(tmp_path)]) == 0
-    check_manifest(tmp_path, argv[0], data_files)
+    if case == "current":
+        state = write_state(tmp_path / "state", *MANIFEST_CASES["state"][0][1:])
+        argv = argv + ["--state-file", state]
+    assert run(argv + ["--outdir", str(tmp_path / "out")]) == 0
+    check_manifest(tmp_path / "out", argv[0], data_files)
 
 
 class TestCanonicalBeta:
@@ -226,8 +257,9 @@ class TestExtrapolateCommand:
     @pytest.mark.parametrize(
         "options, message",
         [(["--alpha", "-1", "--schedule", "50,60,70,80"], "alpha must be positive"),
-         (["--alpha", "1", "--schedule", "0,1,2,3"], "n_trunc")],
-        ids=["negative-alpha", "zero-n"],
+         (["--alpha", "1", "--schedule", "0,1,2,3"], "n_trunc"),
+         (["--alpha", "1", "--schedule", "50,50,60,70"], "distinct")],
+        ids=["negative-alpha", "zero-n", "repeated-n"],
     )
     def test_bad_parameters_are_validation_errors(self, tmp_path, capsys, options, message):
         # checked before any solve, so they exit 2 and are not solver failures
@@ -322,27 +354,9 @@ class TestStateAndCurrentCommands:
         lines = (tmp_path / "current.csv").read_text().splitlines()
         assert len(lines) == 2 + 101
 
-    @pytest.mark.parametrize("n", ["50", "300"], ids=["blocks", "nufft"])
-    def test_state_file_route_matches_in_process(self, tmp_path, n):
-        # the state file holds the solved coefficients to the last bit, and
-        # reading it leaves them so: both routes write the same current.csv
-        series = ["--samples", "9", "--theta", "0.7"]
-        assert run(["state", "--alpha-over-pi", "0.37", "--n", n,
-                    "--outdir", str(tmp_path / "state")]) == 0
-        assert run(["current", "--alpha-over-pi", "0.37", "--n", n, *series,
-                    "--outdir", str(tmp_path / "solved")]) == 0
-        assert run(["current", "--state-file", str(tmp_path / "state" / "state.csv"), *series,
-                    "--outdir", str(tmp_path / "read")]) == 0
-        solved = (tmp_path / "solved" / "current.csv").read_bytes()
-        assert (tmp_path / "read" / "current.csv").read_bytes() == solved
-
     def test_byte_identical_repeat(self, tmp_path):
-        args = [
-            "current",
-            "--alpha-over-pi", "0.37",
-            "--n", "50",
-            "--samples", "33",
-        ]
+        state = write_state(tmp_path / "state", "--alpha-over-pi", "0.37", "--n", "50")
+        args = ["current", "--state-file", state, "--samples", "33"]
         run(args + ["--outdir", str(tmp_path / "a")])
         run(args + ["--outdir", str(tmp_path / "b")])
         assert (tmp_path / "a" / "current.csv").read_bytes() == (
@@ -355,7 +369,8 @@ class TestStateAndCurrentCommands:
         ids=["default", "given"],
     )
     def test_header_names_the_window(self, tmp_path, window, first, last):
-        code = run(["current", "--alpha-over-pi", "0.37", "--n", "10", "--samples", "9",
+        state = write_state(tmp_path / "state", "--alpha-over-pi", "0.37", "--n", "10")
+        code = run(["current", "--state-file", state, "--samples", "9",
                     *window, "--outdir", str(tmp_path)])
         assert code == 0
         lines = (tmp_path / "current.csv").read_text().splitlines()
@@ -366,10 +381,9 @@ class TestStateAndCurrentCommands:
         "option, value", [("--theta", "nan"), ("--tau-min", "-inf"), ("--tau-max", "inf")]
     )
     def test_non_finite_window_rejected(self, tmp_path, capsys, option, value):
-        code = run(
-            ["current", "--alpha-over-pi", "0.37", "--n", "10", f"{option}={value}",
-             "--outdir", str(tmp_path)]
-        )
+        state = write_state(tmp_path / "state", "--alpha-over-pi", "0.37", "--n", "10")
+        code = run(["current", "--state-file", state, f"{option}={value}",
+                    "--outdir", str(tmp_path)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "current.csv").exists()
@@ -418,21 +432,21 @@ class TestStateAndCurrentCommands:
     def test_manifest_records_block_plan(self, tmp_path):
         # a 21-mode state's plan: one transform of 2 * 80 outputs (80 is the
         # smallest 5-smooth number >= 3/4 of 101 samples) on a grid of 320
-        code = run(["current", "--alpha", "1.0", "--n", "20", "--samples", "101",
+        state = write_state(tmp_path / "state", "--alpha", "1.0", "--n", "20")
+        code = run(["current", "--state-file", state, "--samples", "101",
                     "--outdir", str(tmp_path)])
         assert code == 0
         diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
-        assert diagnostics.pop("solve")["n"] == 20  # the state's solve, beside the plan
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
                                "spread_half_width": 16}
         assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
 
     def test_manifest_records_nufft(self, tmp_path):
-        code = run(["current", "--alpha", "1.0", "--n", "300", "--samples", "101",
+        state = write_state(tmp_path / "state", "--alpha", "1.0", "--n", "300")
+        code = run(["current", "--state-file", state, "--samples", "101",
                     "--outdir", str(tmp_path)])
         assert code == 0
         diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
-        assert diagnostics.pop("solve")["n"] == 300
         # 301 modes, as 21: the plan depends on the samples, not the modes
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
                                "spread_half_width": 16}
@@ -470,15 +484,15 @@ class TestStateAndCurrentCommands:
     @pytest.mark.parametrize("alpha", [["--alpha", "5"], ["--alpha-over-pi", "0.37"]],
                              ids=["alpha", "alpha-over-pi"])
     def test_state_file_with_alpha_rejected(self, tmp_path, capsys, alpha):
-        # the file sets alpha; a flag's alpha would go unused yet enter the manifest
+        # the file sets alpha and beta: current takes neither, nor --n, as an option
         path = tmp_path / "state.csv"
         path.write_text("# alpha=1 beta=0\nm,re_c,im_c\n0,1,0\n1,0,0\n")
         code = run(["current", "--state-file", str(path), *alpha, "--n", "7",
                     "--samples", "3", "--outdir", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "--state-file" in err and alpha[0] in err
-        assert not (tmp_path / "out" / "current.csv").exists()
+        assert f"unrecognized arguments: {alpha[0]} {alpha[1]} --n 7" in err
+        assert not (tmp_path / "out").exists()
 
 
 def check_solve(outdir, command, n) -> dict:
@@ -504,15 +518,18 @@ class TestSolveProvenance:
         report = json.loads((tmp_path / "state_report.json").read_text())
         assert set(report) == {"lambda_min", "mean_energy", "coefficient_decay_below_c0_over_m2"}
 
-    def test_current_without_state_file(self, tmp_path):
-        args = ["current", "--alpha-over-pi", "0.37", "--n", "50", "--samples", "9"]
-        assert run(args + ["--outdir", str(tmp_path / "solved")]) == 0
-        check_solve(tmp_path / "solved", "current", 50)
-        # a state read from a file was solved elsewhere: nothing to record
-        assert run(["state", "--alpha-over-pi", "0.37", "--n", "50",
-                    "--outdir", str(tmp_path / "state")]) == 0
-        assert run(["current", "--state-file", str(tmp_path / "state" / "state.csv"),
-                    "--samples", "9", "--outdir", str(tmp_path / "read")]) == 0
+    def test_current_without_state_file(self, tmp_path, capsys):
+        # current solves nothing: without a state file it exits 2 before making its outdir
+        assert run(["current", "--samples", "9", "--outdir", str(tmp_path / "read")]) == 2
+        assert capsys.readouterr().err == "error: --state-file is required\n"
+        assert run(["current", "--alpha", "1.0", "--n", "20",
+                    "--outdir", str(tmp_path / "read")]) == 2
+        assert not (tmp_path / "read").exists()
+        # the state command records the solve; current, reading its file, has none
+        state = write_state(tmp_path / "state", "--alpha-over-pi", "0.37", "--n", "50")
+        check_solve(tmp_path / "state", "state", 50)
+        assert run(["current", "--state-file", state, "--samples", "9",
+                    "--outdir", str(tmp_path / "read")]) == 0
         manifest = json.loads((tmp_path / "read" / "current.manifest.json").read_text())
         assert "solve" not in manifest["diagnostics"]
 
@@ -558,6 +575,33 @@ class TestLinelimitCommand:
         args = ["linelimit", "--ring-route", "--alpha", "0.1", "--n", "100", "--beta", "0.5"]
         assert run(args + ["--outdir", str(tmp_path / "mid")]) == 0
         assert json.loads((tmp_path / "mid" / "linelimit.json").read_text())["beta"] == -0.5
+
+    @pytest.mark.parametrize(
+        "options, other",
+        [(["--n-points", "100", "--alpha", "3", "--beta", "0.5"], "--alpha"),
+         (["--n-points", "100", "--beta", "0.5"], "--beta"),
+         (["--n-points", "100", "--n", "7"], "--n"),
+         (["--ring-route", "--alpha", "0.1", "--n", "100", "--u-max", "99"], "--u-max"),
+         (["--ring-route", "--alpha", "0.1", "--n", "100", "--n-points", "50"], "--n-points")],
+        ids=["nystrom-alpha", "nystrom-beta", "nystrom-n", "ring-u-max", "ring-n-points"],
+    )
+    def test_other_routes_option_rejected(self, tmp_path, capsys, options, other):
+        # the route would not read it, yet the manifest would record it
+        assert run(["linelimit", *options, "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {other} is not an option of ")
+        assert not (tmp_path / "linelimit.json").exists()
+
+    @pytest.mark.parametrize(
+        "options, parameters",
+        [(["--n-points", "100"], {"ring_route": False, "u_max": 10.0, "n_points": 100}),
+         (["--ring-route", "--alpha", "0.1", "--n", "100"],
+          {"ring_route": True, "alpha": 0.1, "beta": 0.0, "n": 100})],
+        ids=["nystrom", "ring"],
+    )
+    def test_manifest_records_own_options(self, tmp_path, options, parameters):
+        assert run(["linelimit", *options, "--outdir", str(tmp_path)]) == 0
+        recorded = json.loads((tmp_path / "linelimit.manifest.json").read_text())["parameters"]
+        assert recorded == {"subcommand": "linelimit", "outdir": str(tmp_path), **parameters}
 
     def test_ring_route_rejects_bad_alpha(self, tmp_path, capsys):
         # alpha is checked before the coverage warning takes its square root

@@ -352,6 +352,17 @@ class TestCsvExports:
         assert (loaded.n_trunc, loaded.alpha, loaded.beta) == (60, state.alpha, state.beta)
         assert np.max(np.abs(loaded.coeffs - state.coeffs)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [50, 300], ids=["blocks", "nufft"])
+    def test_state_file_route_matches_in_process(self, tmp_path, n):
+        # the state file holds the solved coefficients to the last bit, and
+        # reading it leaves them so (_UNIT_NORM_TOL): the series are the same
+        state = maximizing_state(0.37 * math.pi, 0.0, n)
+        write_state_csv(state, tmp_path / "state.csv")
+        read = read_state_csv(tmp_path / "state.csv")
+        solved, loaded = (current_series(s, 0.7, (-1.5, 1.5), 9) for s in (state, read))
+        assert loaded.tau_samples.tobytes() == solved.tau_samples.tobytes()
+        assert loaded.tj_values.tobytes() == solved.tj_values.tobytes()
+
     def test_series_csv(self, tmp_path):
         c = np.zeros(3)
         c[1] = 1.0
