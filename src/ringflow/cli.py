@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every subcommand writes deterministic CSV/JSON outputs plus a run manifest
-with content digests.  Exit codes: 0 success, 2 validation error, 1
-computation failure.
+Every subcommand but verify writes deterministic CSV/JSON outputs plus a
+run manifest with content digests; verify takes --outdir only because the
+benchmark passes one to every command.  Exit codes: 0 success, 2 validation
+error, 1 computation failure.
+
+main settles every option, a two-route command's by _ROUTES, and builds the
+manifest; each command validates and computes, and _emit alone makes the
+outdir and writes, so a failed run leaves no outdir.
 
 alpha can be given as --alpha or --alpha-over-pi; current samples the state
 file that state writes, which sets alpha and beta.  An option's value comes
@@ -107,22 +112,47 @@ def _require(args, *names) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
-def _start(args) -> RunManifest:
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    params = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k not in ("func", "config") and v is not None
-    }
-    return RunManifest(command=args.subcommand, parameters=params)
+# each two-route command's flag that picks its route, and per route its name
+# and the options only it reads, with their defaults
+_ROUTES = {
+    "linelimit": ("ring_route", {
+        False: ("the Nystrom route (no --ring-route)", {"u_max": 10.0, "n_points": 2000}),
+        True: ("--ring-route", {"alpha": None, "alpha_over_pi": None, "beta": 0.0, "n": 1000}),
+    }),
+    "twomode": ("global_opt", {
+        False: ("the curve (no --global)",
+                {"alpha_over_pi_min": 0.01, "alpha_over_pi_max": 2.0, "steps": 400}),
+        True: ("--global", {}),
+    }),
+    "extrapolate": ("reference_schedule", {
+        False: ("a given schedule", {"schedule": DEFAULT_SWEEP_SCHEDULE}),
+        True: ("--reference-schedule", {}),
+    }),
+}
+
+
+def _apply_route(args) -> None:
+    """Reject an option of the route not taken, which would go unread yet
+    enter the manifest; give the taken route's unset options their defaults."""
+    if args.subcommand not in _ROUTES:
+        return
+    flag, routes = _ROUTES[args.subcommand]
+    taken = getattr(args, flag)
+    for name in routes[not taken][1]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not an option of {routes[taken][0]}")
+    for name, default in routes[taken][1].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
-    """Write each named output into outdir, then the manifest with their digests.
+    """Make outdir, write each named output into it, then the manifest with their digests.
 
     A dict is written as indented, key-sorted JSON; a callable is called with
     the target path and writes the file itself.
     """
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, content in outputs.items():
         path = outdir / name
         if callable(content):
@@ -133,26 +163,27 @@ def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
     manifest.write(outdir / f"{manifest.command}.manifest.json")
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(args, manifest) -> int:
     _require(args, "n")
     alpha = _resolve_alpha(args)
-    manifest = _start(args)
     kernel = build_kernel(RingConfig(alpha, args.beta, args.n))
     result = min_eigen(kernel)
     manifest.diagnostics["solve"] = result.diagnostics
-    record = result.to_record()
-    record.update({"alpha": alpha, "beta": kernel.config.beta})
+    record = {"alpha": alpha, "beta": kernel.config.beta, "lambda_min": result.lambda_min,
+              "n_trunc": result.n_trunc, "residual_norm": result.residual_norm,
+              "method": "lobpcg", "iterations": result.iterations}
     _emit(manifest, args.outdir, {"eigen.json": record})
     print(f"lambda_min = {_fmt(result.lambda_min)}")
     return 0
 
 
-def cmd_extrapolate(args) -> int:
+def cmd_extrapolate(args, manifest) -> int:
     alpha = _resolve_alpha(args)
-    manifest = _start(args)
-    p, fit = extrapolated_infimum(alpha, args.beta, args.schedule)
-    record = fit.to_record()
-    record.update({"alpha": alpha, "beta": canonicalize(args.beta)[0], "p_estimate": p})
+    schedule = REFERENCE_SCHEDULE if args.reference_schedule else args.schedule
+    p, fit = extrapolated_infimum(alpha, args.beta, schedule)
+    record = {"alpha": alpha, "beta": canonicalize(args.beta)[0], "p_estimate": p,
+              "schedule": list(fit.n_values), "lambdas": list(fit.lambda_values),
+              "a0": fit.a0, "a1": fit.a1, "a2": fit.a2, "residual": fit.residual}
     manifest.diagnostics["rungs"] = fit.rungs
     _emit(manifest, args.outdir, {"extrapolation.json": record})
     print(f"P estimate = {_fmt(p)}")
@@ -165,9 +196,8 @@ def _write_sweep_csv(records, path) -> None:
     _write_csv(path, "alpha_over_pi,beta,p,residual\n", "%.17g,%.17g,%.17g,%.17g\n", *zip(*rows))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, manifest) -> int:
     _require(args, "alpha_over_pi_min", "alpha_over_pi_max", "steps")
-    manifest = _start(args)
     grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
     records = sweep_alpha(args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs)
     manifest.diagnostics["scans"] = [scan_diagnostics(len(grid), args.schedule, args.jobs)]
@@ -177,9 +207,8 @@ def cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_infimum(args) -> int:
+def cmd_infimum(args, manifest) -> int:
     _require(args, "alpha_over_pi_min", "alpha_over_pi_max")
-    manifest = _start(args)
     result = find_infimum(
         (args.alpha_over_pi_min * math.pi, args.alpha_over_pi_max * math.pi),
         args.beta_max,
@@ -203,8 +232,7 @@ def cmd_infimum(args) -> int:
     return 0
 
 
-def cmd_twomode(args) -> int:
-    manifest = _start(args)
+def cmd_twomode(args, manifest) -> int:
     if args.global_opt:
         alpha_s, beta_s, p_s = global_two_mode_min(args.m1, args.m2)
         record = {
@@ -226,10 +254,9 @@ def cmd_twomode(args) -> int:
     return 0
 
 
-def cmd_state(args) -> int:
+def cmd_state(args, manifest) -> int:
     _require(args, "n")
     alpha = _resolve_alpha(args)
-    manifest = _start(args)
     state = maximizing_state(alpha, args.beta, args.n)
     manifest.diagnostics["solve"] = state.solve
     report = {
@@ -246,9 +273,8 @@ def cmd_state(args) -> int:
     return 0
 
 
-def cmd_current(args) -> int:
+def cmd_current(args, manifest) -> int:
     _require(args, "state_file")
-    manifest = _start(args)
     state = read_state_csv(args.state_file)
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
     manifest.diagnostics.update(series.diagnostics)
@@ -257,21 +283,7 @@ def cmd_current(args) -> int:
     return 0
 
 
-# each linelimit route's options with their defaults, keyed by --ring-route
-_LINELIMIT_OPTIONS = {False: {"u_max": 10.0, "n_points": 2000},
-                      True: {"alpha": None, "alpha_over_pi": None, "beta": 0.0, "n": 1000}}
-
-
-def cmd_linelimit(args) -> int:
-    # an option of the other route would go unread, yet enter the manifest
-    for name in _LINELIMIT_OPTIONS[not args.ring_route]:
-        if getattr(args, name) is not None:
-            route = "--ring-route" if args.ring_route else "the Nystrom route (no --ring-route)"
-            raise ValueError(f"--{name.replace('_', '-')} is not an option of {route}")
-    for name, default in _LINELIMIT_OPTIONS[args.ring_route].items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    manifest = _start(args)
+def cmd_linelimit(args, manifest) -> int:
     if args.ring_route:
         alpha = _resolve_alpha(args)
         result = ring_small_alpha_limit(alpha, args.beta, args.n)
@@ -289,7 +301,7 @@ def cmd_linelimit(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, manifest) -> int:
     failures = verify_mod.run_all()
     print(f"{failures} failure(s)")
     return 0 if failures == 0 else 1
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extrapolate", help="extrapolate lambda_min over a truncation schedule")
     _add_alpha_beta(p, beta_default=0.0)
-    p.add_argument("--schedule", type=_schedule_arg, default=list(DEFAULT_SWEEP_SCHEDULE))
+    p.add_argument("--schedule", type=_schedule_arg, default=None)  # by route, in _ROUTES
     p.add_argument("--reference-schedule", action="store_true",
                    help="use the 15-point high-accuracy schedule")
     _add_common(p)
@@ -339,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, default=0)
     p.add_argument("--m2", type=int, default=1)
     p.add_argument("--global", dest="global_opt", action="store_true")
-    p.add_argument("--alpha-over-pi-min", type=float, default=0.01)
-    p.add_argument("--alpha-over-pi-max", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--alpha-over-pi-min", type=float, default=None)  # by route, in _ROUTES
+    p.add_argument("--alpha-over-pi-max", type=float, default=None)
+    p.add_argument("--steps", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_twomode)
 
@@ -364,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-max", type=float, default=None)
     p.add_argument("--n-points", type=int, default=None)
     p.add_argument("--ring-route", action="store_true")
-    _add_alpha_beta(p)  # defaults by route, in _LINELIMIT_OPTIONS
+    _add_alpha_beta(p)  # defaults by route, in _ROUTES
     p.add_argument("--n", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_linelimit)
@@ -416,9 +428,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = _parse_with_config(parser, args, argv)
-        if getattr(args, "reference_schedule", False):
-            args.schedule = list(REFERENCE_SCHEDULE)
-        return args.func(args)
+        _apply_route(args)
+        params = {
+            k: (str(v) if isinstance(v, Path) else v)
+            for k, v in vars(args).items()
+            if k not in ("func", "config") and v is not None
+        }
+        return args.func(args, RunManifest(command=args.subcommand, parameters=params))
     except SystemExit as exc:  # argparse's usage errors
         return exc.code
     except (ValueError, FileNotFoundError) as exc:

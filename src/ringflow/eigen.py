@@ -80,9 +80,8 @@ class EigenResult:
     eigenvector: np.ndarray
     n_trunc: int
     residual_norm: float
-    method: str
     iterations: int
-    # how LOBPCG started; run diagnostics, so to_record leaves it out
+    # how LOBPCG started: a run diagnostic, which the eigen.json record leaves out
     warm_started: bool = False
 
     @property
@@ -91,15 +90,6 @@ class EigenResult:
         certified residual and whether a start vector was passed in."""
         return {"n": self.n_trunc, "iterations": self.iterations,
                 "residual_norm": self.residual_norm, "warm_started": self.warm_started}
-
-    def to_record(self) -> dict:
-        return {
-            "lambda_min": self.lambda_min,
-            "n_trunc": self.n_trunc,
-            "residual_norm": self.residual_norm,
-            "method": self.method,
-            "iterations": self.iterations,
-        }
 
 
 def _phase_normalize(c: np.ndarray) -> np.ndarray:
@@ -220,10 +210,10 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
     ignored on a smaller one.  Typically it is the eigenvector of a leading
     block of the same kernel.  ValueError for any other start.
 
-    method is always "lobpcg"; iterations counts LOBPCG steps, 0 when the
-    start vector already meets the tolerance.  The eigenvector is unit-norm
-    with its first nonzero component positive.  n_trunc is the highest index,
-    size - 1 (the kernel's truncation N).  The residual |K v - lambda v|,
+    iterations counts LOBPCG steps, 0 when the start vector already meets
+    the tolerance.  The eigenvector is unit-norm with its first nonzero
+    component positive.  n_trunc is the highest index, size - 1 (the
+    kernel's truncation N).  The residual |K v - lambda v|,
     taken with the matvec, must stay below 1e-10 times the largest diagonal
     magnitude, otherwise EigenSolveError is raised.
     """
@@ -250,7 +240,6 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
         eigenvector=vec,
         n_trunc=n_trunc,
         residual_norm=residual,
-        method="lobpcg",
         iterations=iterations,
         warm_started=start is not None,
     )

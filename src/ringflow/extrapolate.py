@@ -72,16 +72,6 @@ class ExtrapolationFit:
     # per-rung solver diagnostics for the run manifest, not the data file
     rungs: tuple[dict, ...] = field(default=(), compare=False)
 
-    def to_record(self) -> dict:
-        return {
-            "schedule": list(self.n_values),
-            "lambdas": list(self.lambda_values),
-            "a0": self.a0,
-            "a1": self.a1,
-            "a2": self.a2,
-            "residual": self.residual,
-        }
-
 
 def fit_inverse_powers(sizes, values, degree: int) -> tuple[np.ndarray, float]:
     """Least squares of values on {1, 1/n, ..., 1/n^degree} over the sizes n.

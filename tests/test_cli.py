@@ -170,6 +170,40 @@ class TestSweepCommand:
         assert "worker process died" in capsys.readouterr().err
 
 
+# one bad input per file-writing subcommand, each rejected before a file is written
+BAD_INVOCATIONS = {
+    "eigen": ["eigen", "--alpha", "-1", "--n", "10"],
+    "extrapolate": ["extrapolate", "--alpha", "1", "--schedule", "1,2,3"],
+    "sweep": ["sweep", "--alpha-over-pi-min", "-0.5", "--alpha-over-pi-max", "0.5",
+              "--steps", "3", "--schedule", "20,30,40,50"],
+    "infimum": ["infimum", "--alpha-over-pi-min", "0.5", "--alpha-over-pi-max", "0.3"],
+    "twomode": ["twomode", "--steps", "0"],
+    "state": ["state", "--alpha", "-1", "--n", "10"],
+    "current": ["current", "--state-file", "missing.csv"],
+    "linelimit": ["linelimit", "--ring-route", "--alpha", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_input_leaves_no_outdir(tmp_path, monkeypatch, capsys, case):
+    # the outdir is made only when a command writes its outputs
+    monkeypatch.chdir(tmp_path)
+    assert run(BAD_INVOCATIONS[case] + ["--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_solve_leaves_no_outdir(tmp_path, monkeypatch, capsys):
+    def failing(kernel):
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(cli, "min_eigen", failing)
+    argv = ["eigen", "--alpha", "1", "--n", "10", "--outdir", str(tmp_path / "out")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "computation failed: no convergence\n"
+    assert not (tmp_path / "out").exists()
+
+
 # every other file-writing subcommand; sweep is TestSweepCommand's case
 MANIFEST_CASES = {
     "eigen": (["eigen", "--alpha", "1.0", "--n", "20"], ["eigen.json"]),
@@ -268,6 +302,15 @@ class TestExtrapolateCommand:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "extrapolation.json").exists()
 
+    def test_schedule_rejected_with_reference_schedule(self, tmp_path, capsys, monkeypatch):
+        # the reference route would drop the given schedule, yet record it
+        monkeypatch.setattr(cli, "REFERENCE_SCHEDULE", (50, 60, 70, 80, 90))
+        args = ["extrapolate", "--alpha-over-pi", "1", "--reference-schedule"]
+        assert run(args + ["--schedule", "50,60,70,80", "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --schedule is not an option of --reference-schedule\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestTwomodeCommand:
     def test_curve_csv(self, tmp_path):
@@ -302,6 +345,22 @@ class TestTwomodeCommand:
         assert run(["twomode", *options, "--outdir", str(tmp_path)]) == 2
         assert not (tmp_path / "twomode_curve.csv").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "option", [["--alpha-over-pi-min", "0.1"], ["--alpha-over-pi-max", "1"], ["--steps", "0"]],
+        ids=["alpha-over-pi-min", "alpha-over-pi-max", "steps"],
+    )
+    def test_global_rejects_curve_options(self, tmp_path, capsys, option):
+        # --global reads no grid, so a grid option would enter the manifest unread
+        assert run(["twomode", "--global", *option, "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {option[0]} is not an option of --global\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_global_manifest_records_own_options(self, tmp_path):
+        assert run(["twomode", "--global", "--outdir", str(tmp_path)]) == 0
+        recorded = json.loads((tmp_path / "twomode.manifest.json").read_text())["parameters"]
+        assert recorded == {"subcommand": "twomode", "outdir": str(tmp_path),
+                            "m1": 0, "m2": 1, "global_opt": True}
 
 
 class TestInfimumCommand:
@@ -637,9 +696,11 @@ class TestConfigPrecedence:
     )
     def test_option_matched_to_its_dest(self, tmp_path, flags, config, output):
         # --global stores to global_opt: the given flag, also as a prefix,
-        # beats the config key, and the key may be named either way
+        # beats the config key, and the key may be named either way; only
+        # the curve takes --steps
         (tmp_path / "run.cfg").write_text(config + "\n")
-        args = ["twomode", *flags, "--steps", "2", "--config", str(tmp_path / "run.cfg")]
+        steps = ["--steps", "2"] if output == "twomode_curve.csv" else []
+        args = ["twomode", *flags, *steps, "--config", str(tmp_path / "run.cfg")]
         assert run(args + ["--outdir", str(tmp_path / "out")]) == 0
         assert {p.name for p in (tmp_path / "out").iterdir()} == {"twomode.manifest.json", output}
 
@@ -667,8 +728,10 @@ class TestConfigBooleans:
         # a cheap stand-in for the reference schedule, which runs to N = 10000
         monkeypatch.setattr(cli, "REFERENCE_SCHEDULE", (50, 60, 70, 80, 90))
         (tmp_path / "run.cfg").write_text(f"reference-schedule = {raw}\n")
-        args = ["extrapolate", "--alpha-over-pi", "1", "--schedule", "50,60,70,80"]
-        args += ["--config", str(tmp_path / "run.cfg"), "--outdir", str(tmp_path)]
+        args = ["extrapolate", "--alpha-over-pi", "1", "--config", str(tmp_path / "run.cfg")]
+        # --schedule is an option of the given-schedule route only
+        args += [] if raw == "TRUE" else ["--schedule", "50,60,70,80"]
+        args += ["--outdir", str(tmp_path)]
         assert run(args) == code
         out = tmp_path / "extrapolation.json"
         assert (json.loads(out.read_text())["schedule"] if out.exists() else None) == schedule

@@ -140,3 +140,20 @@ def test_only_manifest_writes_files():
     writers = {(name, node.lineno) for name, tree in _trees() for node in ast.walk(tree)
                if isinstance(node, ast.Call) and _writes_a_file(node)}
     assert {name for name, _ in writers} == {"manifest.py"}, writers
+
+
+def test_outdir_made_only_by_emit():
+    # cli._emit makes the outdir just before its first write, so a run that
+    # fails leaves no outdir behind
+    trees = _trees()
+    makes = [node for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _callee(node) in ("mkdir", "makedirs")]
+    makers = {
+        (name, func.name)
+        for name, tree in trees
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if node in makes
+    }
+    assert len(makes) == 1 and makers == {("cli.py", "_emit")}, makers
