@@ -25,7 +25,7 @@ entries are built anew on each request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -198,6 +198,9 @@ class BackflowKernel:
 
     config: RingConfig
     size: int
+    # a kernel on the same config and at least size modes, whose arrays are
+    # sliced instead of computed again (leading_block)
+    parent: InitVar[BackflowKernel | None] = None
     sin_phase: np.ndarray = field(init=False, repr=False)
     cos_phase: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
@@ -205,15 +208,22 @@ class BackflowKernel:
     # column count k -> (padded input, spectrum, product), matvec's FFT buffers
     _buffers: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not 1 <= self.size <= self.config.size:
-            raise ValueError(f"size must be in 1..{self.config.size}, got {self.size!r}")
-        alpha, beta = self.config.alpha, self.config.beta
-        phase = _phase(alpha, beta, self.size)
-        m = np.arange(self.size, dtype=float)
-        # the operation order of kernel_entries, so the diagonal is bitwise its own
-        diag = (m + m - 2.0 * beta) * (alpha / np.pi)
-        arrays = {"sin_phase": np.sin(phase), "cos_phase": np.cos(phase), "_diag": diag}
+    def __post_init__(self, parent):
+        most = self.config.size if parent is None else parent.size
+        if not 1 <= self.size <= most:
+            raise ValueError(f"size must be in 1..{most}, got {self.size!r}")
+        if parent is not None:
+            # every entry depends on its own m alone, so the slices are
+            # bitwise what this size computes
+            arrays = {name: getattr(parent, name)[:self.size]
+                      for name in ("sin_phase", "cos_phase", "_diag")}
+        else:
+            alpha, beta = self.config.alpha, self.config.beta
+            phase = _phase(alpha, beta, self.size)
+            m = np.arange(self.size, dtype=float)
+            # the operation order of kernel_entries, so the diagonal is bitwise its own
+            diag = (m + m - 2.0 * beta) * (alpha / np.pi)
+            arrays = {"sin_phase": np.sin(phase), "cos_phase": np.cos(phase), "_diag": diag}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -265,8 +275,9 @@ class BackflowKernel:
         return out[0] if x.ndim == 1 else out.T
 
     def leading_block(self, k: int) -> "BackflowKernel":
-        """The same operator on the first k modes."""
-        return BackflowKernel(self.config, k)
+        """The same operator on the first k modes, with this kernel's phases
+        and diagonal sliced, not computed again."""
+        return BackflowKernel(self.config, k, self)
 
     def dense(self) -> np.ndarray:
         """The entries as a read-only size x size array, from kernel_entries."""

@@ -35,6 +35,19 @@ def _write_csv(path, head: str, row: str, *columns) -> None:
     Path(path).write_text(head + (row * len(columns[0])) % tuple(values))
 
 
+def peak_rss_mb(status="/proc/self/status") -> float | None:
+    """This process's peak resident set size in MiB, from the VmHWM line of
+    Linux's /proc/self/status; None where that file or line is missing."""
+    try:
+        lines = Path(status).read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0  # the line is in kB
+    return None
+
+
 def sha256_of(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -59,11 +72,14 @@ class RunManifest:
         init=False,
         default_factory=lambda: {name: os.environ.get(name) for name in THREAD_VARIABLES},
     )
+    # the process's peak RSS in MiB when the manifest is written (peak_rss_mb)
+    peak_rss_mb: float | None = field(init=False, default=None)
 
     def add_output(self, path) -> None:
         self.outputs.append({"path": str(path), "sha256": sha256_of(path)})
 
     def write(self, path) -> None:
         self.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.peak_rss_mb = peak_rss_mb()
         # every field, without the deep copy dataclasses.asdict would make
         _write_json(path, vars(self))

@@ -10,10 +10,11 @@ at angle theta is evaluated through the O(N)-per-sample reduction
 
 algebraically identical to the double sum over (m, n).
 
-current_series samples z, w, rz and rw (the sums with r_m c_m, r_m (m-beta) c_m,
-r = 2 alpha (m-beta)^2) on the grid tau_k = np.linspace(lo, hi, n)[k] without
-an exponential per (sample, mode) pair, by a type-1 nonuniform FFT at every
-mode count.
+current_series samples z and w, and rz and rw (the sums with r_m c_m,
+r_m (m-beta) c_m, r = 2 alpha (m-beta)^2) unless every sample lies on the
+exact grid, on the grid tau_k = np.linspace(lo, hi, n)[k] without an
+exponential per (sample, mode) pair, by a type-1 nonuniform FFT at every mode
+count.
 
 It evaluates the sums at the points t_k = lo + k h of an exact grid of step h
 and adds the rest of each sample to first order: tau_k = t_k + eps_k with
@@ -21,6 +22,10 @@ eps_k the exact remainder (at most about 1e-16), and z -> z - i eps_k rz (the
 same for w).  r reaches 1e7 at N = 2000, so r*eps reaches 1e-9 and the term
 matters: on the N = 2000 maximizing state over (-1/2, 1/2), dropping it moves
 T*J by up to 1.2e-11.  Its second-order term (r*eps)^2/2 is below 1e-18.
+Where every eps_k is zero, as for verify's 16385 samples over (-1/2, 1/2)
+(h = 2^-14), rz and rw are neither formed nor transformed; T*J is then
+bitwise what the four columns give, and the diagnostics say
+first_order_term = False.
 
 Samples are taken in windows of at most _NUFFT_WINDOW_SAMPLES.  In a window
 around sample k0, with j = k - k0,
@@ -32,10 +37,11 @@ Greengard & Lee, SIAM Rev. 46 (2004) 443).  Each b_m is spread onto a 5-smooth
 grid of 4*quarter points, oversampling R = 2 for the 2*quarter outputs, by a
 Gaussian of half-width 16 grid points and parameter pi*16/(M^2 R (R - 1/2)),
 M = 2*quarter; one FFT per window then gives every output, and dividing by the
-Gaussian's Fourier coefficient undoes the spreading.  The four columns cost
-8*32*N weighted np.bincount entries and four FFTs of the grid per window,
-and no BLAS call.  The start phases r_m (lo + k0 h) and x_m are reduced mod
-2pi in double-double (kernel._phase's helpers), and x_m stays double-double
+Gaussian's Fourier coefficient undoes the spreading.  Each column costs
+2*32*N weighted np.bincount entries and one FFT of the grid per window (four
+columns, or two on an exact grid), and no BLAS call.  The start phases
+r_m (lo + k0 h) and x_m are reduced mod 2pi in double-double
+(kernel._phase's helpers), and x_m stays double-double
 until its offset from the grid point below it, so no output carries j times
 the rounding of x_m.  The Gaussian's truncation and aliasing are each below
 e^{-33} of sum |b_m|.  The division raises them, and the FFT's rounding,
@@ -51,9 +57,10 @@ within 1.8e-14; 400 random states of 2 to 16 modes sampled twice (one output
 at j = -1) within 4.3e-14.  The same sums with each phase rounded to a
 double, fl(r_m*tau), are up to 1.6e-10 off on those 127-mode states.
 
-Working memory is about 0.2 kB a mode, 0.2 kB a window sample and at most
-0.4 MB for the spread's weights, grid points and products, whatever
-n_samples is.
+Working memory is about 0.2 kB a mode, 0.2 kB a window sample, at most
+0.4 MB for the spread's weights, grid points and products, and the grid
+offsets of all samples, formed once: 8 bytes a sample, about 50 while they
+are computed.
 """
 
 from __future__ import annotations
@@ -114,7 +121,8 @@ class CurrentSeries:
     tj_values: np.ndarray
     theta: float
     # how the series was evaluated, for the run manifest, not the data file:
-    # method "nufft" with its windows, grid length and spread half-width
+    # method "nufft" with its windows, grid length and spread half-width, and
+    # whether the first-order term ran (false when every tau is on the grid)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -198,17 +206,23 @@ def current_series(
     m = np.arange(len(state.coeffs))
     phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
     c_theta = state.coeffs * np.exp(1j * m * theta)
-    w_coeff = (m - state.beta) * c_theta
-    amps = np.stack([c_theta, w_coeff, phase_rate * c_theta, phase_rate * w_coeff], axis=1)
+    amps = np.stack([c_theta, (m - state.beta) * c_theta], axis=1)
     tj, diagnostics = _nufft_series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
     return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
 
 
 def _nufft_series(amps, phase_rate, tau, scale):
     """(T*J at every tau, the transform's settings), from one Gaussian-gridding
-    type-1 nonuniform FFT of the four amplitude columns per window of samples."""
+    type-1 nonuniform FFT per window of samples.  amps holds the z and w
+    columns; the rz and rw columns, r = phase_rate, join them only when some
+    tau lies off the exact grid lo + k h."""
     n_samples, n_modes = len(tau), len(phase_rate)
     lo, h = tau[0], (tau[-1] - tau[0]) / (n_samples - 1)  # np.linspace's step
+    eps = _grid_offsets(tau, lo, h)
+    first_order = bool(eps.any())
+    if first_order:
+        amps = np.concatenate([amps, phase_rate[:, None] * amps], axis=1)
+    columns = amps.shape[1]
     windows = -(-n_samples // _NUFFT_WINDOW_SAMPLES)
     width = -(-n_samples // windows)  # samples a window; the last may have fewer
     # A transform gives the outputs j = -quarter .. quarter-1 from a grid of
@@ -245,11 +259,11 @@ def _nufft_series(amps, phase_rate, tau, scale):
     # the Gaussian's Fourier coefficient sqrt(gauss/pi) e^{-j^2 gauss} and by grid.
     j = np.arange(-quarter, quarter)
     deconvolve = np.exp(j * (j * gauss)) * (math.sqrt(math.pi / gauss) / grid)
-    turned = np.empty((4, n_modes), dtype=complex)
-    parts = np.empty((4, 2, n_modes))  # Re and Im of each turned column
-    gridded = np.empty((4, grid), dtype=complex)
-    planes = gridded.view(float).reshape(4, grid, 2)
-    by_quarter = gridded.reshape(4, quarter, 4)
+    turned = np.empty((columns, n_modes), dtype=complex)
+    parts = np.empty((columns, 2, n_modes))  # Re and Im of each turned column
+    gridded = np.empty((columns, grid), dtype=complex)
+    planes = gridded.view(float).reshape(columns, grid, 2)
+    by_quarter = gridded.reshape(columns, quarter, 4)
     tj = np.empty(n_samples)
     for first in range(0, n_samples, width):
         last = min(first + width, n_samples)
@@ -275,7 +289,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
             np.exp(weight, out=weight)
             np.add(below, steps, out=point)
             point %= grid
-            for q in range(4):
+            for q in range(columns):
                 for part in range(2):
                     np.multiply(weight, parts[q, part], out=product)
                     planes[q, :, part] += np.bincount(point.ravel(), product.ravel(),
@@ -287,24 +301,27 @@ def _nufft_series(amps, phase_rate, tau, scale):
         bins = slice(quarter + first - centre, quarter + last - centre)
         values = gridded[:, bins]
         values *= deconvolve[bins]
-        z, w, rz, rw = values
-        eps = _grid_offsets(tau[first:last], lo, h, first)
-        # z - i eps rz and w - i eps rw: the first-order remainder term
-        z_re = z.real + eps * rz.imag
-        z_im = z.imag - eps * rz.real
-        w_re = w.real + eps * rw.imag
-        w_im = w.imag - eps * rw.real
+        z, w = values[:2]
+        z_re, z_im, w_re, w_im = z.real, z.imag, w.real, w.imag
+        if first_order:
+            # z - i eps rz and w - i eps rw: the first-order remainder term
+            rz, rw = values[2:]
+            offsets = eps[first:last]
+            z_re = z_re + offsets * rz.imag
+            z_im = z_im - offsets * rz.real
+            w_re = w_re + offsets * rw.imag
+            w_im = w_im - offsets * rw.real
         tj[first:last] = scale * (z_re * w_re + z_im * w_im)
     diagnostics = {"method": "nufft", "windows": windows, "grid_length": grid,
-                   "spread_half_width": spread}
+                   "spread_half_width": spread, "first_order_term": first_order}
     return tj, diagnostics
 
 
-def _grid_offsets(tau: np.ndarray, lo: float, h: float, first: int) -> np.ndarray:
-    """tau_k - (lo + k h) for k = first, first + 1, ..., with tau - lo (TwoSum)
-    and k h (TwoProduct) carried exactly, so the difference is rounded once
-    in effect: the two leading parts agree to a few units and cancel exactly."""
-    k = np.arange(first, first + len(tau), dtype=float)
+def _grid_offsets(tau: np.ndarray, lo: float, h: float) -> np.ndarray:
+    """tau_k - (lo + k h) for k = 0, 1, ..., with tau - lo (TwoSum) and k h
+    (TwoProduct) carried exactly, so the difference is rounded once in
+    effect: the two leading parts agree to a few units and cancel exactly."""
+    k = np.arange(len(tau), dtype=float)
     product, product_err = _two_prod(k, h)
     diff, diff_err = _two_sum(tau, -lo)
     return (diff - product) + (diff_err - product_err)

@@ -10,7 +10,7 @@ import pytest
 import ringflow
 from ringflow import cli, verify
 from ringflow.cli import main
-from ringflow.manifest import THREAD_VARIABLES, sha256_of
+from ringflow.manifest import THREAD_VARIABLES, peak_rss_mb, sha256_of
 
 
 def run(args):
@@ -34,6 +34,33 @@ def check_manifest(outdir, command, data_files):
     for output in manifest["outputs"]:
         assert sha256_of(output["path"]) == output["sha256"]
     assert manifest["thread_env"] == {name: os.environ.get(name) for name in THREAD_VARIABLES}
+    peak = manifest["peak_rss_mb"]
+    assert peak is None or peak > 0
+
+
+class TestPeakRss:
+    def test_read_from_vmhwm(self, tmp_path):
+        status = tmp_path / "status"
+        status.write_text("Name:\tpython\nVmPeak:\t  99999 kB\nVmHWM:\t   40960 kB\n")
+        assert peak_rss_mb(status) == 40.0
+        status.write_text("Name:\tpython\n")
+        assert peak_rss_mb(status) is None
+        assert peak_rss_mb(tmp_path / "missing") is None
+
+    def test_in_manifest_not_in_data(self, tmp_path):
+        # two runs: the manifests carry each process's peak, the data files
+        # stay byte-identical
+        for outdir in ("a", "b"):
+            args = ["eigen", "--alpha", "1.0", "--n", "40", "--outdir", str(tmp_path / outdir)]
+            assert run(args) == 0
+            manifest = json.loads((tmp_path / outdir / "eigen.manifest.json").read_text())
+            if Path("/proc/self/status").exists():
+                # VmHWM never falls, so the value written is at most today's
+                assert 0 < manifest["peak_rss_mb"] <= peak_rss_mb()
+            else:
+                assert manifest["peak_rss_mb"] is None
+        assert (tmp_path / "a" / "eigen.json").read_bytes() == \
+            (tmp_path / "b" / "eigen.json").read_bytes()
 
 
 class TestEigenCommand:
@@ -497,7 +524,7 @@ class TestStateAndCurrentCommands:
         assert code == 0
         diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
-                               "spread_half_width": 16}
+                               "spread_half_width": 16, "first_order_term": True}
         assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
 
     def test_manifest_records_nufft(self, tmp_path):
@@ -508,7 +535,19 @@ class TestStateAndCurrentCommands:
         diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
         # 301 modes, as 21: the plan depends on the samples, not the modes
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
-                               "spread_half_width": 16}
+                               "spread_half_width": 16, "first_order_term": True}
+
+    def test_manifest_records_exact_grid(self, tmp_path):
+        # h = 1/128: every sample of np.linspace(-0.5, 0.5, 129) is -0.5 + k h
+        # exactly, so the first-order term is left out; 100 is the smallest
+        # 5-smooth number >= 3/4 of 129 samples
+        state = write_state(tmp_path / "state", "--alpha", "1.0", "--n", "20")
+        code = run(["current", "--state-file", state, "--samples", "129", "--tau-min", "-0.5",
+                    "--tau-max", "0.5", "--outdir", str(tmp_path)])
+        assert code == 0
+        diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
+        assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 400,
+                               "spread_half_width": 16, "first_order_term": False}
 
     @pytest.mark.parametrize(
         "header, rows, line, reason",

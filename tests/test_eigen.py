@@ -156,6 +156,67 @@ def test_rank_deficient_gram_drops_p(monkeypatch):
     assert drops > 0
 
 
+def _numpy_rayleigh_ritz(gram, proj):
+    inv = np.linalg.inv(np.linalg.cholesky(gram))
+    vals, vecs = np.linalg.eigh(inv @ ((proj + proj.T) / 2) @ inv.T)
+    return vals[0], inv.T @ vecs[:, 0]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("delta", [1.0, 1e-2, 1e-4, 1e-5])
+def test_rayleigh_ritz_matches_numpy(width, delta):
+    # unit basis vectors in R^8, the last within delta of the first, so the
+    # last Cholesky pivot is about delta (1e-5 is ten times _GRAM_PIVOT_MIN);
+    # rounding in the congruence grows as 1/pivot^2, in both computations
+    rng = np.random.default_rng(round(width / delta))
+    for _ in range(100):
+        a = rng.standard_normal((8, 8))
+        a += a.T
+        b = rng.standard_normal((width, 8))
+        if delta < 1.0:
+            b[-1] = b[0] + delta * b[-1]
+        b /= np.linalg.norm(b, axis=1)[:, None]
+        gram, proj = b @ b.T, (b @ a) @ b.T
+        lam, y = eigen._rayleigh_ritz(gram.tolist(), proj.tolist())
+        want_lam, want_y = _numpy_rayleigh_ritz(gram, proj)
+        assert isinstance(lam, float) and all(isinstance(c, float) for c in y)
+        scale = 1e-14 / np.linalg.cholesky(gram).diagonal().min() ** 2
+        assert abs(lam - want_lam) <= scale * np.max(np.abs(a))
+        ritz, want = b.T @ np.array(y), b.T @ want_y
+        assert min(np.max(np.abs(ritz - want)), np.max(np.abs(ritz + want))) <= 10 * scale
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[eigen._GRAM_PIVOT_MIN ** 2, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, eigen._GRAM_PIVOT_MIN ** 2]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, (0.5 * eigen._GRAM_PIVOT_MIN) ** 2]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 0.5, 0.5], [0.5, 1.0, -0.9], [0.5, -0.9, 1.0]],
+        [[1.0, 0.0], [math.nan, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, math.nan]],
+    ],
+    ids=["first-pivot-at-min", "second-pivot-at-min", "third-pivot-below-min",
+         "indefinite", "indefinite-3", "nan-off-diagonal", "nan-pivot"],
+)
+def test_rayleigh_ritz_rejects_gram(gram):
+    # sqrt(fl(x^2)) is x, so a squared pivot of _GRAM_PIVOT_MIN^2 sits at the bound
+    assert eigen._rayleigh_ritz(gram, np.eye(len(gram)).tolist()) is None
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_rayleigh_ritz_accepts_pivots_above_min(width):
+    # a diagonal Gram matrix g and projection -1: the Ritz values are -1/g_i,
+    # lowest on the short basis vector, whose coefficient is 1/sqrt(g_i)
+    for i in range(width):
+        gram = np.eye(width)
+        gram[i, i] = (1.01 * eigen._GRAM_PIVOT_MIN) ** 2
+        lam, y = eigen._rayleigh_ritz(gram.tolist(), (-np.eye(width)).tolist())
+        assert lam == pytest.approx(-1.0 / gram[i, i], rel=1e-12)
+        assert np.abs(y) == pytest.approx(np.eye(width)[i] / math.sqrt(gram[i, i]), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "start",
     [np.ones(802), np.zeros(400), np.r_[1.0, np.nan], np.r_[1.0, np.inf], np.ones((2, 2)), []],

@@ -257,6 +257,10 @@ class TestOperator:
             assert block.size == k
             assert np.array_equal(block.dense(), full[:k, :k])
             assert np.array_equal(block.diagonal(), np.diagonal(full)[:k])
+            # the sliced phases are those a k-mode kernel computes
+            built = kernel.BackflowKernel(kern.config, k)
+            assert np.array_equal(block.sin_phase, built.sin_phase)
+            assert np.array_equal(block.cos_phase, built.cos_phase)
 
     @pytest.mark.parametrize("k", [0, 902])
     def test_leading_block_size_checked(self, k):

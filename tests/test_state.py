@@ -17,6 +17,7 @@ from ringflow import (
     minimize_two_mode,
     time_quadrature_p,
 )
+import ringflow.state as state_module
 from ringflow.state import (
     CurrentSeries,
     read_state_csv,
@@ -201,7 +202,7 @@ class TestCurrentSeries:
         n_samples = 32001
         series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
         assert series.diagnostics == {"method": "nufft", "windows": 8, "grid_length": 12288,
-                                      "spread_half_width": 16}
+                                      "spread_half_width": 16, "first_order_term": True}
         for i in (0, 177, 178, 355, 31862, 32000):
             exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
@@ -216,6 +217,35 @@ class TestCurrentSeries:
             exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-12)
         assert series.diagnostics["method"] == "nufft"
+
+    @pytest.mark.parametrize("n_modes", [8, 2001])
+    def test_exact_grid_drops_first_order_term(self, monkeypatch, n_modes):
+        # h = 1/128 and 1/16384: every tau_k is -0.5 + k h exactly, so only
+        # z and w are transformed, and T*J is bitwise what the four columns
+        # give with every offset zero
+        m = np.arange(n_modes)
+        state = make_state(random_state(np.random.default_rng(n_modes), n_modes)
+                           / (1 + m) ** 1.5, 1.3, -0.3)
+        for n_samples in (129, 16385):
+            series = current_series(state, 0.7, (-0.5, 0.5), n_samples)
+            assert series.diagnostics["first_order_term"] is False
+            for i in (0, 1, n_samples // 2, n_samples - 1):
+                assert series.tj_values[i] == pytest.approx(
+                    literal_double_sum_current(state, 0.7, series.tau_samples[i]), abs=1e-12)
+
+            class Offsets(np.ndarray):
+                def any(self, *args, **kwargs):
+                    return True  # zero offsets taken as if some were not
+
+            offsets = state_module._grid_offsets
+            monkeypatch.setattr(state_module, "_grid_offsets",
+                                lambda *args: offsets(*args).view(Offsets))
+            four = current_series(state, 0.7, (-0.5, 0.5), n_samples)
+            monkeypatch.undo()
+            assert four.diagnostics["first_order_term"] is True
+            assert np.array_equal(four.tj_values, series.tj_values)
+        off_grid = current_series(state, 0.7, (-0.5, 0.5), 101)
+        assert off_grid.diagnostics["first_order_term"] is True
 
     def test_phases_exact_far_from_zero(self):
         # 127 modes over (-7.3, 12.9), where r*tau reaches 1.3e6: phases
