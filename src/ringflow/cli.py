@@ -15,7 +15,8 @@ from, in this order: its flag, a flat key=value config file (--config),
 RINGFLOW_JOBS for --jobs (sweep and infimum only) and its default.  A config
 value is read with its option's type, so path, schedule and number options
 work there as flags do; on/off flags take true or false.  --jobs, however
-given, is an integer >= 1.  A bad value exits 2 with argparse's message.
+given, is an integer >= 1: one that is no integer exits 2 with argparse's
+message, one below 1 with the sweep's "jobs must be an integer >= 1".
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import verify as verify_mod
 from .eigen import min_eigen
 from .extrapolate import DEFAULT_SWEEP_SCHEDULE, REFERENCE_SCHEDULE, extrapolated_infimum
-from .kernel import RingConfig, build_kernel, canonicalize
+from .kernel import RingConfig, _check_alpha, build_kernel, canonicalize
 from .linelimit import line_limit_min, ring_small_alpha_limit
 from .manifest import RunManifest, _write_csv, _write_json
 from .state import (
@@ -83,27 +84,13 @@ def _add_common(parser):
 
 
 def _add_jobs(parser):
-    # a string default is converted with the type, so RINGFLOW_JOBS is checked as --jobs is
-    parser.add_argument("--jobs", type=_jobs_arg, default=os.environ.get("RINGFLOW_JOBS", "1"))
+    # a string default is converted with the type, so RINGFLOW_JOBS is read as --jobs is;
+    # sweep_alpha and find_infimum check the range
+    parser.add_argument("--jobs", type=int, default=os.environ.get("RINGFLOW_JOBS", "1"))
 
 
 def _schedule_arg(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _jobs_arg(raw: str) -> int:
-    """The most worker processes a sweep scan may fork: an integer >= 1.
-
-    A scan too small to pay for the fork runs in the calling process (see
-    sweep.sweep_workers).
-    """
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
-    return jobs
 
 
 def _require(args, *names) -> None:
@@ -196,9 +183,16 @@ def _write_sweep_csv(records, path) -> None:
     _write_csv(path, "alpha_over_pi,beta,p,residual\n", "%.17g,%.17g,%.17g,%.17g\n", *zip(*rows))
 
 
+def _alpha_over_pi_grid(args):
+    """np.linspace over the --alpha-over-pi bounds, each checked as an alpha first."""
+    for bound in (args.alpha_over_pi_min, args.alpha_over_pi_max):
+        _check_alpha(bound * math.pi)
+    return np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
+
+
 def cmd_sweep(args, manifest) -> int:
     _require(args, "alpha_over_pi_min", "alpha_over_pi_max", "steps")
-    grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
+    grid = _alpha_over_pi_grid(args)
     records = sweep_alpha(args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs)
     manifest.diagnostics["scans"] = [scan_diagnostics(len(grid), args.schedule, args.jobs)]
     _emit(manifest, args.outdir, {"sweep.csv": lambda path: _write_sweep_csv(records, path)})
@@ -245,7 +239,7 @@ def cmd_twomode(args, manifest) -> int:
         _emit(manifest, args.outdir, {"twomode_global.json": record})
         print(f"p* = {_fmt(p_s)} at alpha/pi = {_fmt(alpha_s / math.pi)}, beta = {_fmt(beta_s)}")
         return 0
-    grid = np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
+    grid = _alpha_over_pi_grid(args)
     rows = two_mode_curve(args.m1, args.m2, grid)
     head, row = "alpha_over_pi,beta,p_min\n", "%.17g,%.17g,%.17g\n"
     _emit(manifest, args.outdir,

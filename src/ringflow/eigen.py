@@ -239,20 +239,6 @@ def _padded_start(start, size: int) -> np.ndarray:
     return padded
 
 
-def _lowest_lobpcg(
-    kernel: BackflowKernel, scale: float, start: np.ndarray | None
-) -> tuple[float, np.ndarray, int]:
-    """LOBPCG's lowest pair and iteration count from start, or from the
-    start block's eigenvector when start is None; scale is max|D|."""
-    if start is None:
-        block = min(_START_BLOCK, kernel.size)
-        start = np.zeros(kernel.size)
-        start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
-    precond = 1.0 / (kernel.diagonal() + 1.0)
-    tol = _LOBPCG_TOL_FACTOR * (np.max(np.abs(kernel.sin_phase)) + scale)
-    return _lobpcg(kernel.matvec, start, precond, tol)
-
-
 def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
     """Smallest eigenvalue and eigenvector of a kernel, by LOBPCG at every size.
 
@@ -271,12 +257,19 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
     """
     if start is not None:
         start = _padded_start(start, kernel.size)
-    if kernel.size <= _START_BLOCK:
-        start = None  # the exact dense start
+    warm_started = start is not None and kernel.size > _START_BLOCK
+    if not warm_started:
+        # the start block's eigenvector; on a kernel of at most _START_BLOCK
+        # modes it is the exact dense one
+        block = min(_START_BLOCK, kernel.size)
+        start = np.zeros(kernel.size)
+        start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
     # the operator's diagonal is bitwise the dense one
     scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
-    lam, vec, iterations = _lowest_lobpcg(kernel, scale, start)
-    n_trunc = vec.shape[0] - 1
+    precond = 1.0 / (kernel.diagonal() + 1.0)
+    tol = _LOBPCG_TOL_FACTOR * (np.max(np.abs(kernel.sin_phase)) + scale)
+    lam, vec, iterations = _lobpcg(kernel.matvec, start, precond, tol)
+    n_trunc = kernel.size - 1
 
     vec = _phase_normalize(vec)
     vec = vec / np.linalg.norm(vec)
@@ -293,5 +286,5 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
         n_trunc=n_trunc,
         residual_norm=residual,
         iterations=iterations,
-        warm_started=start is not None,
+        warm_started=warm_started,
     )

@@ -21,7 +21,6 @@ exceeds the variational bound lambda(320000).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -163,9 +162,8 @@ def _check_interlacing(lower, upper, kernel) -> None:
     """Raise ArithmeticError if upper, the solve of kernel, rises above lower,
     the solve of a leading block, by more than rounding."""
     rise = upper.lambda_min - lower.lambda_min
-    # max|D| = 2 alpha (N - beta)/pi, the certificate's scale, for beta in (-1, 0]
-    alpha, beta = kernel.config.alpha, kernel.config.beta
-    tol = _INTERLACING_FACTOR * 2.0 * alpha * (kernel.size - 1 - beta) / math.pi
+    # max|D|, the scale of min_eigen's certificate
+    tol = _INTERLACING_FACTOR * np.max(np.abs(kernel.diagonal()))
     if rise > tol:
         raise ArithmeticError(
             f"lambda({upper.n_trunc}) = {upper.lambda_min!r} exceeds "

@@ -15,11 +15,12 @@ With the phases a_m = alpha*(m - beta)^2, the sinc argument is a_m - a_n, so
 
 with S = diag(sin a), C = diag(cos a), T the skew Toeplitz matrix 1/(m - n)
 (zero diagonal) and D = diag(2*alpha*(m - beta)/pi).  BackflowKernel keeps
-only sin a, cos a and D, and applies K through a circulant embedding of T:
-one numpy.fft rfft/irfft pair per product, at the smallest 5-smooth length
-of at least 2N - 1: O(N log N) time and O(N) memory.  The FFT of the
-embedded symbol is computed on the first product and kept; the N x N
-entries are built anew on each request.
+only sin a, cos a and D, and applies K to one vector at a time through a
+circulant embedding of T: one numpy.fft rfft/irfft pair per product, at the
+smallest 5-smooth length of at least 2N - 1: O(N log N) time and O(N)
+memory.  The FFT of the embedded symbol and one set of FFT work buffers are
+made on the first product and kept; the N x N entries are built anew on
+each request.
 """
 
 from __future__ import annotations
@@ -31,33 +32,26 @@ import numpy as np
 
 # Below this the Taylor series 1 - z^2/6 + z^4/120 is more accurate than sin(z)/z.
 _SINC_TAYLOR_CUTOFF = 1e-4
-# Elements per block of sinc's in-place sin(z)/z: 512 KB, a multiple of any
-# SIMD width, so each element meets the same ufunc loop as in one whole-array call.
-_SINC_BLOCK = 1 << 16
 
 
 def sinc(z):
     """sin(z)/z with sinc(0) = 1, safe near zero.
 
     Accepts scalars or arrays.  Not the numpy convention (no implicit pi).
-    The result is |z| overwritten block by block with sin(|z|)/|z|, and then
-    with the Taylor series on the entries below the cutoff: one array the
-    size of z, plus a boolean mask.
+    sin(|z|)/|z| in one whole-array pass, then the Taylor series on the
+    entries below the cutoff.
     """
-    out = np.array(z, dtype=float, order="C")
-    flat = np.abs(out, out=out).reshape(-1)
-    small = flat < _SINC_TAYLOR_CUTOFF
-    zsq = flat[small]
+    a = np.array(z, dtype=float, ndmin=1)
+    np.abs(a, out=a)
+    small = a < _SINC_TAYLOR_CUTOFF
+    zsq = a[small]
     zsq *= zsq
-    flat[small] = 1.0
-    for start in range(0, flat.size, _SINC_BLOCK):
-        block = flat[start:start + _SINC_BLOCK]
-        ratio = np.sin(block)
-        ratio /= block
-        block[...] = ratio
-    flat[small] = 1.0 - zsq / 6.0 * (1.0 - zsq / 20.0)
-    if out.ndim == 0:
-        return float(out)
+    a[small] = 1.0
+    out = np.sin(a)
+    out /= a
+    out[small] = 1.0 - zsq / 6.0 * (1.0 - zsq / 20.0)
+    if np.ndim(z) == 0:
+        return float(out[0])
     return out
 
 
@@ -186,14 +180,10 @@ class BackflowKernel:
 
     size is config.size for the full kernel and smaller for a leading block.
     Holds sin_phase and cos_phase, sin and cos of the phases a_m, and the
-    diagonal.  matvec computes the FFT of T's circulant embedding on first
-    request and keeps it, and keeps its FFT work buffers beside it, one set
-    per column count k: the zero-padded (2k, L) input, its spectrum and the
-    product, about 48*k*L bytes for the FFT length L.  Buffers allocated
-    afresh were faulted in on every product from N of about 4000 on: 70 page
-    faults a one-column matvec at N = 4000, 464 a three-column one at
-    N = 10000, where kept buffers take 0 and 249 (the rest are pocketfft's own
-    scratch).  dense() builds the entries anew on each call.
+    diagonal.  The first matvec makes the FFT of T's circulant embedding and
+    the FFT work buffers, about 48*L bytes for the FFT length L, and keeps
+    them: buffers allocated afresh took 70 page faults a product at N = 4000,
+    kept ones none.  dense() builds the entries anew on each call.
     """
 
     config: RingConfig
@@ -204,9 +194,8 @@ class BackflowKernel:
     sin_phase: np.ndarray = field(init=False, repr=False)
     cos_phase: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
-    _circulant: tuple[int, np.ndarray] | None = field(init=False, repr=False, default=None)
-    # column count k -> (padded input, spectrum, product), matvec's FFT buffers
-    _buffers: dict = field(init=False, repr=False, default_factory=dict)
+    # (symbol, padded input, spectrum, product), made by the first matvec
+    _fft: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self, parent):
         most = self.config.size if parent is None else parent.size
@@ -232,20 +221,18 @@ class BackflowKernel:
         return self._diag
 
     def matvec(self, x) -> np.ndarray:
-        """K @ x, a new array, for x of shape (size,) or (size, k).
+        """K @ x, a new array, for x of shape (size,); ValueError for any other shape.
 
-        One FFT pair on 2k zero-padded rows [c*x; s*x], along the contiguous
-        axis; each row is transformed alone, so a column gives bitwise the
-        same numbers alone as in a block.  The work happens in the kernel's
-        kept buffers, so matvec is not reentrant: two threads must not call
-        it on one kernel at the same time.
+        One FFT pair on the two zero-padded rows [c*x; s*x], along the
+        contiguous axis.  The work happens in the kernel's kept buffers, so
+        matvec is not reentrant: two threads must not call it on one kernel
+        at the same time.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != self.size:
-            raise ValueError(f"need shape ({self.size},) or ({self.size}, k), got {x.shape}")
-        n, rows = self.size, x.reshape(self.size, -1).T
-        k = rows.shape[0]
-        if self._circulant is None:
+        if x.shape != (self.size,):
+            raise ValueError(f"need shape ({self.size},), got {x.shape}")
+        n = self.size
+        if self._fft is None:
             # first column of a circulant whose leading size x size block is
             # the skew Toeplitz 1/(pi*(m - n)): t below the diagonal, -t above
             length = _fft_size(2 * n - 1)
@@ -255,24 +242,20 @@ class BackflowKernel:
             col[length - n + 1:] = -t[::-1]
             symbol = np.fft.rfft(col)
             symbol.setflags(write=False)
-            object.__setattr__(self, "_circulant", (length, symbol))
-        length, symbol = self._circulant
-        if k not in self._buffers:
-            # only [:, :n] of buf is ever written, so its padding stays zero
-            self._buffers[k] = (np.zeros((2 * k, length)),
-                                np.empty((2 * k, symbol.size), dtype=complex),
-                                np.empty((2 * k, length)))
-        buf, spectrum, prod = self._buffers[k]
-        np.multiply(rows, self.cos_phase, out=buf[:k, :n])
-        np.multiply(rows, self.sin_phase, out=buf[k:, :n])
+            # only [:, :n] of the input is ever written, so its padding stays zero
+            object.__setattr__(self, "_fft", (
+                symbol, np.zeros((2, length)),
+                np.empty((2, symbol.size), dtype=complex), np.empty((2, length))))
+        symbol, buf, spectrum, prod = self._fft
+        np.multiply(x, self.cos_phase, out=buf[0, :n])
+        np.multiply(x, self.sin_phase, out=buf[1, :n])
         np.fft.rfft(buf, out=spectrum)
         spectrum *= symbol
-        np.fft.irfft(spectrum, n=length, out=prod)
-        out = np.multiply(prod[:k, :n], self.sin_phase)
-        cos_term = np.multiply(prod[k:, :n], self.cos_phase, out=prod[k:, :n])
-        out -= cos_term
-        out += np.multiply(rows, self._diag, out=prod[:k, :n])
-        return out[0] if x.ndim == 1 else out.T
+        np.fft.irfft(spectrum, n=buf.shape[1], out=prod)
+        out = np.multiply(prod[0, :n], self.sin_phase)
+        out -= np.multiply(prod[1, :n], self.cos_phase, out=prod[1, :n])
+        out += np.multiply(x, self._diag, out=prod[0, :n])
+        return out
 
     def leading_block(self, k: int) -> "BackflowKernel":
         """The same operator on the first k modes, with this kernel's phases
@@ -291,21 +274,16 @@ def kernel_entries(alpha: float, beta: float, size: int) -> np.ndarray:
 
     beta is taken as given, not canonicalized.  Bitwise symmetric: the sinc
     argument enters through its absolute value, identical for (m, n) and
-    (n, m).  Formed in place, and m + n - 2*beta is formed again after sinc
-    rather than kept, so at most two size x size arrays are alive at a time.
+    (n, m).  m + n - 2*beta is formed once and scaled in place into the
+    result.  Four size x size arrays are alive at the peak, in sinc: the
+    program builds only small blocks densely (LOBPCG's start, verify).
     """
     m = np.arange(size, dtype=float)
-
-    def index_sum():
-        s = m[:, None] + m[None, :]
-        s -= 2.0 * beta
-        return s
-
-    z = index_sum()
-    z *= alpha
+    s = m[:, None] + m[None, :]
+    s -= 2.0 * beta
+    z = s * alpha
     z *= m[:, None] - m[None, :]
     z = sinc(z)
-    s = index_sum()
     s *= alpha / np.pi
     s *= z
     return s
@@ -319,7 +297,7 @@ def build_kernel(config: RingConfig) -> BackflowKernel:
 def integrated_current(coeffs: np.ndarray, kernel: BackflowKernel) -> float:
     """Quadratic form sum_{m,n} conj(c_m) K[m,n] c_n for a normalized state.
 
-    One operator product on the real and imaginary parts together and one
+    One operator product on the real part, one on the imaginary part and one
     dot product, in a fixed order, so the result is reproducible across runs.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -331,8 +309,7 @@ def integrated_current(coeffs: np.ndarray, kernel: BackflowKernel) -> float:
     if abs(norm_sq - 1.0) > 1e-10:
         raise ValueError(f"state not normalized: sum |c_m|^2 = {norm_sq!r}")
 
-    kc = kernel.matvec(np.column_stack([c.real, c.imag]))
-    total = np.vdot(c, kc[:, 0] + 1j * kc[:, 1])
+    total = np.vdot(c, kernel.matvec(c.real) + 1j * kernel.matvec(c.imag))
     if abs(total.imag) > 1e-12:
         raise ArithmeticError(f"quadratic form has imaginary part {total.imag!r}")
     return float(total.real)

@@ -169,8 +169,10 @@ def find_infimum(
     set.
     """
     a_lo, a_hi = alpha_box
-    if not (0 < a_lo <= a_hi):
-        raise ValueError("alpha box must be positive and ordered")
+    _check_alpha(a_lo)
+    _check_alpha(a_hi)
+    if not a_lo <= a_hi:
+        raise ValueError("alpha box must be ordered")
     _check_beta_max(beta_max)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")

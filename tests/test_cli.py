@@ -163,12 +163,18 @@ class TestSweepCommand:
           "alpha must be positive"),
          (["--schedule", "20,30,40"], "at least 4"),
          (["--schedule", "20,20,30,40"], "distinct"),
-         (["--schedule", "0,30,40,50"], "n_trunc >= 1")],
-        ids=["non-positive-alpha", "three-sizes", "repeated-size", "zero-size"],
+         (["--schedule", "0,30,40,50"], "n_trunc >= 1"),
+         (["--alpha-over-pi-min", "0.5", "--alpha-over-pi-max", "inf", "--steps", "3"],
+          "got inf"),
+         (["--alpha-over-pi-min", "nan", "--alpha-over-pi-max", "0.5", "--steps", "3"],
+          "got nan")],
+        ids=["non-positive-alpha", "three-sizes", "repeated-size", "zero-size",
+             "inf-alpha", "nan-alpha"],
     )
     def test_bad_inputs_exit_2_before_any_solve(self, tmp_path, monkeypatch, capsys,
                                                 options, message):
-        # validation errors, not per-point solver failures written as nan rows
+        # validation errors, not per-point solver failures written as nan rows;
+        # a non-finite bound is caught before np.linspace could warn
         import ringflow.sweep as sw
 
         def no_solve(alpha, beta, schedule):
@@ -176,10 +182,10 @@ class TestSweepCommand:
 
         monkeypatch.setattr(sw, "extrapolated_infimum", no_solve)
         args = self.SWEEP_ARGS + ["--schedule", "20,30,40,50", *options]
-        assert run(args + ["--outdir", str(tmp_path)]) == 2
+        assert run(args + ["--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert not (tmp_path / "sweep.csv").exists()
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_dead_worker_exits_1(self, tmp_path, monkeypatch, capsys):
         import ringflow.sweep as sw
@@ -364,14 +370,21 @@ class TestTwomodeCommand:
     @pytest.mark.parametrize(
         "options",
         [["--m1", "1", "--m2", "1"], ["--m1", "-2", "--m2", "1"], ["--steps", "0"],
-         ["--alpha-over-pi-min", "-1", "--alpha-over-pi-max", "0", "--steps", "3"]],
-        ids=["equal-pair", "negative-m1", "no-steps", "non-positive-alpha"],
+         ["--alpha-over-pi-min", "-1", "--alpha-over-pi-max", "0", "--steps", "3"],
+         ["--alpha-over-pi-max", "inf", "--steps", "3"],
+         ["--alpha-over-pi-min", "nan", "--steps", "3"]],
+        ids=["equal-pair", "negative-m1", "no-steps", "non-positive-alpha", "inf-alpha",
+             "nan-alpha"],
     )
     def test_curve_validation(self, tmp_path, capsys, options):
-        # the curve checks its pair and grid as --global and sweep do
-        assert run(["twomode", *options, "--outdir", str(tmp_path)]) == 2
-        assert not (tmp_path / "twomode_curve.csv").exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        # the curve checks its pair and grid as --global and sweep do, and a
+        # non-finite bound before np.linspace could warn
+        assert run(["twomode", *options, "--outdir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for value in ("inf", "nan"):
+            assert (value in options) == (f"got {value}" in err)
 
     @pytest.mark.parametrize(
         "option", [["--alpha-over-pi-min", "0.1"], ["--alpha-over-pi-max", "1"], ["--steps", "0"]],
@@ -410,6 +423,17 @@ class TestInfimumCommand:
         args = ["infimum", "--alpha-over-pi-min", "0.3", "--alpha-over-pi-max", "0.4"]
         assert run([*args, "--budget", budget, "--outdir", str(tmp_path)]) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "box, value", [(["0.3", "inf"], "inf"), (["nan", "0.4"], "nan")], ids=["inf", "nan"]
+    )
+    def test_non_finite_box_is_a_validation_error(self, tmp_path, capsys, box, value):
+        # both ends are checked before np.linspace could warn or a nan reach the scan
+        args = ["infimum", "--alpha-over-pi-min", box[0], "--alpha-over-pi-max", box[1]]
+        assert run([*args, "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: alpha must be positive and finite, got {value}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestStateAndCurrentCommands:
@@ -515,10 +539,12 @@ class TestStateAndCurrentCommands:
         assert err.startswith(f"error: state file {path}") and reason in err
         assert not (tmp_path / "current.csv").exists()
 
-    def test_manifest_records_block_plan(self, tmp_path):
-        # a 21-mode state's plan: one transform of 2 * 80 outputs (80 is the
-        # smallest 5-smooth number >= 3/4 of 101 samples) on a grid of 320
-        state = write_state(tmp_path / "state", "--alpha", "1.0", "--n", "20")
+    @pytest.mark.parametrize("n", ["20", "300"], ids=["21-modes", "301-modes"])
+    def test_manifest_records_nufft(self, tmp_path, n):
+        # the plan depends on the samples, not the modes: one transform of
+        # 2 * 80 outputs (80 is the smallest 5-smooth number >= 3/4 of 101
+        # samples) on a grid of 320
+        state = write_state(tmp_path / "state", "--alpha", "1.0", "--n", n)
         code = run(["current", "--state-file", state, "--samples", "101",
                     "--outdir", str(tmp_path)])
         assert code == 0
@@ -526,16 +552,6 @@ class TestStateAndCurrentCommands:
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
                                "spread_half_width": 16, "first_order_term": True}
         assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
-
-    def test_manifest_records_nufft(self, tmp_path):
-        state = write_state(tmp_path / "state", "--alpha", "1.0", "--n", "300")
-        code = run(["current", "--state-file", state, "--samples", "101",
-                    "--outdir", str(tmp_path)])
-        assert code == 0
-        diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
-        # 301 modes, as 21: the plan depends on the samples, not the modes
-        assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
-                               "spread_half_width": 16, "first_order_term": True}
 
     def test_manifest_records_exact_grid(self, tmp_path):
         # h = 1/128: every sample of np.linspace(-0.5, 0.5, 129) is -0.5 + k h

@@ -187,6 +187,13 @@ class TestIntegratedCurrent:
         assert worst <= 1e-12
 
 
+def random_vector(rng, size, layout):
+    """A random vector of size entries: contiguous ("vector"), or a strided
+    column of a (size, 3) block ("block")."""
+    column = rng.standard_normal((size, 3))[:, 1]
+    return column if layout == "block" else column.copy()
+
+
 class TestOperator:
     @pytest.mark.parametrize(
         "alpha,beta,n",
@@ -197,30 +204,30 @@ class TestOperator:
         kern = build_kernel(RingConfig(alpha, beta, n))
         x = np.random.default_rng(8).standard_normal((kern.size, 3))
         want = kern.dense() @ x
-        got = kern.matvec(x)
+        got = np.column_stack([kern.matvec(column) for column in x.T])
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        # one column alone gives the same numbers as in a block
-        assert np.array_equal(kern.matvec(x[:, 1]), got[:, 1])
+        # a strided column gives the same numbers as its contiguous copy
+        assert np.array_equal(kern.matvec(x[:, 1].copy()), got[:, 1])
 
     @pytest.mark.parametrize("size", [1, 2, 3, eigen._START_BLOCK + 1])
-    @pytest.mark.parametrize("shape", [(), (4,)], ids=["vector", "block"])
-    def test_matvec_small_and_crossover_sizes(self, size, shape):
+    @pytest.mark.parametrize("layout", ["vector", "block"])
+    def test_matvec_small_and_crossover_sizes(self, size, layout):
         # the circulant embedding's edge cases, and the smallest size at which
         # LOBPCG iterates beyond its start block
         kern = build_kernel(RingConfig(1.7, -0.4, 400)).leading_block(size)
-        x = np.random.default_rng(size).standard_normal((size, *shape))
+        x = random_vector(np.random.default_rng(size), size, layout)
         want = kern.dense() @ x
         got = kern.matvec(x)
-        assert got.shape == want.shape
+        assert got.shape == want.shape == (size,)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("size", [1, 2, eigen._START_BLOCK + 1, 3000])
-    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
-    def test_matvec_leaves_input_and_returns_new_arrays(self, size, shape):
+    @pytest.mark.parametrize("layout", ["vector", "block"])
+    def test_matvec_leaves_input_and_returns_new_arrays(self, size, layout):
         # matvec works in place on its own buffers: a read-only input must do,
         # and changing one result must change no later one
         kern = build_kernel(RingConfig(1.7, -0.4, 3000)).leading_block(size)
-        x = np.random.default_rng(size).standard_normal((size, *shape))
+        x = random_vector(np.random.default_rng(size), size, layout)
         kept = x.copy()
         x.setflags(write=False)
         first = kern.matvec(x)
@@ -231,12 +238,12 @@ class TestOperator:
         assert not np.shares_memory(second, first) and not np.shares_memory(second, x)
         assert np.array_equal(second, want)
 
-    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
-    def test_matvec_keeps_its_buffers(self, shape):
-        # after the first product at a column count, a matvec allocates its
-        # result and next to nothing else: the FFT work buffers are kept
+    @pytest.mark.parametrize("layout", ["vector", "block"])
+    def test_matvec_keeps_its_buffers(self, layout):
+        # after the first product, a matvec allocates its result and next to
+        # nothing else: the FFT work buffers are kept
         kern = build_kernel(RingConfig(1.7, -0.4, 4999))
-        x = np.random.default_rng(5).standard_normal((kern.size, *shape))
+        x = random_vector(np.random.default_rng(5), kern.size, layout)
         kern.matvec(x)
         tracemalloc.start()
         try:
@@ -244,7 +251,7 @@ class TestOperator:
                 tracemalloc.reset_peak()
                 result = kern.matvec(x)
                 peak = tracemalloc.get_traced_memory()[1]
-                assert peak <= result.nbytes + 16384  # each buffer: 160 kB a column
+                assert peak <= result.nbytes + 16384  # each buffer: 160 kB
                 del result
         finally:
             tracemalloc.stop()
@@ -268,5 +275,8 @@ class TestOperator:
             build_kernel(RingConfig(1.7, -0.4, 900)).leading_block(k)
 
     def test_matvec_shape_checked(self):
-        with pytest.raises(ValueError):
-            build_kernel(RingConfig(1.0, 0.0, 5)).matvec(np.ones(5))
+        # one vector of size entries; a block of vectors is rejected too
+        kern = build_kernel(RingConfig(1.0, 0.0, 5))
+        for x in (np.ones(5), np.ones(7), 1.0, np.ones((6, 1)), np.ones((6, 3)), np.ones((1, 6))):
+            with pytest.raises(ValueError, match=r"need shape \(6,\)"):
+                kern.matvec(x)

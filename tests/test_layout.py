@@ -61,7 +61,7 @@ def test_kernel_entries_read_only_by_dense_paths():
         or (isinstance(node, ast.Attribute) and node.attr == "entries")
     }
     assert readers == {
-        ("eigen.py", "_lowest_lobpcg"),
+        ("eigen.py", "min_eigen"),
         ("verify.py", "kernel_asymmetry"),
         ("verify.py", "check_kernel_entries"),
     }, readers

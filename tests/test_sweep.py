@@ -229,6 +229,11 @@ class TestFindInfimum:
             find_infimum((-1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             find_infimum((1.0, 2.0), -2.0)
+        with pytest.raises(ValueError, match="ordered"):
+            find_infimum((2.0, 1.0), 0.0)
+        for box, value in (((1.0, math.inf), "inf"), ((math.nan, 1.0), "nan")):
+            with pytest.raises(ValueError, match=f"positive and finite, got {value}"):
+                find_infimum(box, 0.0)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_budget_below_one_rejected_before_any_solve(self, monkeypatch, budget):
