@@ -16,7 +16,9 @@ RINGFLOW_JOBS for --jobs (sweep and infimum only) and its default.  A config
 value is read with its option's type, so path, schedule and number options
 work there as flags do; on/off flags take true or false.  --jobs, however
 given, is an integer >= 1: one that is no integer exits 2 with argparse's
-message, one below 1 with the sweep's "jobs must be an integer >= 1".
+message, one below 1 with the sweep's "jobs must be an integer >= 1".  A
+float option takes a negative value in any notation: --beta -1e-3 and
+--alpha-over-pi-min -inf are read as values.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -301,28 +304,21 @@ def cmd_verify(args, manifest) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ringflow",
-        description="Backflow bound for a charged particle on a ring",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("eigen", help="smallest kernel eigenvalue at one (alpha, beta, N)")
+def _alpha_beta_n_options(p):
     _add_alpha_beta(p, beta_default=0.0)
     p.add_argument("--n", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_eigen)
 
-    p = sub.add_parser("extrapolate", help="extrapolate lambda_min over a truncation schedule")
+
+def _extrapolate_options(p):
     _add_alpha_beta(p, beta_default=0.0)
     p.add_argument("--schedule", type=_schedule_arg, default=None)  # by route, in _ROUTES
     p.add_argument("--reference-schedule", action="store_true",
                    help="use the 15-point high-accuracy schedule")
     _add_common(p)
-    p.set_defaults(func=cmd_extrapolate)
 
-    p = sub.add_parser("sweep", help="sweep the extrapolated infimum over an alpha grid")
+
+def _sweep_options(p):
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--alpha-over-pi-min", type=float, default=None)
     p.add_argument("--alpha-over-pi-max", type=float, default=None)
@@ -330,18 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", type=_schedule_arg, default=list(DEFAULT_SWEEP_SCHEDULE))
     _add_common(p)
     _add_jobs(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("infimum", help="staged grid search for the global infimum")
+
+def _infimum_options(p):
     p.add_argument("--alpha-over-pi-min", type=float, default=None)
     p.add_argument("--alpha-over-pi-max", type=float, default=None)
     p.add_argument("--beta-max", type=float, default=0.0)
     p.add_argument("--budget", type=int, default=200)
     _add_common(p)
     _add_jobs(p)
-    p.set_defaults(func=cmd_infimum)
 
-    p = sub.add_parser("twomode", help="two-mode closed-form curve or global optimum")
+
+def _twomode_options(p):
     p.add_argument("--m1", type=int, default=0)
     p.add_argument("--m2", type=int, default=1)
     p.add_argument("--global", dest="global_opt", action="store_true")
@@ -349,36 +345,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-over-pi-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_twomode)
 
-    p = sub.add_parser("state", help="backflow-maximizing state and decay report")
-    _add_alpha_beta(p, beta_default=0.0)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_state)
 
-    p = sub.add_parser("current", help="time-resolved current of a state file")
+def _current_options(p):
     p.add_argument("--state-file", type=Path, default=None)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--tau-min", type=float, default=-1.5)
     p.add_argument("--tau-max", type=float, default=1.5)
     p.add_argument("--samples", type=int, default=4001)
     _add_common(p)
-    p.set_defaults(func=cmd_current)
 
-    p = sub.add_parser("linelimit", help="straight-line constant via Nystrom or ring route")
+
+def _linelimit_options(p):
     p.add_argument("--u-max", type=float, default=None)
     p.add_argument("--n-points", type=int, default=None)
     p.add_argument("--ring-route", action="store_true")
     _add_alpha_beta(p)  # defaults by route, in _ROUTES
     p.add_argument("--n", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_linelimit)
 
-    p = sub.add_parser("verify", help="run the fast oracle/property suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
+# each command's help line, the function that adds its options, and its handler
+_COMMANDS = {
+    "eigen": ("smallest kernel eigenvalue at one (alpha, beta, N)", _alpha_beta_n_options,
+              cmd_eigen),
+    "extrapolate": ("extrapolate lambda_min over a truncation schedule", _extrapolate_options,
+                    cmd_extrapolate),
+    "sweep": ("sweep the extrapolated infimum over an alpha grid", _sweep_options, cmd_sweep),
+    "infimum": ("staged grid search for the global infimum", _infimum_options, cmd_infimum),
+    "twomode": ("two-mode closed-form curve or global optimum", _twomode_options, cmd_twomode),
+    "state": ("backflow-maximizing state and decay report", _alpha_beta_n_options, cmd_state),
+    "current": ("time-resolved current of a state file", _current_options, cmd_current),
+    "linelimit": ("straight-line constant via Nystrom or ring route", _linelimit_options,
+                  cmd_linelimit),
+    "verify": ("run the fast oracle/property suite", _add_common, cmd_verify),
+}
+
+# argparse (3.10 to 3.13) reads a token that starts with '-' as a value only
+# if it matches its own pattern for -12 or -1.5, so "--beta -1e-3" and
+# "--alpha-over-pi-min -inf" failed with "expected one argument".  This
+# pattern takes every float literal; it matches no option string of ours,
+# which argparse requires before it reads such tokens as values.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subcommands' included, that reads a negative float
+    in any notation as an option's value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command's options alone.
+
+    Building the options takes most of a parser's cost, so main builds only
+    the invoked command's; its usage line names every command all the same.
+    """
+    parser = _Parser(prog="ringflow", description="Backflow bound for a charged particle on a ring")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    if command is not None:
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name, (help_line, add_options, func) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_options(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -417,7 +452,8 @@ def _parse_with_config(parser, args, argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

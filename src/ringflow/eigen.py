@@ -4,13 +4,20 @@ Every eigenvalue in the package comes from here: truncated backflow kernels,
 and the half-line Nystrom matrix of the line limit, which is a ring kernel
 too.  One path at every size, numpy only: a single-vector LOBPCG (Knyazev,
 SIAM J. Sci. Comput. 23 (2001) 517) on the kernel's FFT matvec, with the
-diagonal preconditioner 1/(D + 1) and a start vector from LAPACK's eigh on
+diagonal preconditioner 1/max(D, 1) and a start vector from LAPACK's eigh on
 the leading _START_BLOCK = 25 modes; O(N) memory beyond that block.  A kernel
 of at most 25 modes is its own start block, so there the start vector is
 dense eigh's eigenvector, and on every kernel tried LOBPCG stops at
 iteration 0.  The block is 25 modes because LAPACK's dsyevd makes no level-3
 BLAS call up to that size, so the start vector wakes no OpenBLAS worker
 thread.
+
+The preconditioner is the identity on modes with D_m < 1 and Jacobi above
+them: the off-diagonal part of K has norm at most 1 (Hilbert's inequality),
+so below D_m = 1 the diagonal does not set a row's scale.  1/(D + 1)
+over-damped the low modes: it took 71 iterations in place of 56 on the ring
+route's alpha = 1e-3, N = 1000, and 100 in place of 84 over cold solves of
+the 800..3000 schedule at alpha*.
 
 One LOBPCG step costs one matvec, one Gram product, a 3 x 3 Rayleigh-Ritz
 and about fifteen numpy calls on length-N rows.  The pairs (x, K x),
@@ -31,7 +38,7 @@ block.  The kernel on N modes is the leading block of the kernel on any
 N' > N modes, so that vector, padded with zeros, has Rayleigh quotient
 lambda(N) at N', and lambda(N') <= lambda(N) by Cauchy interlacing; LOBPCG
 only has to descend the last step.  On the 800..3000 schedule at alpha* this
-takes 61 iterations in all against 100 from the block.
+takes 50 iterations in all against 84 from the block.
 
 The result is certified by an explicit residual |K v - lambda v|, taken with
 the matvec, instead of trusting backend defaults.
@@ -61,12 +68,15 @@ _START_BLOCK = 25
 # LOBPCG stops at a residual of 1e-14 * (max|sin a| + max|D|).  The matvec's
 # rounding floor is a few 1e-16 times that, because its two Toeplitz terms
 # are each about max|sin a| |x| and largely cancel.  For max|D| >= 1 this is
-# at least 5e3 times below the certificate, and the eigenvector then matches dense
-# eigh to about 1e-13 (1e-11 at a factor 1e-12), which <E> and the current,
-# weighted towards high modes, need.  1 + max|D| in place of max|sin a| +
-# max|D| stopped above the certificate at alpha = 1e-10, N = 10000.  The
-# hardest points tried, 1e-6 <= alpha <= 1e-2 at N <= 10000 and beta = 0 or
-# -1/2, took up to 84 iterations.
+# at least 5e3 times below the certificate.  Where the last step lands sets
+# the eigenvector's error: over alpha/pi in {0.05, 0.2, 0.3703965, 0.6, 1.3},
+# beta in {0, -0.4} and N in {400, 1000, 2000} it is at most 2.6e-12 in any
+# entry against dense eigh, median 9.6e-14 (at a factor 1e-12, 6.5e-10 and
+# 1.5e-11), which <E> and the current, weighted towards high modes, need.
+# 1 + max|D| in place of max|sin a| + max|D| stopped above the certificate
+# at alpha = 1e-10, N = 10000.  The hardest points tried, 1e-10 <= alpha <=
+# 0.1 at 300 <= N <= 10000 and beta = 0 or -1/2, took up to 89 iterations,
+# at alpha = 1e-3 and N = 3000 to 10000.
 _LOBPCG_TOL_FACTOR = 1e-14
 _LOBPCG_MAXITER = 500
 # Rayleigh-Ritz takes the Gram matrix of its unit-length basis as not positive
@@ -266,7 +276,9 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
         start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
     # the operator's diagonal is bitwise the dense one
     scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
-    precond = 1.0 / (kernel.diagonal() + 1.0)
+    # floored at 1, the bound on the off-diagonal part's norm (Hilbert's
+    # inequality): below it the diagonal does not set a row's scale
+    precond = 1.0 / np.maximum(kernel.diagonal(), 1.0)
     tol = _LOBPCG_TOL_FACTOR * (np.max(np.abs(kernel.sin_phase)) + scale)
     lam, vec, iterations = _lobpcg(kernel.matvec, start, precond, tol)
     n_trunc = kernel.size - 1

@@ -14,8 +14,8 @@ off at (0, u_max] follows lambda(U) ~ lambda_inf + a/U + b/U^2 with
 a ~ 0.0336, however fine the grid.  line_limit_min removes the leading a/U
 term at fixed spacing: the first k = n//2 midpoint nodes span (0, U*k/n],
 and their Nystrom matrix is the leading k x k block of the full one, so the
-two are one truncation ladder (extrapolate.solve_ladder: 46 LOBPCG
-iterations in place of 67 at u_max = 40, n = 4000), and a degree-1 fit in
+two are one truncation ladder (extrapolate.solve_ladder: 34 LOBPCG
+iterations in place of 66 at u_max = 40, n = 4000), and a degree-1 fit in
 1/u through its rungs leaves O(1/U^2).  The raw interval eigenvalue,
 ring_small_alpha_limit((u_max/n)**2, -0.5, n - 1).lambda_min, is reported
 beside it.

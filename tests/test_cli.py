@@ -98,6 +98,38 @@ class TestEigenCommand:
     def test_invalid_n(self, tmp_path):
         assert run(["eigen", "--alpha", "1.0", "--n", "0", "--outdir", str(tmp_path)]) == 2
 
+    def test_negative_beta_in_exponent_notation(self, tmp_path):
+        # argparse alone reads -1e-3 as an option and --beta as missing its value
+        assert run(["eigen", "--alpha", "1.0", "--beta", "-1e-3", "--n", "10",
+                    "--outdir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "eigen.json").read_text())["beta"] == -1e-3
+
+
+ALL_COMMANDS = ("eigen", "extrapolate", "sweep", "infimum", "twomode", "state", "current",
+                "linelimit", "verify")
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"    {name} " in out for name in ALL_COMMANDS)
+
+    def test_unknown_command(self, capsys):
+        assert run(["bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument subcommand: invalid choice: 'bogus'" in err
+        assert all(name in err for name in ALL_COMMANDS)
+
+    def test_one_command_parser_keeps_the_usage(self):
+        # main builds only the invoked command's options; its errors still
+        # print the usage that names every command
+        parser = cli.build_parser("state")
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == ["state"]
+        assert parser.format_usage() == cli.build_parser().format_usage()
+        assert "{" + ",".join(ALL_COMMANDS) + "}" in parser.format_usage()
+
 
 class TestSweepCommand:
     def test_zeros_and_determinism(self, tmp_path):
@@ -425,7 +457,8 @@ class TestInfimumCommand:
         assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "box, value", [(["0.3", "inf"], "inf"), (["nan", "0.4"], "nan")], ids=["inf", "nan"]
+        "box, value", [(["0.3", "inf"], "inf"), (["nan", "0.4"], "nan"), (["-inf", "0.4"], "-inf")],
+        ids=["inf", "nan", "minus-inf"],
     )
     def test_non_finite_box_is_a_validation_error(self, tmp_path, capsys, box, value):
         # both ends are checked before np.linspace could warn or a nan reach the scan

@@ -87,14 +87,42 @@ def test_lobpcg_matches_dense(alpha, beta, n, zero):
     # so the LOBPCG tolerance must follow the matvec's own scale.
     # start-block: 25 modes are their own start block, whose dense eigenvector
     # LOBPCG accepts at iteration 0; first-iterating: one mode more.
-    # slowest-small: alpha = 1e-2 takes 70 iterations, the most seen at 300
-    # modes or fewer.
+    # slowest-small: alpha = 1e-2 takes 64 iterations, near the most seen at
+    # 300 modes or fewer (69, at alpha = 1.75e-4 and beta = -1/2).
     kern = build_kernel(RingConfig(alpha, beta, n))
     result = min_eigen(kern)
     assert (result.iterations == 0) == (kern.size <= eigen._START_BLOCK) or zero
     want = scipy.linalg.eigh(kern.dense(), subset_by_index=(0, 0), eigvals_only=True)[0]
     assert abs(result.lambda_min - want) <= 1e-12
     assert not zero or abs(result.lambda_min) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha_over_pi,beta,n",
+    [(0.05, 0.0, 1000), (0.05, -0.4, 400), (0.2, 0.0, 400), (0.2, 0.0, 1000),
+     (0.3703965, 0.0, 1000), (1.3, -0.4, 1000)],
+)
+def test_eigenvector_matches_dense(alpha_over_pi, beta, n):
+    # the stopping test bounds the residual, not the eigenvector, whose error
+    # depends on where the last step lands: at most 2.6e-12 per entry on these
+    # and the other points of eigen's note at _LOBPCG_TOL_FACTOR
+    kern = build_kernel(RingConfig(alpha_over_pi * math.pi, beta, n))
+    v = min_eigen(kern).eigenvector
+    want = scipy.linalg.eigh(kern.dense(), subset_by_index=(0, 0))[1][:, 0]
+    assert np.max(np.abs(v - math.copysign(1.0, want @ v) * want)) <= 5e-12
+
+
+def test_small_alpha_solves_stay_under_100_iterations():
+    # the band where LOBPCG works hardest (the relative spectral gap is about
+    # 0.04 at alpha = 1e-3, against 0.9 at alpha*); the most is 89, at
+    # alpha = 1e-3 and N = 3000
+    worst = max(
+        (min_eigen(build_kernel(RingConfig(alpha, beta, n))).iterations, alpha, beta, n)
+        for alpha in (1e-5, 1e-4, 1e-3, 1e-2, 0.1)
+        for beta in (0.0, -0.5)
+        for n in (1000, 3000)
+    )
+    assert worst[0] <= 100, worst
 
 
 @needs_openblas_threads

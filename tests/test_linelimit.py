@@ -71,6 +71,11 @@ class TestLineLimit:
         assert abs(result.lambda_half_interval - -0.03677729255611154) <= 1e-13
         assert abs(result.lambda_min - -0.03844498858346074) <= 1e-13
 
+    def test_rung_iterations(self):
+        # deterministic counts of the half-block and warm full solves: a
+        # change to the preconditioner or the warm start shows here
+        assert [r["iterations"] for r in line_limit_min(40.0, 4000).rungs] == [66, 34]
+
     def test_rise_between_rungs_raises(self, monkeypatch):
         import ringflow.extrapolate as ex
 
@@ -106,6 +111,11 @@ class TestRingRoute:
     def test_small_alpha_limit(self):
         lam = ring_small_alpha_limit(1e-3, 0.0, 1000).lambda_min
         assert abs(lam + C_LINE) <= 1e-3
+
+    def test_small_alpha_iterations(self):
+        # max D is 0.64 here, so the preconditioner 1/max(D, 1) is the
+        # identity; one that scales these rows over-damps the low modes
+        assert ring_small_alpha_limit(1e-3, 0.0, 1000).iterations == 56
 
     def test_endpoint_rule_gap_shrinks_like_sqrt_alpha(self):
         # beta = 0 is the left-endpoint rule, beta = -1/2 the midpoint rule;
