@@ -5,7 +5,11 @@ run manifest with content digests; verify takes --outdir only because the
 benchmark passes one to every command.  Exit codes: 0 success, 2 validation
 error, 1 computation failure.
 
-main settles every option, a two-route command's by _ROUTES, and builds the
+_COMMANDS declares every command and option, with each option's type,
+default, requiredness and route; build_parser adds the options from it, and
+_settle applies it to the parsed options: it rejects an option of the route
+not taken, fills in defaults, requires what has none and checks that the
+outdir can be made, all before any computation.  main then builds the
 manifest; each command validates and computes, and _emit alone makes the
 outdir and writes, so a failed run leaves no outdir.
 
@@ -29,6 +33,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,12 +60,17 @@ def _fmt(x: float) -> str:
 
 
 def _read_config(path) -> dict:
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ValueError(f"config file {path} cannot be read: {exc.strerror}") from None
     values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
+    for number, line in enumerate(map(str.strip, lines), 1):
         if not line or line.startswith("#"):
             continue
-        key, _, val = line.partition("=")
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ValueError(f"config file {path} line {number}: {line!r} is not key = value")
         values[key.strip().replace("-", "_")] = val.strip()
     return values
 
@@ -75,65 +85,12 @@ def _resolve_alpha(args) -> float:
     raise ValueError("alpha is required (--alpha or --alpha-over-pi)")
 
 
-def _add_alpha_beta(parser, beta_default=None):
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--alpha-over-pi", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=beta_default)
-
-
-def _add_common(parser):
-    parser.add_argument("--outdir", type=Path, default=Path("."))
-    parser.add_argument("--config", type=Path, default=None)
-
-
-def _add_jobs(parser):
-    # a string default is converted with the type, so RINGFLOW_JOBS is read as --jobs is;
-    # sweep_alpha and find_infimum check the range
-    parser.add_argument("--jobs", type=int, default=os.environ.get("RINGFLOW_JOBS", "1"))
-
-
 def _schedule_arg(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required")
-
-
-# each two-route command's flag that picks its route, and per route its name
-# and the options only it reads, with their defaults
-_ROUTES = {
-    "linelimit": ("ring_route", {
-        False: ("the Nystrom route (no --ring-route)", {"u_max": 10.0, "n_points": 2000}),
-        True: ("--ring-route", {"alpha": None, "alpha_over_pi": None, "beta": 0.0, "n": 1000}),
-    }),
-    "twomode": ("global_opt", {
-        False: ("the curve (no --global)",
-                {"alpha_over_pi_min": 0.01, "alpha_over_pi_max": 2.0, "steps": 400}),
-        True: ("--global", {}),
-    }),
-    "extrapolate": ("reference_schedule", {
-        False: ("a given schedule", {"schedule": DEFAULT_SWEEP_SCHEDULE}),
-        True: ("--reference-schedule", {}),
-    }),
-}
-
-
-def _apply_route(args) -> None:
-    """Reject an option of the route not taken, which would go unread yet
-    enter the manifest; give the taken route's unset options their defaults."""
-    if args.subcommand not in _ROUTES:
-        return
-    flag, routes = _ROUTES[args.subcommand]
-    taken = getattr(args, flag)
-    for name in routes[not taken][1]:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} is not an option of {routes[taken][0]}")
-    for name, default in routes[taken][1].items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
+    try:
+        return [int(tok) for tok in raw.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a schedule is integers separated by commas or spaces, got {raw!r}") from None
 
 
 def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
@@ -154,7 +111,6 @@ def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
 
 
 def cmd_eigen(args, manifest) -> int:
-    _require(args, "n")
     alpha = _resolve_alpha(args)
     kernel = build_kernel(RingConfig(alpha, args.beta, args.n))
     result = min_eigen(kernel)
@@ -194,7 +150,6 @@ def _alpha_over_pi_grid(args):
 
 
 def cmd_sweep(args, manifest) -> int:
-    _require(args, "alpha_over_pi_min", "alpha_over_pi_max", "steps")
     grid = _alpha_over_pi_grid(args)
     records = sweep_alpha(args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs)
     manifest.diagnostics["scans"] = [scan_diagnostics(len(grid), args.schedule, args.jobs)]
@@ -205,7 +160,6 @@ def cmd_sweep(args, manifest) -> int:
 
 
 def cmd_infimum(args, manifest) -> int:
-    _require(args, "alpha_over_pi_min", "alpha_over_pi_max")
     result = find_infimum(
         (args.alpha_over_pi_min * math.pi, args.alpha_over_pi_max * math.pi),
         args.beta_max,
@@ -252,7 +206,6 @@ def cmd_twomode(args, manifest) -> int:
 
 
 def cmd_state(args, manifest) -> int:
-    _require(args, "n")
     alpha = _resolve_alpha(args)
     state = maximizing_state(alpha, args.beta, args.n)
     manifest.diagnostics["solve"] = state.solve
@@ -271,7 +224,6 @@ def cmd_state(args, manifest) -> int:
 
 
 def cmd_current(args, manifest) -> int:
-    _require(args, "state_file")
     state = read_state_csv(args.state_file)
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
     manifest.diagnostics.update(series.diagnostics)
@@ -304,82 +256,74 @@ def cmd_verify(args, manifest) -> int:
     return 0 if failures == 0 else 1
 
 
-def _alpha_beta_n_options(p):
-    _add_alpha_beta(p, beta_default=0.0)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
+_REQUIRED = object()  # the default of an option a command cannot run without
 
 
-def _extrapolate_options(p):
-    _add_alpha_beta(p, beta_default=0.0)
-    p.add_argument("--schedule", type=_schedule_arg, default=None)  # by route, in _ROUTES
-    p.add_argument("--reference-schedule", action="store_true",
-                   help="use the 15-point high-accuracy schedule")
-    _add_common(p)
+class _Option(NamedTuple):
+    """An option of a command in _COMMANDS, where its flag is its key."""
+
+    type: Callable  # bool for an on/off flag
+    default: object = None  # or _REQUIRED; a callable is called when the parser is built
+    route: bool | None = None  # the route, False or True, that alone reads it
+    dest: str | None = None  # where it is stored, when not under the flag's name
+    help: str | None = None
 
 
-def _sweep_options(p):
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--alpha-over-pi-min", type=float, default=None)
-    p.add_argument("--alpha-over-pi-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--schedule", type=_schedule_arg, default=list(DEFAULT_SWEEP_SCHEDULE))
-    _add_common(p)
-    _add_jobs(p)
+_ALPHA_BETA = {"--alpha": (float,), "--alpha-over-pi": (float,), "--beta": (float, 0.0)}
+_FILES = {"--outdir": (Path, Path(".")), "--config": (Path,)}
+_ALPHA_OVER_PI_RANGE = {"--alpha-over-pi-min": (float, _REQUIRED),
+                        "--alpha-over-pi-max": (float, _REQUIRED)}
+# a string default is converted with the type, so RINGFLOW_JOBS is read as --jobs is;
+# sweep_alpha and find_infimum check the range
+_JOBS = {"--jobs": (int, lambda: os.environ.get("RINGFLOW_JOBS", "1"))}
 
-
-def _infimum_options(p):
-    p.add_argument("--alpha-over-pi-min", type=float, default=None)
-    p.add_argument("--alpha-over-pi-max", type=float, default=None)
-    p.add_argument("--beta-max", type=float, default=0.0)
-    p.add_argument("--budget", type=int, default=200)
-    _add_common(p)
-    _add_jobs(p)
-
-
-def _twomode_options(p):
-    p.add_argument("--m1", type=int, default=0)
-    p.add_argument("--m2", type=int, default=1)
-    p.add_argument("--global", dest="global_opt", action="store_true")
-    p.add_argument("--alpha-over-pi-min", type=float, default=None)  # by route, in _ROUTES
-    p.add_argument("--alpha-over-pi-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-
-
-def _current_options(p):
-    p.add_argument("--state-file", type=Path, default=None)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--tau-min", type=float, default=-1.5)
-    p.add_argument("--tau-max", type=float, default=1.5)
-    p.add_argument("--samples", type=int, default=4001)
-    _add_common(p)
-
-
-def _linelimit_options(p):
-    p.add_argument("--u-max", type=float, default=None)
-    p.add_argument("--n-points", type=int, default=None)
-    p.add_argument("--ring-route", action="store_true")
-    _add_alpha_beta(p)  # defaults by route, in _ROUTES
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
-
-
-# each command's help line, the function that adds its options, and its handler
+# each command's help line, its handler, the dest of the on/off flag that picks
+# its route (two-route commands only), and its options in --help's order as
+# flag: _Option fields
 _COMMANDS = {
-    "eigen": ("smallest kernel eigenvalue at one (alpha, beta, N)", _alpha_beta_n_options,
-              cmd_eigen),
-    "extrapolate": ("extrapolate lambda_min over a truncation schedule", _extrapolate_options,
-                    cmd_extrapolate),
-    "sweep": ("sweep the extrapolated infimum over an alpha grid", _sweep_options, cmd_sweep),
-    "infimum": ("staged grid search for the global infimum", _infimum_options, cmd_infimum),
-    "twomode": ("two-mode closed-form curve or global optimum", _twomode_options, cmd_twomode),
-    "state": ("backflow-maximizing state and decay report", _alpha_beta_n_options, cmd_state),
-    "current": ("time-resolved current of a state file", _current_options, cmd_current),
-    "linelimit": ("straight-line constant via Nystrom or ring route", _linelimit_options,
-                  cmd_linelimit),
-    "verify": ("run the fast oracle/property suite", _add_common, cmd_verify),
+    "eigen": ("smallest kernel eigenvalue at one (alpha, beta, N)", cmd_eigen, None,
+              {**_ALPHA_BETA, "--n": (int, _REQUIRED), **_FILES}),
+    "extrapolate": ("extrapolate lambda_min over a truncation schedule", cmd_extrapolate,
+                    "reference_schedule", {
+        **_ALPHA_BETA, "--schedule": (_schedule_arg, DEFAULT_SWEEP_SCHEDULE, False),
+        "--reference-schedule": _Option(bool, False,
+                                        help="use the 15-point high-accuracy schedule"), **_FILES}),
+    "sweep": ("sweep the extrapolated infimum over an alpha grid", cmd_sweep, None, {
+        "--beta": (float, 0.0), **_ALPHA_OVER_PI_RANGE, "--steps": (int, _REQUIRED),
+        "--schedule": (_schedule_arg, DEFAULT_SWEEP_SCHEDULE), **_FILES, **_JOBS}),
+    "infimum": ("staged grid search for the global infimum", cmd_infimum, None, {
+        **_ALPHA_OVER_PI_RANGE, "--beta-max": (float, 0.0), "--budget": (int, 200), **_FILES,
+        **_JOBS}),
+    "twomode": ("two-mode closed-form curve or global optimum", cmd_twomode, "global_opt", {
+        "--m1": (int, 0), "--m2": (int, 1), "--global": _Option(bool, False, dest="global_opt"),
+        "--alpha-over-pi-min": (float, 0.01, False), "--alpha-over-pi-max": (float, 2.0, False),
+        "--steps": (int, 400, False), **_FILES}),
+    "state": ("backflow-maximizing state and decay report", cmd_state, None,
+              {**_ALPHA_BETA, "--n": (int, _REQUIRED), **_FILES}),
+    "current": ("time-resolved current of a state file", cmd_current, None, {
+        "--state-file": (Path, _REQUIRED), "--theta": (float, 0.0), "--tau-min": (float, -1.5),
+        "--tau-max": (float, 1.5), "--samples": (int, 4001), **_FILES}),
+    "linelimit": ("straight-line constant via Nystrom or ring route", cmd_linelimit,
+                  "ring_route", {
+        "--u-max": (float, 10.0, False), "--n-points": (int, 2000, False),
+        "--ring-route": (bool, False), "--alpha": (float, None, True),
+        "--alpha-over-pi": (float, None, True), "--beta": (float, 0.0, True),
+        "--n": (int, 1000, True), **_FILES}),
+    "verify": ("run the fast oracle/property suite", cmd_verify, None, _FILES),
 }
+
+# each two-route command's routes by name, without its flag and with it
+_ROUTE_NAMES = {"linelimit": ("the Nystrom route (no --ring-route)", "--ring-route"),
+                "twomode": ("the curve (no --global)", "--global"),
+                "extrapolate": ("a given schedule", "--reference-schedule")}
+
+
+def _options(command):
+    """Each of command's options as (flag, dest, _Option), in --help's order."""
+    for flag, fields in _COMMANDS[command][3].items():
+        opt = _Option(*fields)
+        yield flag, opt.dest or flag[2:].replace("-", "_"), opt
+
 
 # argparse (3.10 to 3.13) reads a token that starts with '-' as a value only
 # if it matches its own pattern for -12 or -1.5, so "--beta -1e-3" and
@@ -409,11 +353,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     if command is not None:
         sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    for name, (help_line, add_options, func) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_line)
-            add_options(p)
-            p.set_defaults(func=func)
+    parser.commands = sub.choices  # each built command's parser, for _parse_with_config
+    for name in _COMMANDS if command is None else [command]:
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
+        for flag, dest, opt in _options(name):
+            default = opt.default() if callable(opt.default) else argparse.SUPPRESS
+            kind = {"action": "store_true"} if opt.type is bool else {"type": opt.type}
+            p.add_argument(flag, dest=dest, default=default, help=opt.help, **kind)
     return parser
 
 
@@ -427,28 +373,43 @@ def _parse_with_config(parser, args, argv):
     lacks are ignored.  A given --alpha or --alpha-over-pi drops both config
     alphas.
     """
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices[args.subcommand]
-    actions = {
-        name: action
-        for action in sub._actions
-        if action.default is not argparse.SUPPRESS
-        for name in (action.dest, *(opt[2:].replace("-", "_") for opt in action.option_strings))
-    }
-    if {vars(args).get("alpha"), vars(args).get("alpha_over_pi")} != {None}:
-        del actions["alpha"], actions["alpha_over_pi"]
-    defaults = {}
+    options = {name: (dest, opt) for flag, dest, opt in _options(args.subcommand)
+               for name in (dest, flag[2:].replace("-", "_"))}
+    if {"alpha", "alpha_over_pi"} & vars(args).keys():
+        del options["alpha"], options["alpha_over_pi"]
+    sub = parser.commands[args.subcommand]
     for key, raw in _read_config(args.config).items():
-        action = actions.get(key)
-        if action is None:
+        dest, opt = options.get(key, (None, None))
+        if dest is None:
             continue
-        if action.nargs == 0:  # an on/off flag, which has no type to convert with
-            if raw.lower() not in ("true", "false"):
-                sub.error(f"config {key}: an on/off setting takes true or false, got {raw!r}")
-            raw = raw.lower() == "true"
-        defaults[action.dest] = raw
-    sub.set_defaults(**defaults)
+        if opt.type is bool and raw.lower() not in ("true", "false"):
+            sub.error(f"config {key}: an on/off setting takes true or false, got {raw!r}")
+        sub.set_defaults(**{dest: raw.lower() == "true" if opt.type is bool else raw})
     return parser.parse_args(argv)
+
+
+def _settle(args) -> None:
+    """Apply _COMMANDS to the parsed options, before any computation.
+
+    Every option but --jobs has the parser default SUPPRESS, so one missing
+    from args was given neither as a flag nor in the config file.  An option
+    of the route not taken is rejected, since it would go unread
+    yet enter the manifest; an unset option of the route taken gets its
+    default; an unset _REQUIRED option is an error.  A command that writes
+    needs an outdir that is, or can be made, a directory.
+    """
+    taken = vars(args).get(_COMMANDS[args.subcommand][2], False)
+    for flag, dest, opt in _options(args.subcommand):
+        if dest in args and opt.route not in (None, taken):
+            route = _ROUTE_NAMES[args.subcommand][taken]
+            raise ValueError(f"{flag} is not an option of {route}")
+        if dest not in args and opt.default is _REQUIRED:
+            raise ValueError(f"{flag} is required")
+        if dest not in args and opt.route in (None, taken):
+            setattr(args, dest, opt.default)
+    found = next(path for path in (args.outdir, *args.outdir.parents) if path.exists())
+    if args.subcommand != "verify" and not found.is_dir():
+        raise ValueError(f"--outdir {args.outdir}: {found} is not a directory")
 
 
 def main(argv=None) -> int:
@@ -456,18 +417,15 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:
+        if "config" in args:
             args = _parse_with_config(parser, args, argv)
-        _apply_route(args)
-        params = {
-            k: (str(v) if isinstance(v, Path) else v)
-            for k, v in vars(args).items()
-            if k not in ("func", "config") and v is not None
-        }
-        return args.func(args, RunManifest(command=args.subcommand, parameters=params))
+        _settle(args)
+        params = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()
+                  if k != "config" and v is not None}
+        return _COMMANDS[args.subcommand][1](args, RunManifest(args.subcommand, parameters=params))
     except SystemExit as exc:  # argparse's usage errors
         return exc.code
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

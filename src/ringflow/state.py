@@ -357,9 +357,13 @@ def read_state_csv(path) -> ModeAmplitudes:
     with alpha and beta, the column line m,re_c,im_c, then one row per mode.
 
     The rows must run m = 0..n-1 in order and a header n_trunc, when given,
-    must be n - 1; otherwise ValueError names the file and the line.
+    must be n - 1; otherwise ValueError names the file and the line.  A file
+    that cannot be read raises ValueError naming it.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ValueError(f"state file {path} cannot be read: {exc.strerror}") from None
     header = None
     body = len(lines)
     for number, line in enumerate(lines):
