@@ -3,15 +3,25 @@
 Every subcommand but verify writes deterministic CSV/JSON outputs plus a
 run manifest with content digests; verify takes --outdir only because the
 benchmark passes one to every command.  Exit codes: 0 success, 2 validation
-error, 1 computation failure.
+error (an alpha whose phases overflow among them), 1 computation failure, a
+sweep with failed points or a verify with failures.
 
 _COMMANDS declares every command and option, with each option's type,
 default, requiredness and route; build_parser adds the options from it, and
 _settle applies it to the parsed options: it rejects an option of the route
 not taken, fills in defaults, requires what has none and checks that the
-outdir can be made, all before any computation.  main then builds the
-manifest; each command validates and computes, and _emit alone makes the
-outdir and writes, so a failed run leaves no outdir.
+outdir can be made, all before any computation.
+
+Each command cmd_<name>(args) validates and computes from the settled
+options alone, and returns a Result: its outputs by file name, the summary
+line, its diagnostics for the manifest and whether it failed.  main alone
+does the rest: it builds the manifest before the command runs, has _emit
+make the outdir and write the outputs and the manifest (verify writes
+none), prints the summary and returns the exit code, so a failed run leaves
+no outdir.  A warning the library raises during a command is printed as a
+"warning: <message>" line on stderr and listed under the manifest's
+diagnostics.warnings; the warning filters are kept, so one a filter turns
+into an error fails the run.
 
 alpha can be given as --alpha or --alpha-over-pi; current samples the state
 file that state writes, which sets alpha and beta.  An option's value comes
@@ -32,6 +42,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -53,10 +64,6 @@ from .state import (
 )
 from .sweep import find_infimum, scan_diagnostics, sweep_alpha
 from .twomode import global_two_mode_min, two_mode_curve
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _read_config(path) -> dict:
@@ -93,6 +100,16 @@ def _schedule_arg(raw: str) -> list[int]:
             f"a schedule is integers separated by commas or spaces, got {raw!r}") from None
 
 
+class Result(NamedTuple):
+    """What a command returns; main writes the outputs and manifest, prints
+    the summary and picks the exit code from it."""
+
+    outputs: dict  # file name -> a dict, written as JSON, or a callable that writes the path
+    summary: str  # the line printed on success
+    diagnostics: dict = {}  # how the results were obtained, for the manifest; main only reads it
+    failed: bool = False  # a sweep with failed points or a verify with failures: exit 1
+
+
 def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
     """Make outdir, write each named output into it, then the manifest with their digests.
 
@@ -110,36 +127,31 @@ def _emit(manifest: RunManifest, outdir: Path, outputs: dict) -> None:
     manifest.write(outdir / f"{manifest.command}.manifest.json")
 
 
-def cmd_eigen(args, manifest) -> int:
+def cmd_eigen(args) -> Result:
     alpha = _resolve_alpha(args)
     kernel = build_kernel(RingConfig(alpha, args.beta, args.n))
     result = min_eigen(kernel)
-    manifest.diagnostics["solve"] = result.diagnostics
     record = {"alpha": alpha, "beta": kernel.config.beta, "lambda_min": result.lambda_min,
               "n_trunc": result.n_trunc, "residual_norm": result.residual_norm,
               "method": "lobpcg", "iterations": result.iterations}
-    _emit(manifest, args.outdir, {"eigen.json": record})
-    print(f"lambda_min = {_fmt(result.lambda_min)}")
-    return 0
+    return Result({"eigen.json": record}, f"lambda_min = {result.lambda_min:.17g}",
+                  {"solve": result.diagnostics})
 
 
-def cmd_extrapolate(args, manifest) -> int:
+def cmd_extrapolate(args) -> Result:
     alpha = _resolve_alpha(args)
     schedule = REFERENCE_SCHEDULE if args.reference_schedule else args.schedule
     p, fit = extrapolated_infimum(alpha, args.beta, schedule)
     record = {"alpha": alpha, "beta": canonicalize(args.beta)[0], "p_estimate": p,
               "schedule": list(fit.n_values), "lambdas": list(fit.lambda_values),
               "a0": fit.a0, "a1": fit.a1, "a2": fit.a2, "residual": fit.residual}
-    manifest.diagnostics["rungs"] = fit.rungs
-    _emit(manifest, args.outdir, {"extrapolation.json": record})
-    print(f"P estimate = {_fmt(p)}")
-    return 0
+    return Result({"extrapolation.json": record}, f"P estimate = {p:.17g}", {"rungs": fit.rungs})
 
 
 def _write_sweep_csv(records, path) -> None:
     # a failed point carries nan for both p and residual, which formats as "nan"
     rows = [(r.alpha / math.pi, r.beta, r.p_estimate, r.fit_residual) for r in records]
-    _write_csv(path, "alpha_over_pi,beta,p,residual\n", "%.17g,%.17g,%.17g,%.17g\n", *zip(*rows))
+    _write_csv(path, "alpha_over_pi,beta,p,residual\n", *zip(*rows))
 
 
 def _alpha_over_pi_grid(args):
@@ -149,17 +161,16 @@ def _alpha_over_pi_grid(args):
     return np.linspace(args.alpha_over_pi_min, args.alpha_over_pi_max, args.steps)
 
 
-def cmd_sweep(args, manifest) -> int:
+def cmd_sweep(args) -> Result:
     grid = _alpha_over_pi_grid(args)
     records = sweep_alpha(args.beta, [a * math.pi for a in grid], args.schedule, jobs=args.jobs)
-    manifest.diagnostics["scans"] = [scan_diagnostics(len(grid), args.schedule, args.jobs)]
-    _emit(manifest, args.outdir, {"sweep.csv": lambda path: _write_sweep_csv(records, path)})
     failures = sum(1 for r in records if r.error is not None)
-    print(f"wrote {args.outdir / 'sweep.csv'} ({len(records)} points, {failures} failed)")
-    return 0 if failures == 0 else 1
+    return Result({"sweep.csv": lambda path: _write_sweep_csv(records, path)},
+                  f"wrote {args.outdir / 'sweep.csv'} ({len(records)} points, {failures} failed)",
+                  {"scans": [scan_diagnostics(len(grid), args.schedule, args.jobs)]}, failures > 0)
 
 
-def cmd_infimum(args, manifest) -> int:
+def cmd_infimum(args) -> Result:
     result = find_infimum(
         (args.alpha_over_pi_min * math.pi, args.alpha_over_pi_max * math.pi),
         args.beta_max,
@@ -174,16 +185,12 @@ def cmd_infimum(args, manifest) -> int:
         "budget_exhausted": result.budget_exhausted,
         "stages": result.stages,
     }
-    manifest.diagnostics["scans"] = list(result.scans)
-    _emit(manifest, args.outdir, {"infimum.json": record})
-    print(
-        f"alpha/pi* = {_fmt(result.alpha / math.pi)}  beta* = {_fmt(result.beta)}  "
-        f"p* = {_fmt(result.p)}"
-    )
-    return 0
+    summary = (f"alpha/pi* = {result.alpha / math.pi:.17g}  beta* = {result.beta:.17g}  "
+               f"p* = {result.p:.17g}")
+    return Result({"infimum.json": record}, summary, {"scans": list(result.scans)})
 
 
-def cmd_twomode(args, manifest) -> int:
+def cmd_twomode(args) -> Result:
     if args.global_opt:
         alpha_s, beta_s, p_s = global_two_mode_min(args.m1, args.m2)
         record = {
@@ -193,67 +200,56 @@ def cmd_twomode(args, manifest) -> int:
             "beta": beta_s,
             "p_min": p_s,
         }
-        _emit(manifest, args.outdir, {"twomode_global.json": record})
-        print(f"p* = {_fmt(p_s)} at alpha/pi = {_fmt(alpha_s / math.pi)}, beta = {_fmt(beta_s)}")
-        return 0
-    grid = _alpha_over_pi_grid(args)
-    rows = two_mode_curve(args.m1, args.m2, grid)
-    head, row = "alpha_over_pi,beta,p_min\n", "%.17g,%.17g,%.17g\n"
-    _emit(manifest, args.outdir,
-          {"twomode_curve.csv": lambda path: _write_csv(path, head, row, *zip(*rows))})
-    print(f"wrote {args.outdir / 'twomode_curve.csv'}")
-    return 0
+        summary = f"p* = {p_s:.17g} at alpha/pi = {alpha_s / math.pi:.17g}, beta = {beta_s:.17g}"
+        return Result({"twomode_global.json": record}, summary)
+    rows = two_mode_curve(args.m1, args.m2, _alpha_over_pi_grid(args))
+    head = "alpha_over_pi,beta,p_min\n"
+    return Result({"twomode_curve.csv": lambda path: _write_csv(path, head, *zip(*rows))},
+                  f"wrote {args.outdir / 'twomode_curve.csv'}")
 
 
-def cmd_state(args, manifest) -> int:
+def cmd_state(args) -> Result:
     alpha = _resolve_alpha(args)
     state = maximizing_state(alpha, args.beta, args.n)
-    manifest.diagnostics["solve"] = state.solve
     report = {
         "lambda_min": state.lambda_min,
         "mean_energy": mean_energy(state),
         "coefficient_decay_below_c0_over_m2": verify_mod.decay_exponent(state.coeffs) > 2,
     }
-    _emit(
-        manifest,
-        args.outdir,
+    return Result(
         {"state.csv": lambda path: write_state_csv(state, path), "state_report.json": report},
+        f"lambda_min = {state.lambda_min:.17g}  <E>T/hbar = {report['mean_energy']:.17g}",
+        {"solve": state.solve},
     )
-    print(f"lambda_min = {_fmt(state.lambda_min)}  <E>T/hbar = {_fmt(report['mean_energy'])}")
-    return 0
 
 
-def cmd_current(args, manifest) -> int:
+def cmd_current(args) -> Result:
     state = read_state_csv(args.state_file)
     series = current_series(state, args.theta, (args.tau_min, args.tau_max), args.samples)
-    manifest.diagnostics.update(series.diagnostics)
-    _emit(manifest, args.outdir, {"current.csv": lambda path: write_series_csv(series, path)})
-    print(f"wrote {args.outdir / 'current.csv'}")
-    return 0
+    return Result({"current.csv": lambda path: write_series_csv(series, path)},
+                  f"wrote {args.outdir / 'current.csv'}", series.diagnostics)
 
 
-def cmd_linelimit(args, manifest) -> int:
+def cmd_linelimit(args) -> Result:
     if args.ring_route:
         alpha = _resolve_alpha(args)
         result = ring_small_alpha_limit(alpha, args.beta, args.n)
-        manifest.diagnostics["solve"] = result.diagnostics
+        diagnostics = {"solve": result.diagnostics}
         record = {"route": "ring", "alpha": alpha, "beta": canonicalize(args.beta)[0],
                   "n_trunc": args.n, "lambda_min": result.lambda_min}
     else:
         result = line_limit_min(args.u_max, args.n_points)
+        diagnostics = {"rungs": result.rungs}
         record = {"route": "nystrom", "u_max": args.u_max, "n_points": args.n_points,
                   "lambda_min": result.lambda_min, "lambda_interval": result.lambda_interval,
                   "lambda_half_interval": result.lambda_half_interval, "u_half": result.u_half}
-        manifest.diagnostics["rungs"] = result.rungs
-    _emit(manifest, args.outdir, {"linelimit.json": record})
-    print(f"lambda_min = {_fmt(result.lambda_min)}")
-    return 0
+    return Result({"linelimit.json": record}, f"lambda_min = {result.lambda_min:.17g}",
+                  diagnostics)
 
 
-def cmd_verify(args, manifest) -> int:
+def cmd_verify(args) -> Result:
     failures = verify_mod.run_all()
-    print(f"{failures} failure(s)")
-    return 0 if failures == 0 else 1
+    return Result({}, f"{failures} failure(s)", failed=failures != 0)
 
 
 _REQUIRED = object()  # the default of an option a command cannot run without
@@ -422,7 +418,20 @@ def main(argv=None) -> int:
         _settle(args)
         params = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items()
                   if k != "config" and v is not None}
-        return _COMMANDS[args.subcommand][1](args, RunManifest(args.subcommand, parameters=params))
+        manifest = RunManifest(args.subcommand, parameters=params)
+        # the filters stay as they are: an error filter still raises in the command
+        with warnings.catch_warnings(record=True) as caught:
+            result = _COMMANDS[args.subcommand][1](args)
+        manifest.diagnostics.update(result.diagnostics)
+        notes = [str(w.message) for w in caught]
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
+        if notes:
+            manifest.diagnostics["warnings"] = notes
+        if result.outputs:
+            _emit(manifest, args.outdir, result.outputs)
+        print(result.summary)
+        return int(result.failed)
     except SystemExit as exc:  # argparse's usage errors
         return exc.code
     except ValueError as exc:

@@ -26,6 +26,7 @@ each request.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -136,6 +137,19 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+@contextmanager
+def _phase_guard(alpha: float):
+    """Raise ValueError naming alpha where numpy would overflow or form an
+    invalid value in the phases made from it, in place of its RuntimeWarning
+    and a nan or meaningless result.  Dekker's splitter, for one, overflows
+    on a factor above about 1.3e300."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"the phases at alpha = {alpha!r} overflow ({exc})") from None
+
+
 def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
     """alpha*(m - beta)^2 reduced to about [-pi, pi], for m = 0..size-1.
 
@@ -144,13 +158,14 @@ def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
     the last place.  Plain doubles lose |a_m| * 1e-16, 3e-8 at size 1e4.
     """
     m = np.arange(size, dtype=float)
-    uh, ul = _two_sum(m, -beta)
-    sh, sl = _two_prod(uh, uh)
-    sl += 2.0 * uh * ul
-    ph, pl = _two_prod(alpha, sh)
-    pl += alpha * sl
-    hi, lo = _reduce_two_pi(ph, pl)
-    return hi + lo
+    with _phase_guard(alpha):
+        uh, ul = _two_sum(m, -beta)
+        sh, sl = _two_prod(uh, uh)
+        sl += 2.0 * uh * ul
+        ph, pl = _two_prod(alpha, sh)
+        pl += alpha * sl
+        hi, lo = _reduce_two_pi(ph, pl)
+        return hi + lo
 
 
 def _reduce_two_pi(ph, pl):

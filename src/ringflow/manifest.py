@@ -27,10 +27,12 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, head: str, row: str, *columns) -> None:
-    """head, then every row of the columns formatted by row in one % operation
-    on Python floats (%d prints an integer-valued one as an int); the same
-    bytes as formatting row by row, at about half the time on a 4001-row series."""
+def _write_csv(path, head: str, *columns) -> None:
+    """head, then one row per index of the columns, each value as %.17g, in
+    one % operation on Python floats: the same bytes as formatting row by row,
+    at about half the time on a 4001-row series.  An integer-valued column
+    below 1e17, such as a mode number, prints as integers."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = np.column_stack(columns).ravel().tolist()
     Path(path).write_text(head + (row * len(columns[0])) % tuple(values))
 

@@ -78,6 +78,7 @@ from .kernel import (
     _INV_TWO_PI_LO,
     _check_alpha,
     _fft_size,
+    _phase_guard,
     _reduce_two_pi,
     _two_prod,
     _two_sum,
@@ -204,10 +205,13 @@ def current_series(
         raise ValueError("need at least 2 samples")
     tau = np.linspace(lo, hi, n_samples)
     m = np.arange(len(state.coeffs))
-    phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
-    c_theta = state.coeffs * np.exp(1j * m * theta)
-    amps = np.stack([c_theta, (m - state.beta) * c_theta], axis=1)
-    tj, diagnostics = _nufft_series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
+    # where the phases r_m*tau are too large, the transform's double-double
+    # products overflow or a mode's grid index leaves the integer range
+    with _phase_guard(state.alpha):
+        phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
+        c_theta = state.coeffs * np.exp(1j * m * theta)
+        amps = np.stack([c_theta, (m - state.beta) * c_theta], axis=1)
+        tj, diagnostics = _nufft_series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
     return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
 
 
@@ -349,7 +353,7 @@ def write_state_csv(state: ModeAmplitudes, path) -> None:
     head = (f"# alpha={state.alpha:.17g} beta={state.beta:.17g} "
             f"n_trunc={state.n_trunc}{lam}\nm,re_c,im_c\n")
     c = state.coeffs
-    _write_csv(path, head, "%d,%.17g,%.17g\n", np.arange(len(c)), c.real, c.imag)
+    _write_csv(path, head, np.arange(len(c)), c.real, c.imag)
 
 
 def read_state_csv(path) -> ModeAmplitudes:
@@ -434,4 +438,4 @@ def _coefficient_rows(path, lines, body) -> np.ndarray:
 def write_series_csv(series: CurrentSeries, path) -> None:
     first, last = series.tau_samples[0], series.tau_samples[-1]
     head = f"# theta={series.theta:.17g} window=({first:.17g},{last:.17g})\ntau,tj\n"
-    _write_csv(path, head, "%.17g,%.17g\n", series.tau_samples, series.tj_values)
+    _write_csv(path, head, series.tau_samples, series.tj_values)

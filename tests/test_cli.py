@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ringflow
@@ -914,3 +916,60 @@ class TestVerifyCommand:
         optimize, failures = map(int, proc.stdout.split())
         assert optimize == 1
         assert failures > 0
+
+
+class TestRunPath:
+    """main runs every command one way: it writes, prints and exits from the
+    Result the command returns."""
+
+    @pytest.mark.parametrize("options, messages", [
+        (["--u-max", "100", "--n-points", "2000"],
+         ["u_max**2/n_points = 5.00 > 1; the grid under-resolves the kernel's oscillation"]),
+        (["--ring-route", "--alpha", "1e-3", "--n", "10"],
+         ["n_trunc*sqrt(alpha) = 0.32 < 8; u-coverage too small for the line limit"]),
+        (["--ring-route", "--alpha", "1e-3", "--n", "1000"], []),
+    ], ids=["nystrom", "ring", "none"])
+    def test_library_warnings_on_stderr_and_in_manifest(self, tmp_path, capsys, options,
+                                                        messages):
+        # each as one line, without the source line Python's own display adds;
+        # a run that does not warn has no warnings key
+        assert run(["linelimit", *options, "--outdir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "".join(f"warning: {m}\n" for m in messages)
+        diagnostics = json.loads((tmp_path / "linelimit.manifest.json").read_text())["diagnostics"]
+        assert diagnostics.get("warnings") == (messages or None)
+
+    def test_error_filter_still_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # main records warnings without resetting the filters, so a RuntimeWarning
+        # that an error filter raises still fails the run
+        def overflowing_solve(kernel):
+            return np.float64(1e308) * 10.0
+
+        monkeypatch.setattr(cli, "min_eigen", overflowing_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["eigen", "--alpha", "1", "--n", "5", "--outdir", str(tmp_path / "out")]
+            assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "computation failed: overflow encountered in scalar multiply\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e300])
+    def test_current_with_overflowing_phases_exits_2(self, tmp_path, capsys, alpha):
+        # at 1e300 the double-double products overflow, at 1e200 a mode's grid
+        # index does: either is an error naming alpha, and no RuntimeWarning,
+        # which the test configuration's error filter would turn into exit 1
+        state = tmp_path / "state.csv"
+        state.write_text(f"# alpha={alpha!r} beta=0 n_trunc=2\nm,re_c,im_c\n"
+                         "0,0.6,0\n1,0.8,0\n2,0,0\n")
+        argv = ["current", "--state-file", str(state), "--samples", "5"]
+        assert run([*argv, "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the phases at alpha = {alpha!r} overflow (")
+        assert not (tmp_path / "out").exists()
+
+    def test_eigen_with_overflowing_phases_exits_2(self, tmp_path, capsys):
+        argv = ["eigen", "--alpha", "1e300", "--n", "5", "--outdir", str(tmp_path / "out")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the phases at alpha = 1e+300 overflow (overflow encountered in multiply)\n")
+        assert not (tmp_path / "out").exists()

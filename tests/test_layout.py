@@ -157,3 +157,45 @@ def test_outdir_made_only_by_emit():
         if node in makes
     }
     assert len(makes) == 1 and makers == {("cli.py", "_emit")}, makers
+
+
+def test_commands_return_results_and_main_alone_emits():
+    # each cmd_<name>(args) computes from its options and returns a Result;
+    # main alone writes the outputs and manifest, prints and picks the exit code
+    trees = _trees()
+    cli = dict(trees)["cli.py"]
+    commands = [f for f in cli.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 9
+    for func in commands:
+        assert [a.arg for a in func.args.args] == ["args"] and func.args.vararg is None, func.name
+        calls = {_callee(node) for node in ast.walk(func) if isinstance(node, ast.Call)}
+        assert not calls & {"_emit", "print"}, func.name
+        returns = [node.value for node in ast.walk(func) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(value, ast.Call) and _callee(value) == "Result"
+                               for value in returns), func.name
+    emitters = [
+        (name, func.name)
+        for name, tree in trees
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _callee(node) == "_emit"
+    ]
+    assert emitters == [("cli.py", "main")], emitters
+
+
+def test_write_csv_takes_no_row_format():
+    # _write_csv formats every column as %.17g; no caller passes a row format
+    trees = _trees()
+    defs = [node for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_write_csv"]
+    assert [[a.arg for a in d.args.args] for d in defs] == [["path", "head"]]
+    formats = [
+        (name, node.lineno)
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "_write_csv"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and "%" in str(arg.value)
+    ]
+    assert formats == [], formats
