@@ -114,11 +114,12 @@ class RingConfig:
         return self.n_trunc + 1
 
 
-# Dekker's splitter for exact products of doubles, and 2*pi and 1/(2*pi) as
-# sums of two doubles, for the phase reductions in _phase and state.py.
+# Dekker's splitter for exact products of doubles, 2*pi and 1/(2*pi) as sums
+# of two doubles, and the largest phase _turned reduces, 2^52 turns.
 _SPLIT = 134217729.0  # 2**27 + 1
 _TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
+_MOST_TURNED = 2.0**52 * _TWO_PI_HI
 _INV_TWO_PI_HI = 0.15915494309189535
 _INV_TWO_PI_LO = -9.839338337591243e-18
 
@@ -138,43 +139,59 @@ def _two_prod(a, b):
 
 
 @contextmanager
-def _phase_guard(alpha: float):
-    """Raise ValueError naming alpha where numpy would overflow or form an
-    invalid value in the phases made from it, in place of its RuntimeWarning
-    and a nan or meaningless result.  Dekker's splitter, for one, overflows
-    on a factor above about 1.3e300."""
+def _phase_guard(where: str):
+    """Raise ValueError naming where (the parameters, as "alpha = 2.0") in
+    place of numpy's RuntimeWarning and a nan or meaningless result, where
+    the phases made there overflow, form an invalid value or pass the
+    2^52 turns _turned can reduce."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise ValueError(f"the phases at alpha = {alpha!r} overflow ({exc})") from None
+        raise ValueError(f"the phases at {where} overflow ({exc})") from None
 
 
 def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
     """alpha*(m - beta)^2 reduced to about [-pi, pi], for m = 0..size-1.
 
-    The product is carried in double-double arithmetic and reduced by a
-    double-double 2*pi, so the reduced phase is accurate to a few units in
-    the last place.  Plain doubles lose |a_m| * 1e-16, 3e-8 at size 1e4.
+    The square is carried in double-double arithmetic, and _turned forms
+    the product and reduces it by a double-double 2*pi, so the reduced
+    phase is accurate to a few units in the last place.  Plain doubles lose
+    |a_m| * 1e-16, 3e-8 at size 1e4.  The reduction holds to 2^52 turns,
+    2.8e16 rad; a larger phase (alpha = 1e13 at size 3000 reaches 9e19) is
+    a ValueError naming alpha.
     """
     m = np.arange(size, dtype=float)
-    with _phase_guard(alpha):
+    with _phase_guard(f"alpha = {alpha!r}"):
         uh, ul = _two_sum(m, -beta)
         sh, sl = _two_prod(uh, uh)
         sl += 2.0 * uh * ul
-        ph, pl = _two_prod(alpha, sh)
-        pl += alpha * sl
-        hi, lo = _reduce_two_pi(ph, pl)
-        return hi + lo
+        return _turned(alpha, sh, sl)[0]
 
 
-def _reduce_two_pi(ph, pl):
-    """The double-double ph + pl reduced by a double-double 2*pi to about
-    [-pi, pi], as a double-double (hi, lo); hi is ph less whole turns, exactly."""
+def _turned(rate, t, t_err=0.0):
+    """rate*(t + t_err) reduced mod 2*pi to about [-pi, pi] (within 1.5 turns
+    near the limit), as a normalized double-double (hi, lo): hi is the
+    reduced phase rounded to a double.
+
+    The package's one reduction mod 2*pi: the product is formed in
+    double-double and less whole turns of a double-double 2*pi.  The last
+    TwoSum normalizes the pair; before it the low part holds the product's
+    rounding and that of the turns, up to about 1 rad near the limit, which
+    would move _nufft_series's grid placement by hundreds of grid steps.
+    Past 2^52 turns (2.8e16 rad) rint(phase/2pi) drops whole turns, so such
+    a phase is a FloatingPointError, which _phase_guard reports.
+    """
+    peak = np.max(np.abs(rate * t))  # plain, so the splitter never sees a refused phase
+    if not peak <= _MOST_TURNED:
+        raise FloatingPointError(f"a phase of {peak:.3g} rad is past the 2^52 turns "
+                                 "that the reduction mod 2pi holds")
+    ph, pl = _two_prod(rate, t)
+    pl += rate * t_err
     turns = np.rint(ph / _TWO_PI_HI)
     qh, ql = _two_prod(turns, _TWO_PI_HI)
     ql += turns * _TWO_PI_LO
-    return ph - qh, pl - ql
+    return _two_sum(ph - qh, pl - ql)
 
 
 def _fft_size(n: int) -> int:

@@ -21,11 +21,20 @@ and adds the rest of each sample to first order: tau_k = t_k + eps_k with
 eps_k the exact remainder (at most about 1e-16), and z -> z - i eps_k rz (the
 same for w).  r reaches 1e7 at N = 2000, so r*eps reaches 1e-9 and the term
 matters: on the N = 2000 maximizing state over (-1/2, 1/2), dropping it moves
-T*J by up to 1.2e-11.  Its second-order term (r*eps)^2/2 is below 1e-18.
-Where every eps_k is zero, as for verify's 16385 samples over (-1/2, 1/2)
-(h = 2^-14), rz and rw are neither formed nor transformed; T*J is then
-bitwise what the four columns give, and the diagnostics say
-first_order_term = False.
+T*J by up to 1.2e-11.  The second-order term it leaves out is at most
+
+    remainder_bound = (2*alpha/pi) (eps^2/2) (Z_2 W_0 + Z_0 W_2),
+    Z_p = sum |c_m| r_m^p,  W_p = sum |m - beta| |c_m| r_m^p,  eps = max |eps_k|,
+
+which the diagnostics record.  It is 1.4e-19 on the N = 2000 state over
+(-1.5, 1.5), but grows as alpha^2: on c = (0.6, 0.8, 0) with 4001 samples it
+is 1.55e-13 of max|T*J| at alpha = 1e9, 1.55e-7 at 1e12 and 1.55e-3 at 1e14,
+each just above the error measured against the closed form.  current_series
+warns where it passes _REMAINDER_TOL (1e-8) of max|T*J|.  Where every eps_k
+is zero, as for verify's 16385 samples over (-1/2, 1/2) (h = 2^-14), rz and
+rw are neither formed nor transformed; T*J is then bitwise what the four
+columns give, and the diagnostics say first_order_term = False and
+remainder_bound = 0.
 
 Samples are taken in windows of at most _NUFFT_WINDOW_SAMPLES.  In a window
 around sample k0, with j = k - k0,
@@ -40,14 +49,16 @@ M = 2*quarter; one FFT per window then gives every output, and dividing by the
 Gaussian's Fourier coefficient undoes the spreading.  Each column costs
 2*32*N weighted np.bincount entries and one FFT of the grid per window (four
 columns, or two on an exact grid), and no BLAS call.  The start phases
-r_m (lo + k0 h) and x_m are reduced mod 2pi in double-double
-(kernel._phase's helpers), and x_m stays double-double
-until its offset from the grid point below it, so no output carries j times
-the rounding of x_m.  The Gaussian's truncation and aliasing are each below
-e^{-33} of sum |b_m|.  The division raises them, and the FFT's rounding,
-e^{(4 pi/3)(j/quarter)^2}-fold at output j: 66-fold at the band edge
-|j| = quarter.  So quarter is at least 3/4 of the window's samples, which
-keeps every output used within |j| <= 2 quarter/3, at most 6.4-fold.
+r_m (lo + k0 h) and x_m are reduced mod 2pi in double-double by
+kernel._turned, and x_m stays double-double until its offset from the grid
+point below it, so no output carries j times the rounding of x_m.  The
+reduction holds to 2^52 turns, 2.8e16 rad; a larger r_m h or r_m (lo + k0 h)
+is a ValueError naming alpha, theta and the tau range.  The Gaussian's
+truncation and aliasing are each below e^{-33} of sum |b_m|.  The division
+raises them, and the FFT's rounding, e^{(4 pi/3)(j/quarter)^2}-fold at
+output j: 66-fold at the band edge |j| = quarter.  So quarter is at least
+3/4 of the window's samples, which keeps every output used within
+|j| <= 2 quarter/3, at most 6.4-fold.
 
 Measured against each phase r_m*tau formed exactly and reduced mod 2pi in
 40 digits, at the samples checked: the N = 2000 maximizing state over
@@ -56,6 +67,11 @@ coefficients decaying as 1/m^1.5, over (-7.3, 12.9) with 3 to 9001 samples,
 within 1.8e-14; 400 random states of 2 to 16 modes sampled twice (one output
 at j = -1) within 4.3e-14.  The same sums with each phase rounded to a
 double, fl(r_m*tau), are up to 1.6e-10 off on those 127-mode states.
+On c = (0.6, 0, 0.8) on exact grids over (-1.5, 1.5) the closed form
+(2 alpha/pi)(1.28 + 0.96 cos 8 alpha tau) is matched to 4.1e-15 of
+2 alpha/pi with 5 to 4097 samples at alpha = 1e11 to 1e15 and with 257 and
+2049 samples at 1e17, and to 1.2e-13 at alpha = 1e18 with 2049 samples,
+where x_m reaches 1.2e16 rad.
 
 Working memory is about 0.2 kB a mode, 0.2 kB a window sample, at most
 0.4 MB for the spread's weights, grid points and products, and the grid
@@ -66,6 +82,7 @@ are computed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,7 +96,7 @@ from .kernel import (
     _check_alpha,
     _fft_size,
     _phase_guard,
-    _reduce_two_pi,
+    _turned,
     _two_prod,
     _two_sum,
     build_kernel,
@@ -148,6 +165,10 @@ _SPREAD_ELEMENTS = 1 << 14
 # would not be the state that was written.
 _UNIT_NORM_TOL = 1e-14
 
+# current_series warns where the remainder_bound passes this share of
+# max|T*J|: 1e-8, the scale to which the benchmark checks the current.
+_REMAINDER_TOL = 1e-8
+
 
 def make_state(coeffs, alpha: float, beta: float) -> ModeAmplitudes:
     """Normalize raw coefficients (norm and overall phase) into a state.
@@ -203,23 +224,28 @@ def current_series(
         raise ValueError(f"empty tau range ({lo}, {hi})")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    tau = np.linspace(lo, hi, n_samples)
     m = np.arange(len(state.coeffs))
-    # where the phases r_m*tau are too large, the transform's double-double
-    # products overflow or a mode's grid index leaves the integer range
-    with _phase_guard(state.alpha):
+    # the phases m*theta and r_m*tau may overflow, or pass the turns _turned reduces
+    where = f"alpha = {state.alpha!r}, theta = {theta!r} and tau in ({lo!r}, {hi!r})"
+    with _phase_guard(where):
+        tau = np.linspace(lo, hi, n_samples)
         phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
         c_theta = state.coeffs * np.exp(1j * m * theta)
         amps = np.stack([c_theta, (m - state.beta) * c_theta], axis=1)
         tj, diagnostics = _nufft_series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
+    bound, peak = diagnostics["remainder_bound"], np.max(np.abs(tj))
+    if bound > _REMAINDER_TOL * peak:
+        warnings.warn(f"remainder_bound = {bound:.2g} exceeds {_REMAINDER_TOL:g} of max|T*J| = "
+                      f"{peak:.2g}: off the exact tau grid the samples are corrected to first "
+                      "order only; a tau step of a power of 2 puts them on it", stacklevel=2)
     return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
 
 
 def _nufft_series(amps, phase_rate, tau, scale):
-    """(T*J at every tau, the transform's settings), from one Gaussian-gridding
-    type-1 nonuniform FFT per window of samples.  amps holds the z and w
-    columns; the rz and rw columns, r = phase_rate, join them only when some
-    tau lies off the exact grid lo + k h."""
+    """(T*J at every tau, the transform's settings and remainder_bound), from
+    one Gaussian-gridding type-1 nonuniform FFT per window of samples.  amps
+    holds the z and w columns; the rz and rw columns, r = phase_rate, join
+    them only when some tau lies off the exact grid lo + k h."""
     n_samples, n_modes = len(tau), len(phase_rate)
     lo, h = tau[0], (tau[-1] - tau[0]) / (n_samples - 1)  # np.linspace's step
     eps = _grid_offsets(tau, lo, h)
@@ -243,7 +269,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
     # x_m is carried in double-double up to its offset from the grid point
     # below it, so it is placed to about 1e-16 of a step, and output j does
     # not carry the j-fold rounding error of x_m rounded to a double.
-    x_hi, x_lo = _reduce_two_pi(*_two_prod(phase_rate, h))
+    x_hi, x_lo = _turned(phase_rate, h)
     per_radian, per_radian_err = _two_prod(float(grid), _INV_TWO_PI_HI)
     per_radian_err += grid * _INV_TWO_PI_LO
     x, x_err = _two_prod(x_hi, per_radian)
@@ -276,9 +302,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
         # carried in double-double and reduced mod 2pi
         offset, offset_err = _two_prod(float(centre), h)
         start, start_err = _two_sum(lo, offset)
-        phase_hi, phase_lo = _two_prod(phase_rate, start)
-        phase_lo += phase_rate * (start_err + offset_err)
-        phase = np.add(*_reduce_two_pi(phase_hi, phase_lo))
+        phase, _ = _turned(phase_rate, start, start_err + offset_err)
         np.multiply(amps.T, np.cos(phase) - 1j * np.sin(phase), out=turned)
         np.copyto(parts[:, 0], turned.real)
         np.copyto(parts[:, 1], turned.imag)
@@ -316,8 +340,15 @@ def _nufft_series(amps, phase_rate, tau, scale):
             w_re = w_re + offsets * rw.imag
             w_im = w_im - offsets * rw.real
         tj[first:last] = scale * (z_re * w_re + z_im * w_im)
+    # The leading term the first-order one leaves out bounds the error of
+    # every sample: with Z_p = sum |c_m| r_m^p and W_p = sum |m - beta| |c_m| r_m^p,
+    # scale * (eps^2/2) (Z_2 W_0 + Z_0 W_2) at eps = max |eps_k|, 0 on an exact grid.
+    sizes = np.abs(amps[:, :2])
+    reach = (np.max(np.abs(eps)) * phase_rate) ** 2
+    (z0, w0), (z2, w2) = sizes.sum(axis=0), (reach[:, None] * sizes).sum(axis=0)
     diagnostics = {"method": "nufft", "windows": windows, "grid_length": grid,
-                   "spread_half_width": spread, "first_order_term": first_order}
+                   "spread_half_width": spread, "first_order_term": first_order,
+                   "remainder_bound": float(scale * 0.5 * (z2 * w0 + z0 * w2))}
     return tj, diagnostics
 
 

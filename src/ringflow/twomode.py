@@ -110,8 +110,8 @@ def two_mode_curve(m1, m2, alpha_over_pi_grid):
     alpha_over_pi_grid = list(alpha_over_pi_grid)
     if not alpha_over_pi_grid:
         raise ValueError("empty alpha grid")
-    if not all(aop > 0 for aop in alpha_over_pi_grid):
-        raise ValueError("alpha must be positive on the whole grid")
+    for aop in alpha_over_pi_grid:
+        _check_alpha(aop * np.pi)
     rows = []
     for b in CURVE_BETAS:
         bc, _ = canonicalize(b)

@@ -584,6 +584,8 @@ class TestStateAndCurrentCommands:
                     "--outdir", str(tmp_path)])
         assert code == 0
         diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
+        # what the first-order term leaves out, far below the current at alpha = 1
+        assert 0 < diagnostics.pop("remainder_bound") < 1e-20
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 320,
                                "spread_half_width": 16, "first_order_term": True}
         assert (tmp_path / "current.csv").read_text().splitlines()[1] == "tau,tj"
@@ -598,7 +600,8 @@ class TestStateAndCurrentCommands:
         assert code == 0
         diagnostics = json.loads((tmp_path / "current.manifest.json").read_text())["diagnostics"]
         assert diagnostics == {"method": "nufft", "windows": 1, "grid_length": 400,
-                               "spread_half_width": 16, "first_order_term": False}
+                               "spread_half_width": 16, "first_order_term": False,
+                               "remainder_bound": 0.0}
 
     @pytest.mark.parametrize(
         "header, rows, line, reason",
@@ -953,23 +956,57 @@ class TestRunPath:
             "computation failed: overflow encountered in scalar multiply\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("alpha", [1e200, 1e300])
+    @pytest.mark.parametrize("alpha", [1e200, 1e300, 1e17, 1e18])
     def test_current_with_overflowing_phases_exits_2(self, tmp_path, capsys, alpha):
-        # at 1e300 the double-double products overflow, at 1e200 a mode's grid
-        # index does: either is an error naming alpha, and no RuntimeWarning,
-        # which the test configuration's error filter would turn into exit 1
+        # each passes the 2^52 turns the reduction mod 2pi holds: an error naming
+        # alpha, theta and the tau range, and no RuntimeWarning, which the test
+        # configuration's error filter would turn into exit 1.  Unchecked, 1e18
+        # wrote T*J(0) = 3.4e-174 in place of 7.13e17
         state = tmp_path / "state.csv"
         state.write_text(f"# alpha={alpha!r} beta=0 n_trunc=2\nm,re_c,im_c\n"
                          "0,0.6,0\n1,0.8,0\n2,0,0\n")
         argv = ["current", "--state-file", str(state), "--samples", "5"]
         assert run([*argv, "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: the phases at alpha = {alpha!r} overflow (")
+        assert err == (f"error: the phases at alpha = {alpha!r}, theta = 0.0 and tau in "
+                       f"(-1.5, 1.5) overflow (a phase of {6 * alpha:.3g} rad is past the "
+                       "2^52 turns that the reduction mod 2pi holds)\n")
         assert not (tmp_path / "out").exists()
 
     def test_eigen_with_overflowing_phases_exits_2(self, tmp_path, capsys):
         argv = ["eigen", "--alpha", "1e300", "--n", "5", "--outdir", str(tmp_path / "out")]
         assert run(argv) == 2
         assert capsys.readouterr().err == (
-            "error: the phases at alpha = 1e+300 overflow (overflow encountered in multiply)\n")
+            "error: the phases at alpha = 1e+300 overflow (a phase of 2.5e+301 rad is past "
+            "the 2^52 turns that the reduction mod 2pi holds)\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, alpha, phase", [
+        (["eigen", "--alpha", "1e13", "--n", "3000"], "10000000000000.0", "9e+19"),
+        (["state", "--alpha", "1e15", "--n", "30"], "1000000000000000.0", "9e+17"),
+    ], ids=["eigen", "state"])
+    def test_phases_past_2_52_turns_exit_2(self, tmp_path, capsys, argv, alpha, phase):
+        # past 2^52 turns rint(phase/2pi) drops whole turns: unchecked, 1e13
+        # wrote sines 3.8e-13 off
+        assert run([*argv, "--outdir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the phases at alpha = {alpha} overflow (a phase of "
+                                f"{phase} rad is past the 2^52 turns that the reduction mod "
+                                "2pi holds)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_current_off_grid_at_large_alpha_warns(self, tmp_path, capsys):
+        # 4001 samples over (-1.5, 1.5) at alpha = 1e12: the second-order term
+        # left out reaches 1.5e-7 of max|T*J|
+        state = tmp_path / "state.csv"
+        state.write_text("# alpha=1e12 beta=0 n_trunc=2\nm,re_c,im_c\n0,0.6,0\n1,0.8,0\n2,0,0\n")
+        argv = ["current", "--state-file", str(state), "--samples", "4001"]
+        assert run([*argv, "--outdir", str(tmp_path / "out")]) == 0
+        warned = capsys.readouterr().err.splitlines()
+        diagnostics = json.loads((tmp_path / "out" / "current.manifest.json").read_text())[
+            "diagnostics"]
+        assert len(warned) == 1 and warned[0].startswith("warning: remainder_bound = 1.1e+05 "
+                                                         "exceeds 1e-08 of max|T*J|"), warned
+        assert diagnostics["warnings"] == [warned[0][len("warning: "):]]
+        assert diagnostics["remainder_bound"] > 1e-8 * 2e12 / np.pi

@@ -50,6 +50,58 @@ def test_two_pi_constants_are_double_doubles():
             assert abs(mpmath.mpf(hi) + mpmath.mpf(lo) - exact) <= 1e-32 * exact
 
 
+
+class TestPhaseReduction:
+    """kernel._turned, the one reduction mod 2*pi, holds to 2^52 turns and
+    refuses every phase past them."""
+
+    @pytest.mark.parametrize("beta", [0.0, -0.3])
+    def test_phase_matches_mpmath_just_below_the_limit(self, beta):
+        # alpha = 3e9 at N = 3000 reaches 2.7e16 rad, 0.95 of the limit; the
+        # reduced phase is then up to 1.5 turns wide, so its rounding is
+        # 2 ulp of 10 rad
+        import mpmath
+
+        phase = kernel._phase(3e9, beta, 3001)
+        with mpmath.workdps(60):
+            exact = [mpmath.mpf(3e9) * (m - mpmath.mpf(beta)) ** 2 for m in range(3001)]
+            sines = np.array([float(mpmath.sin(x)) for x in exact])
+            cosines = np.array([float(mpmath.cos(x)) for x in exact])
+        assert 0.95 * kernel._MOST_TURNED < float(exact[-1]) <= kernel._MOST_TURNED
+        assert np.max(np.abs(np.sin(phase) - sines)) <= 1.2e-15
+        assert np.max(np.abs(np.cos(phase) - cosines)) <= 1.2e-15
+
+    def test_phase_past_the_limit_is_refused(self):
+        # alpha = 1e13 at N = 3000 forms 9e19 rad, whose sines were 3.8e-13 off
+        with pytest.raises(ValueError, match=r"^the phases at alpha = 10000000000000\.0 "
+                           r"overflow \(a phase of 9e\+19 rad is past the 2\^52 turns"):
+            kernel._phase(1e13, 0.0, 3001)
+
+    def test_limit_is_2_52_turns(self):
+        rate = np.array([kernel._MOST_TURNED, 1.0])
+        kernel._turned(rate, 1.0)
+        with pytest.raises(FloatingPointError, match=r"past the 2\^52 turns"):
+            kernel._turned(np.nextafter(rate, np.inf), 1.0)
+        assert kernel._MOST_TURNED == 2.0**52 * kernel._TWO_PI_HI
+
+    def test_reduced_pair_is_normalized(self):
+        # near the limit the low part gathers about 1 rad of roundings before
+        # the last TwoSum; after it, |lo| is at most half an ulp of hi, and
+        # hi + lo is the exact product less whole turns
+        import mpmath
+
+        rate = np.array([8e18, 1.9e19, 7.0, 0.0])
+        t, t_err = 3.0 / 2048, 1e-20
+        hi, lo = kernel._turned(rate, t, t_err)
+        assert np.all(np.abs(lo) <= np.spacing(np.abs(hi)) / 2)
+        with mpmath.workdps(60):
+            two_pi = 2 * mpmath.pi
+            for r, h, l in zip(rate, hi, lo):
+                x = mpmath.mpf(r) * (mpmath.mpf(t) + mpmath.mpf(t_err))
+                turns = (x - mpmath.mpf(h) - mpmath.mpf(l)) / two_pi
+                assert abs(turns - mpmath.nint(turns)) * two_pi <= 1e-15
+                assert abs(h) <= 1.5 * float(two_pi)
+
 class TestCanonicalize:
     @pytest.mark.parametrize(
         "raw,expected_beta,expected_shift",

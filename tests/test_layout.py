@@ -199,3 +199,23 @@ def test_write_csv_takes_no_row_format():
         if isinstance(arg, ast.Constant) and "%" in str(arg.value)
     ]
     assert formats == [], formats
+
+
+def test_one_reduction_mod_two_pi():
+    # kernel._turned is the one routine that counts whole turns, and so the one
+    # that knows where the reduction stops holding; state.py forms no phase
+    # product of its own
+    rounders = [
+        (name, func.name)
+        for name, tree in _trees()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _callee(node) == "rint"
+    ]
+    assert rounders == [("kernel.py", "_turned")], rounders
+    state = dict(_trees())["state.py"]
+    products = [node.lineno for node in ast.walk(state)
+                if isinstance(node, ast.Call) and _callee(node) == "_two_prod"
+                and any(isinstance(a, ast.Name) and a.id == "phase_rate" for a in node.args)]
+    assert products == [], products

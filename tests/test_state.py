@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -201,8 +202,10 @@ class TestCurrentSeries:
         # them tau = -0.5 and 0.5
         n_samples = 32001
         series = current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), n_samples)
-        assert series.diagnostics == {"method": "nufft", "windows": 8, "grid_length": 12288,
-                                      "spread_half_width": 16, "first_order_term": True}
+        diagnostics = dict(series.diagnostics)
+        assert 0 < diagnostics.pop("remainder_bound") < 1e-18
+        assert diagnostics == {"method": "nufft", "windows": 8, "grid_length": 12288,
+                               "spread_half_width": 16, "first_order_term": True}
         for i in (0, 177, 178, 355, 31862, 32000):
             exact = exact_phase_current(maximizing_state_2000, 0.0, series.tau_samples[i])
             assert series.tj_values[i] == pytest.approx(exact, abs=1e-11)
@@ -300,6 +303,79 @@ class TestCurrentSeries:
         # Parseval: the integral of |Psi|^2 over the ring is the coefficient norm
         assert np.sum(np.abs(state.coeffs) ** 2) == pytest.approx(1.0, abs=1e-13)
 
+
+def two_mode_closed_form(coeffs, alpha, tau):
+    """T*J(0, tau) of c_0 + c_k at beta = 0, k the second nonzero mode,
+    (2 alpha/pi)(k c_k^2 + k c_0 c_k cos(2 alpha k^2 tau)), in 40 digits."""
+    import mpmath
+
+    k = int(np.flatnonzero(coeffs)[1])
+    c0, ck = coeffs[0], coeffs[k]
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return np.array([float(2 * a / mpmath.pi * (k * ck**2 + k * c0 * ck
+                                                    * mpmath.cos(2 * a * k**2 * mpmath.mpf(t))))
+                         for t in tau])
+
+
+class TestLargePhases:
+    """Phases up to 2^52 turns on exact grids, and the bound on the
+    second-order term off them."""
+
+    @pytest.mark.parametrize("coeffs, alpha, n_samples, tol", [
+        ((0.6, 0.8, 0.0), 1e15, 5, 4e-16),
+        # x_m = r_m h reaches 1.2e15 rad; the reduced pair's low part, left
+        # unnormalized, moved each mode hundreds of grid steps off its place
+        ((0.6, 0.0, 0.8), 1e17, 2049, 4e-15),
+    ], ids=["5-samples", "2049-samples"])
+    def test_exact_grid_matches_closed_form(self, coeffs, alpha, n_samples, tol):
+        # on the grid nothing is left out, so nothing warns, however large alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = current_series(make_state(np.array(coeffs), alpha, 0.0), 0.0,
+                                    (-1.5, 1.5), n_samples)
+        assert series.diagnostics["first_order_term"] is False
+        assert series.diagnostics["remainder_bound"] == 0.0
+        exact = two_mode_closed_form(coeffs, alpha, series.tau_samples)
+        assert np.max(np.abs(series.tj_values - exact)) <= tol * (2 * alpha / math.pi)
+
+    @pytest.mark.parametrize("alpha, warns", [(1e9, False), (1e10, False), (1e12, True),
+                                               (1e14, True)])
+    def test_remainder_bound_covers_the_error(self, alpha, warns):
+        # 4001 samples over (-1.5, 1.5) lie off the exact grid by up to 2.2e-16;
+        # the bound lies a few percent above the error, which grows as alpha^2
+        coeffs = (0.6, 0.8, 0.0)
+        state = make_state(np.array(coeffs), alpha, 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = current_series(state, 0.0, (-1.5, 1.5), 4001)
+        bound = series.diagnostics["remainder_bound"]
+        error = np.max(np.abs(series.tj_values - two_mode_closed_form(coeffs, alpha,
+                                                                      series.tau_samples)))
+        assert error <= bound <= 1.1 * error
+        assert [str(w.message).startswith(f"remainder_bound = {bound:.2g} exceeds 1e-08 of")
+                for w in caught] == ([True] if warns else [])
+        assert all(w.category is UserWarning for w in caught)
+
+    @pytest.mark.parametrize("tau_range, n_samples", [((-1.5, 1.5), 4001), ((-0.5, 0.5), 32001)])
+    def test_benchmark_state_does_not_warn(self, maximizing_state_2000, tau_range, n_samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = current_series(maximizing_state_2000, 0.0, tau_range, n_samples)
+        assert 0 < series.diagnostics["remainder_bound"] < 1e-18
+
+    @pytest.mark.parametrize("theta, tau_range, reason", [
+        (1e308, (-1.5, 1.5), "overflow encountered in multiply"),
+        (0.0, (-1e300, 1e300), "a phase of 4e+300 rad is past the 2^52 turns"),
+    ], ids=["theta", "tau-range"])
+    def test_refusal_names_alpha_theta_and_tau_range(self, theta, tau_range, reason):
+        # theta or the tau range is out of range, not alpha = 1: the message names all three
+        state = make_state(np.array([0.6, 0.8, 0.0]), 1.0, 0.0)
+        with pytest.raises(ValueError) as caught:
+            current_series(state, theta, tau_range, 5)
+        assert str(caught.value).startswith(
+            f"the phases at alpha = 1.0, theta = {theta!r} and tau in "
+            f"({tau_range[0]!r}, {tau_range[1]!r}) overflow ({reason}")
 
 @needs_openblas_threads
 def test_series_leave_blas_threads_idle(maximizing_state_2000):

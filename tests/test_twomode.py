@@ -138,7 +138,9 @@ class TestTwoModeCurve:
         with pytest.raises(ValueError, match="empty"):
             two_mode_curve(0, 1, np.linspace(0.1, 1.0, 0))
 
-    @pytest.mark.parametrize("grid", [[-0.5, 0.5], [0.0, 0.5], [0.5, float("nan")]])
+    # the last two are inf as alpha = pi * alpha/pi, which the curve is computed at
+    @pytest.mark.parametrize("grid", [[-0.5, 0.5], [0.0, 0.5], [0.5, float("nan")],
+                                      [0.5, float("inf")], [0.5, 1e308]])
     def test_non_positive_alpha_rejected(self, grid):
         with pytest.raises(ValueError, match="alpha must be positive"):
             two_mode_curve(0, 1, grid)
