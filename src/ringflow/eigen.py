@@ -5,12 +5,13 @@ and the half-line Nystrom matrix of the line limit, which is a ring kernel
 too.  One path at every size, numpy only: a single-vector LOBPCG (Knyazev,
 SIAM J. Sci. Comput. 23 (2001) 517) on the kernel's FFT matvec, with the
 diagonal preconditioner 1/max(D, 1) and a start vector from LAPACK's eigh on
-the leading _START_BLOCK = 25 modes; O(N) memory beyond that block.  A kernel
-of at most 25 modes is its own start block, so there the start vector is
-dense eigh's eigenvector, and on every kernel tried LOBPCG stops at
-iteration 0.  The block is 25 modes because LAPACK's dsyevd makes no level-3
-BLAS call up to that size, so the start vector wakes no OpenBLAS worker
-thread.
+the start block, the entries on the first _START_BLOCK = 25 modes, which
+kernel_entries evaluates at the kernel's (alpha, beta); O(N) memory beyond
+that block.  A kernel of at most 25 modes is its own start block, so there
+the start vector is dense eigh's eigenvector, and on every kernel tried
+LOBPCG stops at iteration 0.  The block is 25 modes because LAPACK's dsyevd
+makes no level-3 BLAS call up to that size, so the start vector wakes no
+OpenBLAS worker thread.
 
 The preconditioner is the identity on modes with D_m < 1 and Jacobi above
 them: the off-diagonal part of K has norm at most 1 (Hilbert's inequality),
@@ -32,10 +33,10 @@ products are Python floats too.  Beyond its matvec a step then costs about
 linalg on the small matrices (best of 60 runs, one BLAS thread, on a shared
 2-core host where the matvec took 19 and 190 us).
 
-A caller that solves a ladder of leading blocks in increasing size passes
-each solve's eigenvector as the next one's start, in place of the 25-mode
-block.  The kernel on N modes is the leading block of the kernel on any
-N' > N modes, so that vector, padded with zeros, has Rayleigh quotient
+A caller that solves one (alpha, beta) at increasing N (a truncation
+ladder) passes each solve's eigenvector as the next one's start, in place of
+the 25-mode block.  The kernel on N modes is the leading block of the kernel
+on any N' > N modes, so that vector, padded with zeros, has Rayleigh quotient
 lambda(N) at N', and lambda(N') <= lambda(N) by Cauchy interlacing; LOBPCG
 only has to descend the last step.  On the 800..3000 schedule at alpha* this
 takes 50 iterations in all against 84 from the block.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import BackflowKernel
+from .kernel import BackflowKernel, kernel_entries
 
 _RESIDUAL_FACTOR = 1e-10
 
@@ -255,8 +256,8 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
     start, if given, is a finite, nonzero vector of at most kernel.size
     entries, padded with zeros; it replaces the start block's eigenvector on
     a kernel of more than 25 modes (warm_started is then True) and is
-    ignored on a smaller one.  Typically it is the eigenvector of a leading
-    block of the same kernel.  ValueError for any other start.
+    ignored on a smaller one.  Typically it is the eigenvector of the kernel
+    at the same (alpha, beta) and a smaller N.  ValueError for any other start.
 
     iterations counts LOBPCG steps, 0 when the start vector already meets
     the tolerance.  The eigenvector is unit-norm with its first nonzero
@@ -273,7 +274,8 @@ def min_eigen(kernel: BackflowKernel, start=None) -> EigenResult:
         # modes it is the exact dense one
         block = min(_START_BLOCK, kernel.size)
         start = np.zeros(kernel.size)
-        start[:block] = _lowest_dense(kernel.leading_block(block).dense())[1]
+        start[:block] = _lowest_dense(
+            kernel_entries(kernel.config.alpha, kernel.config.beta, block))[1]
     # the operator's diagonal is bitwise the dense one
     scale = float(np.max(np.abs(kernel.diagonal()))) or 1.0
     # floored at 1, the bound on the off-diagonal part's norm (Hilbert's

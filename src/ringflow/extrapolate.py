@@ -1,13 +1,15 @@
 """Truncation ladders and their extrapolation in 1/N, for c_ring and c_line alike.
 
-solve_ladder solves leading blocks of one kernel in increasing N, each rung
-started from the previous rung's eigenvector: the kernel at N is the leading
-block of the kernel at N' > N, so that start already has Rayleigh quotient
-lambda(N) at N'.  The same interlacing says lambda(N') <= lambda(N); a rung
-that rises above its predecessor by more than rounding is a failed solve.
-fit_inverse_powers fits a polynomial in x = 1/N by least squares in x
-centred/scaled to [-1, 1]; naive normal equations in raw x lose digits
-because x spans [1e-4, 1e-3].  Its a0 is the infinite-N estimate.
+A ladder is (alpha, beta, sizes).  solve_ladder builds the kernel at each
+truncation N in sizes and solves them in increasing N, each rung started from
+the previous rung's eigenvector: a kernel is a function of its (alpha, beta,
+N) alone, and the kernel at N is bitwise the leading block of the kernel at
+N' > N, so that start already has Rayleigh quotient lambda(N) at N'.  The
+same interlacing says lambda(N') <= lambda(N); a rung that rises above its
+predecessor by more than rounding is a failed solve.  fit_inverse_powers fits
+a polynomial in x = 1/N by least squares in x centred/scaled to [-1, 1];
+naive normal equations in raw x lose digits because x spans [1e-4, 1e-3].
+Its a0 is the infinite-N estimate.
 
 The solves add nothing to a0's error bar.  By Kato-Temple a Ritz value with
 residual r lies at most r^2/gap above its eigenvalue, gap the distance to the
@@ -112,17 +114,23 @@ def fit_quadratic(points) -> ExtrapolationFit:
     return ExtrapolationFit(*map(float, coeffs), residual, ns, lams)
 
 
-def solve_ladder(kernels) -> tuple[list[EigenResult], tuple[dict, ...]]:
-    """Smallest eigenpairs of kernels, leading blocks of one kernel in increasing size.
+def solve_ladder(alpha: float, beta: float, sizes) -> tuple[list[EigenResult], tuple[dict, ...]]:
+    """Smallest eigenpairs of the kernel at (alpha, beta) truncated at each
+    N in sizes, increasing.
 
-    Each solve after the first starts from the previous one's eigenvector.
-    Returns the results and, per rung, its N, iterations, residual and start
-    for the run manifest.  ExtrapolationError, naming N, if a solve fails or
-    lambda rises from one rung to the next by more than rounding.
+    Every rung is built before the first solve, so a bad alpha, beta or N is
+    a ValueError before any solve.  Each solve after the first starts from
+    the previous one's eigenvector.  Returns the results and, per rung, its
+    N, iterations, residual and start for the run manifest.
+    ExtrapolationError, naming N, if a solve fails or lambda rises from one
+    rung to the next by more than rounding.
     """
+    kernels = [build_kernel(RingConfig(alpha, beta, n)) for n in sizes]
     results = []
-    for kernel in kernels:
-        n_trunc = kernel.size - 1
+    while kernels:
+        # taken off the list, so each kernel's FFT buffers go once it is solved
+        kernel = kernels.pop(0)
+        n_trunc = kernel.config.n_trunc
         try:
             start = results[-1].eigenvector if results else None
             result = min_eigen(kernel, start)
@@ -143,8 +151,7 @@ def extrapolated_infimum(
     (a0, fit); fit.rungs holds the ladder's diagnostics.  ExtrapolationError
     as in solve_ladder.
     """
-    configs = [RingConfig(alpha, beta, n) for n in _check_schedule(schedule)]  # before any solve
-    results, rungs = solve_ladder(map(build_kernel, configs))
+    results, rungs = solve_ladder(alpha, beta, _check_schedule(schedule))
     fit = replace(fit_quadratic((r.n_trunc, r.lambda_min) for r in results), rungs=rungs)
     return fit.a0, fit
 
@@ -160,7 +167,7 @@ def _check_schedule(schedule) -> list[int]:
 
 def _check_interlacing(lower, upper, kernel) -> None:
     """Raise ArithmeticError if upper, the solve of kernel, rises above lower,
-    the solve of a leading block, by more than rounding."""
+    the solve of a smaller truncation, by more than rounding."""
     rise = upper.lambda_min - lower.lambda_min
     # max|D|, the scale of min_eigen's certificate
     tol = _INTERLACING_FACTOR * np.max(np.abs(kernel.diagonal()))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,18 +161,24 @@ def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
     2.8e16 rad; a larger phase (alpha = 1e13 at size 3000 reaches 9e19) is
     a ValueError naming alpha.
     """
-    m = np.arange(size, dtype=float)
     with _phase_guard(f"alpha = {alpha!r}"):
-        uh, ul = _two_sum(m, -beta)
-        sh, sl = _two_prod(uh, uh)
-        sl += 2.0 * uh * ul
-        return _turned(alpha, sh, sl)[0]
+        return _turned(alpha, *_squares(beta, size))[0]
 
 
-def _turned(rate, t, t_err=0.0):
-    """rate*(t + t_err) reduced mod 2*pi to about [-pi, pi] (within 1.5 turns
-    near the limit), as a normalized double-double (hi, lo): hi is the
-    reduced phase rounded to a double.
+def _squares(beta: float, size: int):
+    """(m - beta)^2 for m = 0..size-1 as a double-double (hi, lo); hi is
+    (m - beta)**2 in plain doubles."""
+    uh, ul = _two_sum(np.arange(size, dtype=float), -beta)
+    sh, sl = _two_prod(uh, uh)
+    sl += 2.0 * uh * ul
+    return sh, sl
+
+
+def _turned(rate, t, t_err=0.0, rate_err=0.0):
+    """(rate + rate_err)*(t + t_err) reduced mod 2*pi to about [-pi, pi]
+    (within 1.5 turns near the limit), as a normalized double-double
+    (hi, lo): hi is the reduced phase rounded to a double.  The product of
+    the two low parts is left out.
 
     The package's one reduction mod 2*pi: the product is formed in
     double-double and less whole turns of a double-double 2*pi.  The last
@@ -187,7 +193,7 @@ def _turned(rate, t, t_err=0.0):
         raise FloatingPointError(f"a phase of {peak:.3g} rad is past the 2^52 turns "
                                  "that the reduction mod 2pi holds")
     ph, pl = _two_prod(rate, t)
-    pl += rate * t_err
+    pl += rate * t_err + rate_err * t
     turns = np.rint(ph / _TWO_PI_HI)
     qh, ql = _two_prod(turns, _TWO_PI_HI)
     ql += turns * _TWO_PI_LO
@@ -208,9 +214,10 @@ def _fft_size(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BackflowKernel:
-    """The kernel at config's (alpha, beta) on modes m = 0..size-1, as an operator.
+    """The kernel at config's (alpha, beta) on modes m = 0..n_trunc, as an operator.
 
-    size is config.size for the full kernel and smaller for a leading block.
+    A function of config alone.  Every array depends on its own m only, so
+    the kernel on fewer modes is bitwise the leading block of this one.
     Holds sin_phase and cos_phase, sin and cos of the phases a_m, and the
     diagonal.  The first matvec makes the FFT of T's circulant embedding and
     the FFT work buffers, about 48*L bytes for the FFT length L, and keeps
@@ -219,35 +226,26 @@ class BackflowKernel:
     """
 
     config: RingConfig
-    size: int
-    # a kernel on the same config and at least size modes, whose arrays are
-    # sliced instead of computed again (leading_block)
-    parent: InitVar[BackflowKernel | None] = None
     sin_phase: np.ndarray = field(init=False, repr=False)
     cos_phase: np.ndarray = field(init=False, repr=False)
     _diag: np.ndarray = field(init=False, repr=False)
     # (symbol, padded input, spectrum, product), made by the first matvec
     _fft: tuple | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self, parent):
-        most = self.config.size if parent is None else parent.size
-        if not 1 <= self.size <= most:
-            raise ValueError(f"size must be in 1..{most}, got {self.size!r}")
-        if parent is not None:
-            # every entry depends on its own m alone, so the slices are
-            # bitwise what this size computes
-            arrays = {name: getattr(parent, name)[:self.size]
-                      for name in ("sin_phase", "cos_phase", "_diag")}
-        else:
-            alpha, beta = self.config.alpha, self.config.beta
-            phase = _phase(alpha, beta, self.size)
-            m = np.arange(self.size, dtype=float)
-            # the operation order of kernel_entries, so the diagonal is bitwise its own
-            diag = (m + m - 2.0 * beta) * (alpha / np.pi)
-            arrays = {"sin_phase": np.sin(phase), "cos_phase": np.cos(phase), "_diag": diag}
-        for name, arr in arrays.items():
+    def __post_init__(self):
+        alpha, beta = self.config.alpha, self.config.beta
+        phase = _phase(alpha, beta, self.size)
+        m = np.arange(self.size, dtype=float)
+        # the operation order of kernel_entries, so the diagonal is bitwise its own
+        diag = (m + m - 2.0 * beta) * (alpha / np.pi)
+        for name, arr in (("sin_phase", np.sin(phase)), ("cos_phase", np.cos(phase)),
+                          ("_diag", diag)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def size(self) -> int:
+        return self.config.size
 
     def diagonal(self) -> np.ndarray:
         return self._diag
@@ -289,11 +287,6 @@ class BackflowKernel:
         out += np.multiply(x, self._diag, out=prod[0, :n])
         return out
 
-    def leading_block(self, k: int) -> "BackflowKernel":
-        """The same operator on the first k modes, with this kernel's phases
-        and diagonal sliced, not computed again."""
-        return BackflowKernel(self.config, k, self)
-
     def dense(self) -> np.ndarray:
         """The entries as a read-only size x size array, from kernel_entries."""
         entries = kernel_entries(self.config.alpha, self.config.beta, self.size)
@@ -323,7 +316,7 @@ def kernel_entries(alpha: float, beta: float, size: int) -> np.ndarray:
 
 def build_kernel(config: RingConfig) -> BackflowKernel:
     """The (n_trunc+1) x (n_trunc+1) backflow kernel as an operator; O(N) memory."""
-    return BackflowKernel(config, config.size)
+    return BackflowKernel(config)
 
 
 def integrated_current(coeffs: np.ndarray, kernel: BackflowKernel) -> float:

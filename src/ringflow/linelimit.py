@@ -13,12 +13,13 @@ the error of the Nystrom route: the smallest eigenvalue of the operator cut
 off at (0, u_max] follows lambda(U) ~ lambda_inf + a/U + b/U^2 with
 a ~ 0.0336, however fine the grid.  line_limit_min removes the leading a/U
 term at fixed spacing: the first k = n//2 midpoint nodes span (0, U*k/n],
-and their Nystrom matrix is the leading k x k block of the full one, so the
-two are one truncation ladder (extrapolate.solve_ladder: 34 LOBPCG
+and their Nystrom matrix is the ring kernel at the same (alpha, beta) on k
+modes, the leading k x k block of the full one, so the two are one
+truncation ladder, solve_ladder(alpha, -1/2, [k - 1, n - 1]) (34 LOBPCG
 iterations in place of 66 at u_max = 40, n = 4000), and a degree-1 fit in
-1/u through its rungs leaves O(1/U^2).  The raw interval eigenvalue,
-ring_small_alpha_limit((u_max/n)**2, -0.5, n - 1).lambda_min, is reported
-beside it.
+1/u through its rungs leaves O(1/U^2).  Each rung needs at least 2 modes,
+so n is at least 4.  The raw interval eigenvalue, ring_small_alpha_limit(
+(u_max/n)**2, -0.5, n - 1).lambda_min, is reported beside it.
 
 Near u_max the phase u_m^2 - u_n^2 steps by about 2 u_max^2/n between nodes.
 Against n = 16000 at u_max = 40 the estimate errs by 1.6e-6 at u_max^2/n =
@@ -57,20 +58,20 @@ def line_limit_min(u_max: float = 10.0, n_points: int = 2000) -> LineLimitResult
     kernel at alpha = (u_max/n_points)^2, beta = -1/2.  lambda(U) on all nodes
     and lambda(U') on the first k = n_points//2, U' = u_max*k/n_points, are
     solved as one ladder, and lambda_min is a0 of a0 + a1/u through them.
+    ValueError below 4 points, where a rung would have fewer than 2 modes.
     UserWarning when u_max**2/n_points > 1: the grid under-resolves the kernel.
     """
     # checked here: a negative u_max would square to a valid alpha
     if not 0 < u_max < math.inf:
         raise ValueError(f"u_max must be positive and finite, got {u_max!r}")
-    if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points!r}")
+    if n_points < 4:
+        raise ValueError(f"need at least 4 grid points, 2 a rung, got {n_points!r}")
     if u_max**2 / n_points > 1:
         warnings.warn(f"u_max**2/n_points = {u_max**2 / n_points:.2f} > 1; the grid "
                       "under-resolves the kernel's oscillation", stacklevel=2)
     h = u_max / n_points
-    kernel = build_kernel(RingConfig(h * h, -0.5, n_points - 1))
     k = n_points // 2
-    (half, full), rungs = solve_ladder([kernel.leading_block(k), kernel])
+    (half, full), rungs = solve_ladder(h * h, -0.5, [k - 1, n_points - 1])
     # at fixed h, u is proportional to the node count, and a0 does not see the scale
     (a0, _), _ = fit_inverse_powers([k, n_points], [half.lambda_min, full.lambda_min], 1)
     return LineLimitResult(float(a0), full.lambda_min, half.lambda_min, u_max * k / n_points,

@@ -48,8 +48,9 @@ Gaussian of half-width 16 grid points and parameter pi*16/(M^2 R (R - 1/2)),
 M = 2*quarter; one FFT per window then gives every output, and dividing by the
 Gaussian's Fourier coefficient undoes the spreading.  Each column costs
 2*32*N weighted np.bincount entries and one FFT of the grid per window (four
-columns, or two on an exact grid), and no BLAS call.  The start phases
-r_m (lo + k0 h) and x_m are reduced mod 2pi in double-double by
+columns, or two on an exact grid), and no BLAS call.  r_m is carried in
+double-double from kernel._squares, the kernel's own (m - beta)^2; the start
+phases r_m (lo + k0 h) and x_m are reduced mod 2pi in double-double by
 kernel._turned, and x_m stays double-double until its offset from the grid
 point below it, so no output carries j times the rounding of x_m.  The
 reduction holds to 2^52 turns, 2.8e16 rad; a larger r_m h or r_m (lo + k0 h)
@@ -60,13 +61,16 @@ output j: 66-fold at the band edge |j| = quarter.  So quarter is at least
 3/4 of the window's samples, which keeps every output used within
 |j| <= 2 quarter/3, at most 6.4-fold.
 
-Measured against each phase r_m*tau formed exactly and reduced mod 2pi in
-40 digits, at the samples checked: the N = 2000 maximizing state over
-(-1.5, 1.5) with 4001 samples is within 9e-16; six 127-mode states with
+Measured against each phase r_m*tau formed exactly from alpha, beta and
+tau and reduced mod 2pi in 40 digits, at the samples checked: the N = 2000
+maximizing state over (-1.5, 1.5) with 4001 samples is within 9e-16; six 127-mode states with
 coefficients decaying as 1/m^1.5, over (-7.3, 12.9) with 3 to 9001 samples,
 within 1.8e-14; 400 random states of 2 to 16 modes sampled twice (one output
 at j = -1) within 4.3e-14.  The same sums with each phase rounded to a
-double, fl(r_m*tau), are up to 1.6e-10 off on those 127-mode states.
+double, fl(r_m*tau), are up to 1.6e-10 off on those 127-mode states.  On
+c = (0.6, 0.8, 0) at beta = -0.3 with 129 samples over (-1/2, 1/2), T*J is
+within 1.3e-15 of 2 alpha/pi of 50-digit values at alpha = 1.16, 1e6 and 1e9;
+r_m rounded to a double put it 1.8e-10 off at 1e6 and 1.9e-7 at 1e9.
 On c = (0.6, 0, 0.8) on exact grids over (-1.5, 1.5) the closed form
 (2 alpha/pi)(1.28 + 0.96 cos 8 alpha tau) is matched to 4.1e-15 of
 2 alpha/pi with 5 to 4097 samples at alpha = 1e11 to 1e15 and with 257 and
@@ -96,6 +100,7 @@ from .kernel import (
     _check_alpha,
     _fft_size,
     _phase_guard,
+    _squares,
     _turned,
     _two_prod,
     _two_sum,
@@ -229,10 +234,15 @@ def current_series(
     where = f"alpha = {state.alpha!r}, theta = {theta!r} and tau in ({lo!r}, {hi!r})"
     with _phase_guard(where):
         tau = np.linspace(lo, hi, n_samples)
-        phase_rate = 2.0 * state.alpha * (m - state.beta) ** 2
+        # r_m = 2 alpha (m - beta)^2 in double-double, from the kernel's squares;
+        # alpha, not 2 alpha, goes through Dekker's splitter (finite to 1.3e300)
+        squares, squares_err = _squares(state.beta, len(m))
+        rate, rate_err = _two_prod(state.alpha, squares)
+        rate_err += state.alpha * squares_err
         c_theta = state.coeffs * np.exp(1j * m * theta)
         amps = np.stack([c_theta, (m - state.beta) * c_theta], axis=1)
-        tj, diagnostics = _nufft_series(amps, phase_rate, tau, 2.0 * state.alpha / np.pi)
+        tj, diagnostics = _nufft_series(amps, 2.0 * rate, 2.0 * rate_err, tau,
+                                        2.0 * state.alpha / np.pi)
     bound, peak = diagnostics["remainder_bound"], np.max(np.abs(tj))
     if bound > _REMAINDER_TOL * peak:
         warnings.warn(f"remainder_bound = {bound:.2g} exceeds {_REMAINDER_TOL:g} of max|T*J| = "
@@ -241,11 +251,12 @@ def current_series(
     return CurrentSeries(tau_samples=tau, tj_values=tj, theta=theta, diagnostics=diagnostics)
 
 
-def _nufft_series(amps, phase_rate, tau, scale):
+def _nufft_series(amps, phase_rate, rate_err, tau, scale):
     """(T*J at every tau, the transform's settings and remainder_bound), from
     one Gaussian-gridding type-1 nonuniform FFT per window of samples.  amps
-    holds the z and w columns; the rz and rw columns, r = phase_rate, join
-    them only when some tau lies off the exact grid lo + k h."""
+    holds the z and w columns; the rz and rw columns, r = phase_rate +
+    rate_err (a double-double), join them only when some tau lies off the
+    exact grid lo + k h."""
     n_samples, n_modes = len(tau), len(phase_rate)
     lo, h = tau[0], (tau[-1] - tau[0]) / (n_samples - 1)  # np.linspace's step
     eps = _grid_offsets(tau, lo, h)
@@ -269,7 +280,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
     # x_m is carried in double-double up to its offset from the grid point
     # below it, so it is placed to about 1e-16 of a step, and output j does
     # not carry the j-fold rounding error of x_m rounded to a double.
-    x_hi, x_lo = _turned(phase_rate, h)
+    x_hi, x_lo = _turned(phase_rate, h, rate_err=rate_err)
     per_radian, per_radian_err = _two_prod(float(grid), _INV_TWO_PI_HI)
     per_radian_err += grid * _INV_TWO_PI_LO
     x, x_err = _two_prod(x_hi, per_radian)
@@ -302,7 +313,7 @@ def _nufft_series(amps, phase_rate, tau, scale):
         # carried in double-double and reduced mod 2pi
         offset, offset_err = _two_prod(float(centre), h)
         start, start_err = _two_sum(lo, offset)
-        phase, _ = _turned(phase_rate, start, start_err + offset_err)
+        phase, _ = _turned(phase_rate, start, start_err + offset_err, rate_err)
         np.multiply(amps.T, np.cos(phase) - 1j * np.sin(phase), out=turned)
         np.copyto(parts[:, 0], turned.real)
         np.copyto(parts[:, 1], turned.imag)

@@ -28,17 +28,17 @@ def other_threads_cpu_s() -> float:
 
 
 def exact_phases(state, tau):
-    """Each phase r_m*tau, r_m = 2*alpha*(m - beta)^2, formed as a rational and
-    reduced mod 2*pi in 40-digit arithmetic, then rounded to a double."""
+    """Each phase r_m*tau, r_m = 2*alpha*(m - beta)^2, formed as a rational
+    from the doubles alpha, beta and tau and reduced mod 2*pi in 40-digit
+    arithmetic, then rounded to a double."""
     import mpmath
 
-    m = np.arange(len(state.coeffs))
-    rate = 2.0 * state.alpha * (m - state.beta) ** 2
+    alpha, beta, tau = Fraction(state.alpha), Fraction(state.beta), Fraction(float(tau))
     with mpmath.workdps(40):
         two_pi = 2 * mpmath.pi
         phases = []
-        for r in rate:
-            p = Fraction(float(r)) * Fraction(float(tau))
+        for m in range(len(state.coeffs)):
+            p = 2 * alpha * (m - beta) ** 2 * tau
             phases.append(float(mpmath.fmod(mpmath.mpf(p.numerator) / p.denominator, two_pi)))
     return np.array(phases)
 

@@ -5,7 +5,12 @@ import pytest
 
 from ringflow import RingConfig, build_kernel, extrapolated_infimum, fit_quadratic, min_eigen
 from ringflow.eigen import EigenResult
-from ringflow.extrapolate import DEFAULT_SWEEP_SCHEDULE, ExtrapolationError, fit_inverse_powers
+from ringflow.extrapolate import (
+    DEFAULT_SWEEP_SCHEDULE,
+    ExtrapolationError,
+    fit_inverse_powers,
+    solve_ladder,
+)
 
 from conftest import ALPHA_STAR, REFERENCE_FIT, REFERENCE_LAMBDAS
 
@@ -139,12 +144,25 @@ class TestWarmStartedLadder:
 
         def rising(kernel, start=None):
             v = np.ones(kernel.size) / np.sqrt(kernel.size)
-            return EigenResult(next(lams), v, kernel.size - 1, 0.0, "lobpcg", 1)
+            return EigenResult(lambda_min=next(lams), eigenvector=v, n_trunc=kernel.size - 1,
+                               residual_norm=0.0, iterations=1)
 
         monkeypatch.setattr(ex, "min_eigen", rising)
         with pytest.raises(ExtrapolationError, match=r"lambda\(30\) .* lambda\(20\)") as err:
             extrapolated_infimum(1.0, 0.0, [10, 20, 30, 40])
         assert err.value.n_trunc == 30
+
+    @pytest.mark.parametrize("alpha,sizes", [(-1.0, [10, 20]), (1.0, [10, 0]), (1e13, [10, 3000])],
+                             ids=["negative-alpha", "zero-size", "overflowing-phase"])
+    def test_ladder_checked_before_any_solve(self, monkeypatch, alpha, sizes):
+        import ringflow.extrapolate as ex
+
+        def never(kernel, start=None):
+            raise AssertionError(f"solved N = {kernel.config.n_trunc} before every rung was built")
+
+        monkeypatch.setattr(ex, "min_eigen", never)
+        with pytest.raises(ValueError):
+            solve_ladder(alpha, 0.0, sizes)
 
     @pytest.mark.parametrize("beta", [0.0, -0.4])
     def test_interlacing_holds_on_sweep_grids(self, beta):

@@ -261,24 +261,24 @@ class TestOperator:
         # a strided column gives the same numbers as its contiguous copy
         assert np.array_equal(kern.matvec(x[:, 1].copy()), got[:, 1])
 
-    @pytest.mark.parametrize("size", [1, 2, 3, eigen._START_BLOCK + 1])
+    @pytest.mark.parametrize("size", [2, 3, eigen._START_BLOCK + 1])
     @pytest.mark.parametrize("layout", ["vector", "block"])
     def test_matvec_small_and_crossover_sizes(self, size, layout):
         # the circulant embedding's edge cases, and the smallest size at which
         # LOBPCG iterates beyond its start block
-        kern = build_kernel(RingConfig(1.7, -0.4, 400)).leading_block(size)
+        kern = build_kernel(RingConfig(1.7, -0.4, size - 1))
         x = random_vector(np.random.default_rng(size), size, layout)
         want = kern.dense() @ x
         got = kern.matvec(x)
         assert got.shape == want.shape == (size,)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("size", [1, 2, eigen._START_BLOCK + 1, 3000])
+    @pytest.mark.parametrize("size", [2, eigen._START_BLOCK + 1, 3000])
     @pytest.mark.parametrize("layout", ["vector", "block"])
     def test_matvec_leaves_input_and_returns_new_arrays(self, size, layout):
         # matvec works in place on its own buffers: a read-only input must do,
         # and changing one result must change no later one
-        kern = build_kernel(RingConfig(1.7, -0.4, 3000)).leading_block(size)
+        kern = build_kernel(RingConfig(1.7, -0.4, size - 1))
         x = random_vector(np.random.default_rng(size), size, layout)
         kept = x.copy()
         x.setflags(write=False)
@@ -308,23 +308,18 @@ class TestOperator:
         finally:
             tracemalloc.stop()
 
-    def test_leading_block_is_bitwise_slice(self):
-        kern = build_kernel(RingConfig(1.7, -0.4, 900))
-        full = kern.dense()
-        for k in (1, 64, 450, 901):
-            block = kern.leading_block(k)
-            assert block.size == k
-            assert np.array_equal(block.dense(), full[:k, :k])
-            assert np.array_equal(block.diagonal(), np.diagonal(full)[:k])
-            # the sliced phases are those a k-mode kernel computes
-            built = kernel.BackflowKernel(kern.config, k)
-            assert np.array_equal(block.sin_phase, built.sin_phase)
-            assert np.array_equal(block.cos_phase, built.cos_phase)
-
-    @pytest.mark.parametrize("k", [0, 902])
-    def test_leading_block_size_checked(self, k):
-        with pytest.raises(ValueError):
-            build_kernel(RingConfig(1.7, -0.4, 900)).leading_block(k)
+    def test_smaller_kernel_is_bitwise_leading_block(self):
+        # a ladder's rungs are built, each from its own config: the kernel on
+        # k modes is the leading block of the kernel on more, bit for bit
+        full = build_kernel(RingConfig(1.7, -0.4, 900))
+        entries = full.dense()
+        for k in (2, 64, 450, 901):
+            block = build_kernel(RingConfig(1.7, -0.4, k - 1))
+            assert block.size == k == block.config.n_trunc + 1
+            assert np.array_equal(block.dense(), entries[:k, :k])
+            assert np.array_equal(block.diagonal(), np.diagonal(entries)[:k])
+            assert np.array_equal(block.sin_phase, full.sin_phase[:k])
+            assert np.array_equal(block.cos_phase, full.cos_phase[:k])
 
     def test_matvec_shape_checked(self):
         # one vector of size entries; a block of vectors is rejected too

@@ -49,21 +49,22 @@ def test_package_does_not_import_scipy():
 
 
 def test_kernel_entries_read_only_by_dense_paths():
-    # the N x N entries are for eigen.py's LOBPCG start block and verify.py's
-    # entry oracles; everything else uses the operator
+    # the N x N entries are for BackflowKernel.dense, eigen.py's LOBPCG start
+    # block and verify.py's entry oracles; everything else uses the operator
     readers = {
-        (name, func.name)
+        (name, func.name, _callee(node))
         for name, tree in _trees()
         for func in ast.walk(tree)
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if (isinstance(node, ast.Call) and _callee(node) == "dense")
-        or (isinstance(node, ast.Attribute) and node.attr == "entries")
+        if isinstance(node, ast.Call) and _callee(node) in ("dense", "kernel_entries")
     }
     assert readers == {
-        ("eigen.py", "min_eigen"),
-        ("verify.py", "kernel_asymmetry"),
-        ("verify.py", "check_kernel_entries"),
+        ("kernel.py", "dense", "kernel_entries"),
+        ("eigen.py", "min_eigen", "kernel_entries"),
+        ("verify.py", "beta_shift_deviation", "kernel_entries"),
+        ("verify.py", "kernel_asymmetry", "dense"),
+        ("verify.py", "check_kernel_entries", "dense"),
     }, readers
 
 

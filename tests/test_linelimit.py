@@ -59,7 +59,9 @@ class TestLineLimit:
         assert abs(lam40 + C_LINE) <= 1e-3
 
     def test_invalid_inputs(self):
-        for u_max, n_points in ((0.0, 10), (-1.0, 10), (float("nan"), 10), (5.0, 1)):
+        # 2 and 3 points would leave the half rung fewer than 2 modes
+        for u_max, n_points in ((0.0, 10), (-1.0, 10), (float("nan"), 10), (5.0, 1), (10.0, 2),
+                                (10.0, 3)):
             with pytest.raises(ValueError):
                 line_limit_min(u_max, n_points)
 
@@ -83,7 +85,8 @@ class TestLineLimit:
 
         def rising(kernel, start=None):
             v = np.ones(kernel.size) / np.sqrt(kernel.size)
-            return EigenResult(next(lams), v, kernel.size - 1, 0.0, "lobpcg", 1)
+            return EigenResult(lambda_min=next(lams), eigenvector=v, n_trunc=kernel.size - 1,
+                               residual_norm=0.0, iterations=1)
 
         monkeypatch.setattr(ex, "min_eigen", rising)
         with pytest.raises(ExtrapolationError, match=r"lambda\(399\) .* lambda\(199\)") as err:

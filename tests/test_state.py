@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ def exact_phase_current(state, theta, tau):
     z = evol @ c_theta
     w = evol @ ((m - state.beta) * c_theta)
     return 2.0 * state.alpha / math.pi * float(np.real(np.conj(z) * w))
+
+
+def fifty_digit_current(state, taus):
+    """T*J(0, tau) at each tau through the z*w reduction in 50-digit
+    arithmetic, each phase formed as a rational from the doubles alpha, beta
+    and tau."""
+    import mpmath
+
+    alpha, beta = Fraction(state.alpha), Fraction(state.beta)
+    values = []
+    with mpmath.workdps(50):
+        for tau in taus:
+            z = w = mpmath.mpc(0)
+            for m, c in enumerate(state.coeffs):
+                phase = 2 * alpha * (m - beta) ** 2 * Fraction(float(tau))
+                phase = mpmath.mpf(phase.numerator) / phase.denominator
+                term = mpmath.expj(-phase) * mpmath.mpc(c.real, c.imag)
+                z += term
+                w += (m - mpmath.mpf(state.beta)) * term
+            scale = 2 * mpmath.mpf(state.alpha) / mpmath.pi
+            values.append(float(scale * (mpmath.conj(z) * w).real))
+    return np.array(values)
 
 
 class TestModeAmplitudes:
@@ -338,6 +361,16 @@ class TestLargePhases:
         assert series.diagnostics["remainder_bound"] == 0.0
         exact = two_mode_closed_form(coeffs, alpha, series.tau_samples)
         assert np.max(np.abs(series.tj_values - exact)) <= tol * (2 * alpha / math.pi)
+
+    @pytest.mark.parametrize("alpha", [1.16, 1e6, 1e9])
+    def test_rate_off_integer_beta_matches_50_digits(self, alpha):
+        # at beta = -0.3 the rate 2 alpha (m - beta)^2 is no double; rounded
+        # to one, it put T*J off by 1.1e-10 of 2 alpha/pi at alpha = 1e6 and
+        # 1.1e-7 at 1e9.  h = 1/128 keeps every sample on the exact grid.
+        state = make_state(np.array([0.6, 0.8, 0.0]), alpha, -0.3)
+        series = current_series(state, 0.0, (-0.5, 0.5), 129)
+        exact = fifty_digit_current(state, series.tau_samples)
+        assert np.max(np.abs(series.tj_values - exact)) <= 1e-14 * (2 * alpha / math.pi)
 
     @pytest.mark.parametrize("alpha, warns", [(1e9, False), (1e10, False), (1e12, True),
                                                (1e14, True)])
