@@ -118,13 +118,17 @@ def solve_ladder(alpha: float, beta: float, sizes) -> tuple[list[EigenResult], t
     """Smallest eigenpairs of the kernel at (alpha, beta) truncated at each
     N in sizes, increasing.
 
-    Every rung is built before the first solve, so a bad alpha, beta or N is
-    a ValueError before any solve.  Each solve after the first starts from
-    the previous one's eigenvector.  Returns the results and, per rung, its
-    N, iterations, residual and start for the run manifest.
+    Sizes that do not strictly increase are a ValueError before any kernel
+    is built.  Every rung is built before the first solve, so a bad alpha,
+    beta or N is a ValueError before any solve.  Each solve after the first
+    starts from the previous one's eigenvector.  Returns the results and, per
+    rung, its N, iterations, residual and start for the run manifest.
     ExtrapolationError, naming N, if a solve fails or lambda rises from one
     rung to the next by more than rounding.
     """
+    sizes = list(sizes)
+    if any(n >= m for n, m in zip(sizes, sizes[1:])):
+        raise ValueError(f"ladder sizes must strictly increase, got {sizes}")
     kernels = [build_kernel(RingConfig(alpha, beta, n)) for n in sizes]
     results = []
     while kernels:

@@ -40,6 +40,16 @@ START_METHOD = "fork"
 # 10-100% more CPU in total, so it runs only where it won.
 _MODES_PER_WORKER = 20000
 
+# find_infimum's stages, each (grid points, truncation schedule): a coarse
+# grid over the alpha box on a fast schedule, then grids 10 times narrower
+# each around the best alpha so far, the last on the most accurate schedule
+_SEARCH_PLAN = (
+    (16, (300, 400, 600, 800)),
+    (11, DEFAULT_SWEEP_SCHEDULE),
+    (11, DEFAULT_SWEEP_SCHEDULE),
+    (11, (800, 1000, 1200, 1600, 2000)),
+)
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -71,15 +81,15 @@ def _one_point(alpha, beta, schedule):
         return SweepRecord(alpha, beta, float("nan"), float("nan"), str(exc))
 
 
-def _check_jobs(jobs) -> None:
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def sweep_workers(points: int, schedule, jobs: int) -> int:
     """Worker processes sweep_alpha uses for a grid of `points` alphas on
     `schedule`, at most `jobs`; 1 means the grid runs in the calling process."""
-    _check_jobs(jobs)
+    _check_count("jobs", jobs)
     return int(max(1, min(jobs, points * sum(schedule) // _MODES_PER_WORKER)))
 
 
@@ -144,12 +154,6 @@ def find_infimum(
     alpha_box: tuple[float, float],
     beta_max: float,
     budget: int = 200,
-    coarse_points: int = 16,
-    refine_points: int = 11,
-    stages: int = 3,
-    coarse_schedule=(300, 400, 600, 800),
-    refine_schedule=DEFAULT_SWEEP_SCHEDULE,
-    final_schedule=(800, 1000, 1200, 1600, 2000),
     jobs: int = 1,
 ) -> InfimumResult:
     """Locate the minimum of the extrapolated infimum over alpha_box x (-1, beta_max].
@@ -162,11 +166,12 @@ def find_infimum(
     inherits that ordering only up to fit error: about 1e-10, against
     dlambda/dbeta ~ -0.56 at the optimum.
 
-    Coarse grid scan in alpha at a fast truncation schedule, then successive
-    local grid refinement (factor 10 per stage) around the incumbent with
-    increasingly accurate schedules.  Budget counts extrapolated-infimum
-    evaluations; on exhaustion the incumbent is returned with budget_exhausted
-    set.
+    Runs _SEARCH_PLAN, one sweep_alpha grid per stage on that stage's
+    schedule: stage 0 over the whole box, each later stage around the best
+    alpha so far, on a span 10 times narrower than the one before.  Budget
+    counts extrapolated-infimum evaluations; the grid that would pass it is
+    cut short, the search stops there with budget_exhausted set, and the best
+    point so far is returned.  stages counts the refinement stages begun.
     """
     a_lo, a_hi = alpha_box
     _check_alpha(a_lo)
@@ -174,47 +179,36 @@ def find_infimum(
     if not a_lo <= a_hi:
         raise ValueError("alpha box must be ordered")
     _check_beta_max(beta_max)
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget!r}")
-    _check_jobs(jobs)
+    _check_count("budget", budget)
+    _check_count("jobs", jobs)
 
     used = 0
-    exhausted = False
     best = None  # SweepRecord
     scans = []
-
-    def scan(alphas, schedule):
-        nonlocal used, exhausted, best
-        alphas = list(alphas)
-        if used + len(alphas) > budget:
-            alphas = alphas[: max(0, budget - used)]
-            exhausted = True
-        if not alphas:
-            return
-        used += len(alphas)
-        scans.append(scan_diagnostics(len(alphas), schedule, jobs))
-        for r in sweep_alpha(beta_max, alphas, schedule, jobs):
-            if r.error is None and (best is None or r.p_estimate < best.p_estimate):
-                best = r
-
-    scan(np.linspace(a_lo, a_hi, coarse_points), coarse_schedule)
-    if best is None:
-        raise RuntimeError("no successful evaluation in the coarse scan")
-
-    stage = 0
-    while stage < stages and not exhausted:
-        stage += 1
-        span = 2.0 * (a_hi - a_lo) / max(coarse_points - 1, 1) / 10 ** (stage - 1)
-        a0 = best.alpha
-        alphas = np.linspace(max(a0 - span, a_lo), min(a0 + span, a_hi), refine_points)
-        scan(alphas, final_schedule if stage == stages else refine_schedule)
+    coarse = _SEARCH_PLAN[0][0]
+    for stage, (points, schedule) in enumerate(_SEARCH_PLAN):
+        lo, hi = a_lo, a_hi
+        if stage:
+            span = 2.0 * (a_hi - a_lo) / max(coarse - 1, 1) / 10 ** (stage - 1)
+            lo, hi = max(best.alpha - span, a_lo), min(best.alpha + span, a_hi)
+        alphas = np.linspace(lo, hi, points)[: budget - used]
+        if len(alphas):
+            used += len(alphas)
+            scans.append(scan_diagnostics(len(alphas), schedule, jobs))
+            for r in sweep_alpha(beta_max, alphas, schedule, jobs):
+                if r.error is None and (best is None or r.p_estimate < best.p_estimate):
+                    best = r
+        if best is None:
+            raise RuntimeError("no successful evaluation in the coarse scan")
+        if len(alphas) < points:
+            break
 
     return InfimumResult(
         alpha=best.alpha,
         beta=best.beta,
         p=best.p_estimate,
         evaluations=used,
-        budget_exhausted=exhausted,
+        budget_exhausted=len(alphas) < points,
         stages=stage,
         scans=tuple(scans),
     )

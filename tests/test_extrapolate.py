@@ -152,7 +152,8 @@ class TestWarmStartedLadder:
             extrapolated_infimum(1.0, 0.0, [10, 20, 30, 40])
         assert err.value.n_trunc == 30
 
-    @pytest.mark.parametrize("alpha,sizes", [(-1.0, [10, 20]), (1.0, [10, 0]), (1e13, [10, 3000])],
+    # [0, 10] increases, so the size 0 reaches RingConfig's own check
+    @pytest.mark.parametrize("alpha,sizes", [(-1.0, [10, 20]), (1.0, [0, 10]), (1e13, [10, 3000])],
                              ids=["negative-alpha", "zero-size", "overflowing-phase"])
     def test_ladder_checked_before_any_solve(self, monkeypatch, alpha, sizes):
         import ringflow.extrapolate as ex
@@ -163,6 +164,18 @@ class TestWarmStartedLadder:
         monkeypatch.setattr(ex, "min_eigen", never)
         with pytest.raises(ValueError):
             solve_ladder(alpha, 0.0, sizes)
+
+    @pytest.mark.parametrize("sizes", [[40, 10], [40, 40]], ids=["decreasing", "repeated"])
+    def test_sizes_out_of_order_rejected_before_any_build(self, monkeypatch, sizes):
+        import ringflow.extrapolate as ex
+
+        def never(*args, **kwargs):
+            raise AssertionError("built or solved a ladder whose sizes do not increase")
+
+        monkeypatch.setattr(ex, "build_kernel", never)
+        monkeypatch.setattr(ex, "min_eigen", never)
+        with pytest.raises(ValueError, match=r"strictly increase, got \[40, \d+\]"):
+            solve_ladder(1.0, 0.0, sizes)
 
     @pytest.mark.parametrize("beta", [0.0, -0.4])
     def test_interlacing_holds_on_sweep_grids(self, beta):

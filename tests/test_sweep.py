@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,65 +139,39 @@ class TestSweepAlpha:
             sweep_alpha(0.0, [], FAST)
 
 
+def plan(coarse, refine, stages, schedule=FAST):
+    """A search plan: a coarse grid, then `stages` refinement grids, all on one schedule."""
+    return ((coarse, schedule),) + ((refine, schedule),) * stages
+
+
 class TestFindInfimum:
-    def test_degenerate_box(self):
+    def test_degenerate_box(self, monkeypatch):
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", plan(1, 1, 3))
         alpha = 0.37 * math.pi
-        res = find_infimum(
-            (alpha, alpha),
-            0.0,
-            coarse_points=1,
-            refine_points=1,
-            coarse_schedule=FAST,
-            refine_schedule=FAST,
-            final_schedule=FAST,
-        )
+        res = find_infimum((alpha, alpha), 0.0)
         from ringflow import extrapolated_infimum
 
         p_direct, _ = extrapolated_infimum(alpha, 0.0, FAST)
         assert res.alpha == alpha
         assert res.p == p_direct
 
-    def test_zero_excluded_from_argmin_near_pi(self):
-        schedule = (60, 80, 100, 120)
-        res = find_infimum(
-            (0.9 * math.pi, 1.1 * math.pi),
-            0.0,
-            coarse_points=9,
-            refine_points=5,
-            stages=2,
-            coarse_schedule=schedule,
-            refine_schedule=schedule,
-            final_schedule=schedule,
-        )
+    def test_zero_excluded_from_argmin_near_pi(self, monkeypatch):
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", plan(9, 5, 2, (60, 80, 100, 120)))
+        res = find_infimum((0.9 * math.pi, 1.1 * math.pi), 0.0)
         assert res.p < 0
         assert abs(res.alpha / math.pi - 1.0) > 1e-3
 
-    def test_budget_exhaustion_flagged(self):
-        res = find_infimum(
-            (0.3 * math.pi, 0.5 * math.pi),
-            0.0,
-            budget=3,
-            coarse_points=5,
-            coarse_schedule=FAST,
-            refine_schedule=FAST,
-            final_schedule=FAST,
-        )
+    def test_budget_exhaustion_flagged(self, monkeypatch):
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", plan(5, 11, 3))
+        res = find_infimum((0.3 * math.pi, 0.5 * math.pi), 0.0, budget=3)
         assert res.budget_exhausted
         assert res.evaluations <= 3
 
-    def test_reproducible(self):
+    def test_reproducible(self, monkeypatch):
         from ringflow import extrapolated_infimum
 
-        res = find_infimum(
-            (0.35 * math.pi, 0.4 * math.pi),
-            0.0,
-            coarse_points=6,
-            refine_points=5,
-            stages=2,
-            coarse_schedule=FAST,
-            refine_schedule=FAST,
-            final_schedule=FAST,
-        )
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", plan(6, 5, 2))
+        res = find_infimum((0.35 * math.pi, 0.4 * math.pi), 0.0)
         p_again, _ = extrapolated_infimum(res.alpha, res.beta, FAST)
         assert p_again == res.p
 
@@ -209,20 +184,60 @@ class TestFindInfimum:
             return real(alpha, beta, schedule)
 
         monkeypatch.setattr(sw, "extrapolated_infimum", recording)
-        schedule = (60, 80, 100, 120)
-        res = find_infimum(
-            (0.35 * math.pi, 0.4 * math.pi),
-            -0.1,
-            coarse_points=6,
-            refine_points=5,
-            stages=2,
-            coarse_schedule=schedule,
-            refine_schedule=schedule,
-            final_schedule=schedule,
-        )
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", plan(6, 5, 2, (60, 80, 100, 120)))
+        res = find_infimum((0.35 * math.pi, 0.4 * math.pi), -0.1)
         assert betas and all(b == -0.1 for b in betas)
         assert res.beta == -0.1
         assert res.evaluations == len(betas) == 6 + 2 * 5
+
+    def test_default_plan(self, monkeypatch):
+        # a fast smooth fake with its minimum inside the box, so that every
+        # stage runs, centred on the best alpha so far
+        def bowl(alpha, beta, schedule):
+            return (alpha - 0.3704 * math.pi) ** 2 - 0.1168, SimpleNamespace(residual=0.0)
+
+        def recording(beta, alphas, schedule, jobs):
+            grids.append(list(alphas))
+            return real(beta, alphas, schedule, jobs)
+
+        grids = []
+        real = sw.sweep_alpha
+        monkeypatch.setattr(sw, "extrapolated_infimum", bowl)
+        monkeypatch.setattr(sw, "sweep_alpha", recording)
+        box = (0.3 * math.pi, 0.45 * math.pi)
+        schedules = [[300, 400, 600, 800], [400, 600, 800, 1200, 1600],
+                     [400, 600, 800, 1200, 1600], [800, 1000, 1200, 1600, 2000]]
+
+        res = find_infimum(box, 0.0)
+        assert [(scan["points"], scan["schedule"]) for scan in res.scans] == list(
+            zip([16, 11, 11, 11], schedules))
+        assert (res.evaluations, res.stages, res.budget_exhausted) == (49, 3, False)
+        assert grids[0] == list(np.linspace(*box, 16))
+        for stage in (1, 2, 3):
+            best = min((a for grid in grids[:stage] for a in grid), key=lambda a: bowl(a, 0.0, None)[0])
+            span = 2 * (box[1] - box[0]) / 15 / 10 ** (stage - 1)
+            assert grids[stage][0] == pytest.approx(best - span, abs=1e-15)
+            assert grids[stage][-1] == pytest.approx(best + span, abs=1e-15)
+
+        res = find_infimum(box, 0.0, budget=27)
+        assert [(scan["points"], scan["schedule"]) for scan in res.scans] == list(
+            zip([16, 11], schedules))
+        assert (res.evaluations, res.stages, res.budget_exhausted) == (27, 2, True)
+
+    def test_failed_coarse_scan_raises_failed_refinement_keeps_best(self, monkeypatch):
+        def failing(alpha, beta, schedule):
+            if schedule is not FAST:
+                raise ArithmeticError("synthetic")
+            return -alpha, SimpleNamespace(residual=0.0)
+
+        monkeypatch.setattr(sw, "extrapolated_infimum", failing)
+        box = (0.35 * math.pi, 0.4 * math.pi)
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", ((3, FAST), (2, (60, 80, 100, 120))))
+        res = find_infimum(box, 0.0)
+        assert (res.alpha, res.p, res.evaluations, res.stages) == (box[1], -box[1], 5, 1)
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", ((3, (60, 80, 100, 120)), (2, FAST)))
+        with pytest.raises(RuntimeError, match="no successful evaluation in the coarse scan"):
+            find_infimum(box, 0.0)
 
     def test_invalid_boxes(self):
         with pytest.raises(ValueError):
@@ -235,7 +250,7 @@ class TestFindInfimum:
             with pytest.raises(ValueError, match=f"positive and finite, got {value}"):
                 find_infimum(box, 0.0)
 
-    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, math.nan])
     def test_budget_below_one_rejected_before_any_solve(self, monkeypatch, budget):
         monkeypatch.setattr(sw, "extrapolated_infimum", unexpected)
         with pytest.raises(ValueError, match="budget"):
@@ -247,19 +262,9 @@ class TestFindInfimum:
         with pytest.raises(ValueError, match="jobs"):
             find_infimum((0.35 * math.pi, 0.4 * math.pi), 0.0, jobs=jobs)
 
-    def test_scans_recorded(self):
-        res = find_infimum(
-            (0.35 * math.pi, 0.4 * math.pi),
-            0.0,
-            budget=9,
-            coarse_points=4,
-            refine_points=3,
-            stages=2,
-            coarse_schedule=FAST,
-            refine_schedule=FAST,
-            final_schedule=FAST,
-            jobs=2,
-        )
+    def test_scans_recorded(self, monkeypatch):
+        monkeypatch.setattr(sw, "_SEARCH_PLAN", plan(4, 3, 2))
+        res = find_infimum((0.35 * math.pi, 0.4 * math.pi), 0.0, budget=9, jobs=2)
         assert res.scans == (
             sw.scan_diagnostics(4, FAST, 2),
             sw.scan_diagnostics(3, FAST, 2),
