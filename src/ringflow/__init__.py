@@ -8,6 +8,19 @@ oracles (time quadrature, two-mode closed forms, the straight-line limit).
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread when numpy loads; it busy-waits for
+# about 0.13 s of CPU before it sleeps, which bills a second core for the
+# first tens of ms of every run, and above 10^4 modes it threads ddot and
+# dgemm, whose sums then depend on the thread count.  With one thread OpenBLAS
+# starts none.  OpenBLAS reads the variable once, as numpy loads: after that
+# setting it would change nothing but what the manifest records, so a caller
+# who loaded numpy first keeps its threads.  A value the caller set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .eigen import EigenResult, EigenSolveError, min_eigen
 from .extrapolate import (
     DEFAULT_SWEEP_SCHEDULE,

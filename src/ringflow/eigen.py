@@ -11,7 +11,9 @@ that block.  A kernel of at most 25 modes is its own start block, so there
 the start vector is dense eigh's eigenvector, and on every kernel tried
 LOBPCG stops at iteration 0.  The block is 25 modes because LAPACK's dsyevd
 makes no level-3 BLAS call up to that size, so the start vector wakes no
-OpenBLAS worker thread.
+OpenBLAS worker thread.  Importing ringflow before numpy loads OpenBLAS with
+one thread and so with no worker; the block size matters where numpy was
+loaded first or the caller asked for more threads.
 
 The preconditioner is the identity on modes with D_m < 1 and Jacobi above
 them: the off-diagonal part of K has norm at most 1 (Hilbert's inequality),
@@ -62,7 +64,9 @@ _RESIDUAL_FACTOR = 1e-10
 # stays on the QL path and calls no level-3 BLAS.  From n = 26 on, its dgemm
 # calls hand work to OpenBLAS's worker threads, which then busy-wait; with
 # one start-block eigh every few ms they never sleep, and bill a second core
-# for the whole run, competing with a sweep's worker processes.  A 64-mode block
+# for the whole run, competing with a sweep's worker processes.  OpenBLAS has
+# such workers only where numpy was loaded before ringflow, or the caller
+# asked for more than one thread (see ringflow/__init__.py).  A 64-mode block
 # would save about a tenth of the LOBPCG iterations (90 against 100 on the
 # 800..3000 schedule at alpha*).
 _START_BLOCK = 25

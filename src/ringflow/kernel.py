@@ -152,7 +152,7 @@ def _phase_guard(where: str):
 
 
 def _phase(alpha: float, beta: float, size: int) -> np.ndarray:
-    """alpha*(m - beta)^2 reduced to about [-pi, pi], for m = 0..size-1.
+    """alpha*(m - beta)^2 reduced into [-pi, pi], for m = 0..size-1.
 
     The square is carried in double-double arithmetic, and _turned forms
     the product and reduces it by a double-double 2*pi, so the reduced
@@ -175,16 +175,19 @@ def _squares(beta: float, size: int):
 
 
 def _turned(rate, t, t_err=0.0, rate_err=0.0):
-    """(rate + rate_err)*(t + t_err) reduced mod 2*pi to about [-pi, pi]
-    (within 1.5 turns near the limit), as a normalized double-double
-    (hi, lo): hi is the reduced phase rounded to a double.  The product of
-    the two low parts is left out.
+    """(rate + rate_err)*(t + t_err) reduced mod 2*pi into [-pi, pi] (to an
+    ulp of pi), as a normalized double-double (hi, lo): hi is the reduced
+    phase rounded to a double.  The product of the two low parts is left out.
 
     The package's one reduction mod 2*pi: the product is formed in
-    double-double and less whole turns of a double-double 2*pi.  The last
-    TwoSum normalizes the pair; before it the low part holds the product's
-    rounding and that of the turns, up to about 1 rad near the limit, which
-    would move _nufft_series's grid placement by hundreds of grid steps.
+    double-double and less whole turns of a double-double 2*pi, twice.  Each
+    pass ends in a TwoSum that normalizes the pair; before the first the low
+    part holds the product's rounding and that of the turns, up to about
+    1 rad near the limit, which would move _nufft_series's grid placement by
+    hundreds of grid steps.  The first pass rounds the quotient of a phase of
+    up to 2^52 turns, so near the limit it leaves hi up to 1.5 turns wide
+    (9.7 rad at alpha = 3e9, N = 3001); the second, on |hi| < 10, takes off
+    the turns left, exactly (Sterbenz), and is a no-op where |hi| <= pi.
     Past 2^52 turns (2.8e16 rad) rint(phase/2pi) drops whole turns, so such
     a phase is a FloatingPointError, which _phase_guard reports.
     """
@@ -194,10 +197,13 @@ def _turned(rate, t, t_err=0.0, rate_err=0.0):
                                  "that the reduction mod 2pi holds")
     ph, pl = _two_prod(rate, t)
     pl += rate * t_err + rate_err * t
-    turns = np.rint(ph / _TWO_PI_HI)
-    qh, ql = _two_prod(turns, _TWO_PI_HI)
-    ql += turns * _TWO_PI_LO
-    return _two_sum(ph - qh, pl - ql)
+    hi, lo = ph, pl
+    for _ in range(2):
+        turns = np.rint(hi / _TWO_PI_HI)
+        qh, ql = _two_prod(turns, _TWO_PI_HI)
+        ql += turns * _TWO_PI_LO
+        hi, lo = _two_sum(hi - qh, lo - ql)
+    return hi, lo
 
 
 def _fft_size(n: int) -> int:

@@ -386,7 +386,8 @@ def time_quadrature_p(state: ModeAmplitudes, n_samples: int) -> float:
     weights = np.ones(n_samples)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    # np.sum, not np.dot: OpenBLAS threads a ddot above 10000 elements
+    # np.sum, not np.dot: OpenBLAS threads a ddot above 10000 elements where it
+    # has worker threads (numpy loaded before ringflow, or more threads asked for)
     return float(h / 3.0 * np.sum(weights * series.tj_values))
 
 

@@ -19,9 +19,11 @@ from .kernel import _check_alpha, _check_beta_max, canonicalize
 
 # How pool workers start.  Named, because Python 3.14 moves the Linux default
 # to forkserver.  A forked worker inherits the loaded modules, where a spawned
-# one would pay the 0.2 s import of numpy and ringflow.  The only other thread
-# at a fork is OpenBLAS's worker, and OpenBLAS stops its threads before a fork
-# (a pthread_atfork handler) and restarts them on the next threaded call.
+# one would pay the 0.2 s import of numpy and ringflow.  ringflow loads
+# OpenBLAS with one thread, so a fork finds no other thread; where numpy was
+# loaded first or more threads were asked for, OpenBLAS's worker is there, and
+# OpenBLAS stops its threads before a fork (a pthread_atfork handler) and
+# restarts them on the next threaded call.
 START_METHOD = "fork"
 
 # Fewest truncation modes (grid points x sum of the schedule) a pool worker

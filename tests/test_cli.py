@@ -14,6 +14,8 @@ from ringflow import cli, verify
 from ringflow.cli import main
 from ringflow.manifest import THREAD_VARIABLES, peak_rss_mb, sha256_of
 
+from conftest import needs_openblas_threads
+
 
 def run(args):
     return main(args)
@@ -886,6 +888,43 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.stdout.splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "eigen.json").read_text())["method"] == "lobpcg"
+
+
+@needs_openblas_threads
+class TestOneBlasThreadAtLoad:
+    """Importing ringflow before numpy loads OpenBLAS with one thread, so no
+    worker starts (and none busy-waits); a caller's own setting, or a numpy
+    loaded first, is left as it is.  Each case runs in a fresh interpreter."""
+
+    @staticmethod
+    def python(*args, openblas=None):
+        src = str(Path(ringflow.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if openblas is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120, check=True).stdout
+
+    # the thread count is checked only where it is fixed: OpenBLAS's own
+    # default, and a value above the core count, depend on the machine
+    @pytest.mark.parametrize("imports, openblas, expected, threads", [
+        ("ringflow", None, "1", "1"),
+        ("ringflow", "2", "2", None),
+        ("numpy, ringflow", None, "None", None),
+    ])
+    def test_variable_after_import(self, imports, openblas, expected, threads):
+        script = (f"import os, {imports}\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+        value, tasks = self.python("-c", script, openblas=openblas).split()
+        assert value == expected
+        assert threads in (None, tasks)
+
+    def test_cli_manifest_records_one_thread(self, tmp_path):
+        self.python("-m", "ringflow.cli", "eigen", "--alpha", "1", "--n", "30",
+                    "--outdir", str(tmp_path))
+        manifest = json.loads((tmp_path / "eigen.manifest.json").read_text())
+        assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
 
 
 class TestVerifyCommand:
