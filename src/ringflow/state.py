@@ -92,7 +92,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigen import EigenResult, _phase_normalize, min_eigen
+from .eigen import _phase_normalize, min_eigen
 from .kernel import (
     RingConfig,
     _INV_TWO_PI_HI,

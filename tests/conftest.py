@@ -1,11 +1,16 @@
+import ctypes
 import math
 import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringflow
 from ringflow import ModeAmplitudes, RingConfig, build_kernel, min_eigen
 
 ALPHA_STAR = 0.3703965 * math.pi
@@ -52,12 +57,48 @@ def literal_double_sum_current(state, theta, tau):
     return state.alpha / math.pi * float(np.real(np.sum(terms)))
 
 
+def fresh_python(*args, env=None, timeout=120) -> str:
+    """The stdout of this interpreter run on args in a fresh process that
+    imports this checkout's ringflow.  env maps a variable to its value, or to
+    None to unset it; the child's stderr goes to the test's own, and a nonzero
+    exit raises CalledProcessError."""
+    src = str(Path(ringflow.__file__).resolve().parents[1])
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, text=True, env=full,
+                          timeout=timeout, check=True).stdout
+
+
 _BLAS_NAME = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
-# for tests that read other threads' CPU time to catch busy-waiting OpenBLAS workers
+_OPENBLAS = os.path.isdir("/proc/self/task") and "openblas" in _BLAS_NAME.lower()
+needs_openblas = pytest.mark.skipif(not _OPENBLAS,
+                                    reason="needs /proc/self/task and numpy's OpenBLAS build")
+
+
+def openblas_threads() -> int:
+    """OpenBLAS's thread count in this process: the getter of the OpenBLAS
+    that numpy's wheel bundles, or, where it has none, the number of threads
+    the process runs, which OpenBLAS's idle workers make up at load."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return len(os.listdir("/proc/self/task"))
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+# for tests that read other threads' CPU time to catch busy-waiting OpenBLAS
+# workers: with one thread (OPENBLAS_NUM_THREADS=1, or one core) there is no
+# worker to wake, and they would pass whatever the code does
 needs_openblas_threads = pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task") or "openblas" not in _BLAS_NAME.lower(),
-    reason="needs /proc/self/task and numpy's OpenBLAS build",
+    not _OPENBLAS or openblas_threads() < 2,
+    reason="needs /proc/self/task and numpy's OpenBLAS running more than one thread",
 )
 
 # Reference smallest eigenvalues at alpha/pi = 0.3703965, beta = 0.

@@ -6,15 +6,9 @@ The heavy eigensolves are shared through the session-scoped cache.
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import ringflow
 
 from ringflow import (
     current_series,
@@ -27,7 +21,7 @@ from ringflow import (
 )
 from ringflow import verify
 
-from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS, literal_double_sum_current
+from conftest import REFERENCE_FIT, REFERENCE_LAMBDAS, fresh_python, literal_double_sum_current
 
 C_RING = 0.116816
 C_LINE = 0.0384517
@@ -80,13 +74,10 @@ def test_reference_schedule_end_to_end(tmp_path):
         "print(*[line for line in open('/proc/self/status') if line.startswith('VmHWM')])\n"
         "sys.exit(code)\n"
     )
-    src = str(Path(ringflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = ["extrapolate", "--alpha-over-pi", "0.3703965", "--reference-schedule",
             "--outdir", str(tmp_path)]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                          text=True, env=env, timeout=600, check=True)
-    peak_kib = int(proc.stdout.split()[-2])  # "VmHWM: <n> kB"
+    stdout = fresh_python("-c", script, *argv, timeout=600)
+    peak_kib = int(stdout.split()[-2])  # "VmHWM: <n> kB"
     record = json.loads((tmp_path / "extrapolation.json").read_text())
     lams = record["lambdas"]
     increases = [b - a for a, b in zip(lams, lams[1:]) if b > a]

@@ -1,8 +1,6 @@
 import argparse
 import json
 import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -14,7 +12,7 @@ from ringflow import cli, verify
 from ringflow.cli import main
 from ringflow.manifest import THREAD_VARIABLES, peak_rss_mb, sha256_of
 
-from conftest import needs_openblas_threads
+from conftest import fresh_python, needs_openblas
 
 
 def run(args):
@@ -239,7 +237,8 @@ class TestSweepCommand:
         assert "worker process died" in capsys.readouterr().err
 
 
-# one bad input per file-writing subcommand, each rejected before a file is written
+# bad inputs of every file-writing subcommand, each rejected before a file is
+# written with one "error:" line
 BAD_INVOCATIONS = {
     "eigen": ["eigen", "--alpha", "-1", "--n", "10"],
     "extrapolate": ["extrapolate", "--alpha", "1", "--schedule", "1,2,3"],
@@ -250,6 +249,8 @@ BAD_INVOCATIONS = {
     "state": ["state", "--alpha", "-1", "--n", "10"],
     "current": ["current", "--state-file", "missing.csv"],
     "linelimit": ["linelimit", "--ring-route", "--alpha", "-1"],
+    # 3 points would leave the half rung 1 mode
+    "linelimit-points": ["linelimit", "--n-points", "3"],
 }
 
 
@@ -258,7 +259,8 @@ def test_bad_input_leaves_no_outdir(tmp_path, monkeypatch, capsys, case):
     # the outdir is made only when a command writes its outputs
     monkeypatch.chdir(tmp_path)
     assert run(BAD_INVOCATIONS[case] + ["--outdir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 
@@ -869,42 +871,11 @@ class TestJobs:
         assert run(args + ["--outdir", str(tmp_path)]) == 0
 
 
-def test_commands_run_without_scipy(tmp_path):
-    # an eigen solve and the full default extrapolate, in a fresh interpreter
-    script = (
-        "import sys\n"
-        "import ringflow.cli\n"
-        f"out = {str(tmp_path)!r}\n"
-        "for argv in (['eigen', '--alpha-over-pi', '0.3703965', '--n', '800'],\n"
-        "             ['extrapolate', '--alpha-over-pi', '0.3703965']):\n"
-        "    assert ringflow.cli.main(argv + ['--outdir', out]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = str(Path(ringflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert json.loads((tmp_path / "eigen.json").read_text())["method"] == "lobpcg"
-
-
-@needs_openblas_threads
+@needs_openblas
 class TestOneBlasThreadAtLoad:
     """Importing ringflow before numpy loads OpenBLAS with one thread, so no
     worker starts (and none busy-waits); a caller's own setting, or a numpy
     loaded first, is left as it is.  Each case runs in a fresh interpreter."""
-
-    @staticmethod
-    def python(*args, openblas=None):
-        src = str(Path(ringflow.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        if openblas is not None:
-            env["OPENBLAS_NUM_THREADS"] = openblas
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=env, timeout=120, check=True).stdout
 
     # the thread count is checked only where it is fixed: OpenBLAS's own
     # default, and a value above the core count, depend on the machine
@@ -916,13 +887,13 @@ class TestOneBlasThreadAtLoad:
     def test_variable_after_import(self, imports, openblas, expected, threads):
         script = (f"import os, {imports}\n"
                   "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
-        value, tasks = self.python("-c", script, openblas=openblas).split()
+        value, tasks = fresh_python("-c", script, env={"OPENBLAS_NUM_THREADS": openblas}).split()
         assert value == expected
         assert threads in (None, tasks)
 
     def test_cli_manifest_records_one_thread(self, tmp_path):
-        self.python("-m", "ringflow.cli", "eigen", "--alpha", "1", "--n", "30",
-                    "--outdir", str(tmp_path))
+        fresh_python("-m", "ringflow.cli", "eigen", "--alpha", "1", "--n", "30",
+                     "--outdir", str(tmp_path), env={"OPENBLAS_NUM_THREADS": None})
         manifest = json.loads((tmp_path / "eigen.manifest.json").read_text())
         assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
 
@@ -949,13 +920,7 @@ class TestVerifyCommand:
             "v.build_kernel = broken\n"
             "print(sys.flags.optimize, v.run_all(out=lambda line: None))\n"
         )
-        src = str(Path(ringflow.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
-        )
-        optimize, failures = map(int, proc.stdout.split())
+        optimize, failures = map(int, fresh_python("-O", "-c", script).split())
         assert optimize == 1
         assert failures > 0
 
@@ -978,7 +943,8 @@ class TestRunPath:
         assert run(["linelimit", *options, "--outdir", str(tmp_path)]) == 0
         assert capsys.readouterr().err == "".join(f"warning: {m}\n" for m in messages)
         diagnostics = json.loads((tmp_path / "linelimit.manifest.json").read_text())["diagnostics"]
-        assert diagnostics.get("warnings") == (messages or None)
+        assert diagnostics.get("warnings", []) == messages
+        assert ("warnings" in diagnostics) == bool(messages)
 
     def test_error_filter_still_fails_the_run(self, tmp_path, monkeypatch, capsys):
         # main records warnings without resetting the filters, so a RuntimeWarning

@@ -421,10 +421,11 @@ def test_series_leave_blas_threads_idle(maximizing_state_2000):
     current_series(maximizing_state_2000, 0.0, (-0.5, 0.5), 101)
     time.sleep(0.5)  # longer than OpenBLAS's spin, so a woken worker sleeps again
     cpu0, t0 = other_threads_cpu_s(), time.perf_counter()
+    # the quadrature first, so a worker it woke would spin through the series
+    time_quadrature_p(make_state(random_state(np.random.default_rng(4), 9), 1.1, -0.3), 16385)
     for state, n_samples in ((maximizing_state_2000, 4001), (maximizing_state_2000, 32001),
                              (wide, 4001)):
         current_series(state, 0.0, (-1.5, 1.5), n_samples)
-    time_quadrature_p(make_state(random_state(np.random.default_rng(4), 9), 1.1, -0.3), 16385)
     wall = time.perf_counter() - t0
     assert other_threads_cpu_s() - cpu0 <= 0.1 * wall
 

@@ -272,7 +272,6 @@ class TestFindInfimum:
         )
         assert sum(scan["points"] for scan in res.scans) == res.evaluations == 9
 
-    @pytest.mark.slow
     def test_reference_optimum_region(self):
         res = find_infimum(
             (0.3 * math.pi, 0.45 * math.pi),
