@@ -25,14 +25,15 @@ into an error fails the run.
 
 alpha can be given as --alpha or --alpha-over-pi; current samples the state
 file that state writes, which sets alpha and beta.  An option's value comes
-from, in this order: its flag, a flat key=value config file (--config),
-RINGFLOW_JOBS for --jobs (sweep and infimum only) and its default.  A config
-value is read with its option's type, so path, schedule and number options
-work there as flags do; on/off flags take true or false.  --jobs, however
-given, is an integer >= 1: one that is no integer exits 2 with argparse's
-message, one below 1 with the sweep's "jobs must be an integer >= 1".  A
-float option takes a negative value in any notation: --beta -1e-3 and
---alpha-over-pi-min -inf are read as values.
+from, in this order: its flag, a flat key=value config file (--config; UTF-8,
+which may start with a byte-order mark), RINGFLOW_JOBS for --jobs (sweep and
+infimum only) and its default.  A config value is read with its option's
+type, so path, schedule and number options work there as flags do; on/off
+flags take true or false.  --jobs, however given, is an integer >= 1: one
+that is no integer exits 2 with argparse's message, one below 1 with the
+sweep's "jobs must be an integer >= 1".  A float option takes a negative
+value in any notation: --beta -1e-3 and --alpha-over-pi-min -inf are read as
+values.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .eigen import min_eigen
 from .extrapolate import DEFAULT_SWEEP_SCHEDULE, REFERENCE_SCHEDULE, extrapolated_infimum
 from .kernel import RingConfig, _check_alpha, build_kernel, canonicalize
 from .linelimit import line_limit_min, ring_small_alpha_limit
-from .manifest import RunManifest, _write_csv, _write_json
+from .manifest import RunManifest, _read_lines, _write_csv, _write_json
 from .state import (
     current_series,
     maximizing_state,
@@ -67,12 +68,8 @@ from .twomode import global_two_mode_min, two_mode_curve
 
 
 def _read_config(path) -> dict:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(f"config file {path} cannot be read: {exc.strerror}") from None
     values = {}
-    for number, line in enumerate(map(str.strip, lines), 1):
+    for number, line in enumerate(map(str.strip, _read_lines(path, "config")), 1):
         if not line or line.startswith("#"):
             continue
         key, sep, val = line.partition("=")

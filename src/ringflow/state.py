@@ -88,7 +88,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -107,7 +106,7 @@ from .kernel import (
     build_kernel,
     canonicalize,
 )
-from .manifest import _write_csv
+from .manifest import _read_lines, _write_csv
 
 
 @dataclass(frozen=True)
@@ -404,13 +403,11 @@ def read_state_csv(path) -> ModeAmplitudes:
     with alpha and beta, the column line m,re_c,im_c, then one row per mode.
 
     The rows must run m = 0..n-1 in order and a header n_trunc, when given,
-    must be n - 1; otherwise ValueError names the file and the line.  A file
-    that cannot be read raises ValueError naming it.
+    must be n - 1; otherwise ValueError names the file and the line.  The file
+    is UTF-8, with or without a leading byte-order mark; one that cannot be
+    read or decoded raises ValueError naming it.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(f"state file {path} cannot be read: {exc.strerror}") from None
+    lines = _read_lines(path, "state")
     header = None
     body = len(lines)
     for number, line in enumerate(lines):

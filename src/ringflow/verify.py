@@ -4,9 +4,14 @@ Each check is small enough to finish in seconds; the heavyweight golden
 reproductions live in the test suite.  The oracle functions are the one
 implementation of each cross-check: the checks here, the acceptance gate and
 the unit tests call them, each with its own seed, draws, ranges and tolerance.
+An oracle draws from its rng argument: the tests pass numpy Generators, and
+the checks here a _Draws, the standard library's Mersenne Twister, so that
+ringflow verify never imports numpy.random.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -32,6 +37,21 @@ def _expect_close(got, want, tol: float, what: str) -> None:
         raise CheckFailed(f"{what}: got {got!r}, want {want!r} within {tol:.0e}")
 
 
+class _Draws(random.Random):
+    """A seeded stdlib Mersenne Twister with the numpy Generator methods the
+    oracles call; uniform(low, high) is random.Random's own."""
+
+    def integers(self, low: int, high: int) -> int:
+        return self.randrange(low, high)
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return np.array([self.gauss(0.0, 1.0) for _ in range(size)])
+
+    def choice(self, n: int, size: int, replace: bool = False) -> list:
+        # without replacement, the one way the oracles call it
+        return self.sample(range(n), size)
+
+
 def random_state(rng, n_modes):
     """Normalized coefficients with standard-normal real and imaginary parts."""
     c = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
@@ -39,8 +59,8 @@ def random_state(rng, n_modes):
 
 
 # Each oracle samples (low, high) ranges: (x, x) fixes a float, and (k, k + 1)
-# fixes an integer without a draw.  It returns the worst deviation through
-# np.max, which unlike max passes a nan on.
+# an integer.  It returns the worst deviation through np.max, which unlike max
+# passes a nan on.
 
 
 def kernel_asymmetry(rng, draws: int, *, alphas, n_trunc: int) -> float:
@@ -166,7 +186,7 @@ def check_kernel_entries():
 
 
 def check_kernel_symmetry():
-    worst = kernel_asymmetry(np.random.default_rng(7), 5, alphas=(0.1, 6), n_trunc=40)
+    worst = kernel_asymmetry(_Draws(7), 5, alphas=(0.1, 6), n_trunc=40)
     _expect(worst == 0.0, f"kernel asymmetric by {worst!r}")
     return "kernel symmetry (bitwise)"
 
@@ -178,7 +198,7 @@ def check_single_mode_unboundedness():
 
 
 def check_beta_shift_invariance():
-    rng = np.random.default_rng(11)
+    rng = _Draws(11)
     worst = beta_shift_deviation(rng, 1, alphas=(1.7, 1.7), betas=(-0.4, -0.4), sizes=(12, 13))
     _expect_close(worst, 0.0, 1e-12, "relative current change under beta -> beta + 1")
     _expect(RingConfig(1.7, 0.6, 13).beta_shift == 1, "beta + 1 canonicalizes with shift 1")
@@ -186,7 +206,7 @@ def check_beta_shift_invariance():
 
 
 def check_quadrature_oracle():
-    rng = np.random.default_rng(3)
+    rng = _Draws(3)
     worst = quadrature_deviation(
         rng, 3, alphas=(0.3, 4.0), betas=(-0.9, 0.0), n_modes=(8, 9), samples=16385
     )
@@ -198,7 +218,7 @@ def check_two_mode():
     _expect_close(two_mode_p(0, 1, np.pi, 0.0, np.pi / 2, 0.0), 1.0, 1e-12, "two-mode P")
     res = minimize_two_mode(0, 1, np.pi, 0.0)
     _expect_close(res.p_min, 0.0, 1e-12, "two-mode minimum at alpha = pi")
-    rng = np.random.default_rng(5)
+    rng = _Draws(5)
     worst = two_mode_scaling_deviation(
         rng, 20, alphas=(0.1, 5.0), betas=(-0.99, 0.0), m1s=(0, 4), gaps=(1, 4)
     )
@@ -207,7 +227,7 @@ def check_two_mode():
 
 
 def check_beta_ordering():
-    rng = np.random.default_rng(13)
+    rng = _Draws(13)
     worst = beta_ordering_increase(rng, 3, alphas=(0.1, 6.0), sizes=(40, 121))
     _expect(worst <= 1e-12, f"rise of {worst!r} along an increasing beta grid")
     return "lambda_min and two-mode bound non-increasing in beta"

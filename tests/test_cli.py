@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import warnings
@@ -10,7 +11,7 @@ import pytest
 import ringflow
 from ringflow import cli, verify
 from ringflow.cli import main
-from ringflow.manifest import THREAD_VARIABLES, peak_rss_mb, sha256_of
+from ringflow.manifest import THREAD_VARIABLES, peak_rss_mb
 
 from conftest import fresh_python, needs_openblas
 
@@ -26,7 +27,8 @@ def write_state(outdir, *options) -> str:
 
 
 def check_manifest(outdir, command, data_files):
-    """The manifest names the command and holds one valid digest per data file."""
+    """The manifest names the command and holds one digest per data file,
+    checked against hashlib's rather than the package's own."""
     manifest = json.loads((outdir / f"{command}.manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["tool_version"] == ringflow.__version__
@@ -34,7 +36,7 @@ def check_manifest(outdir, command, data_files):
     assert written == set(data_files)
     assert sorted(Path(o["path"]).name for o in manifest["outputs"]) == sorted(data_files)
     for output in manifest["outputs"]:
-        assert sha256_of(output["path"]) == output["sha256"]
+        assert hashlib.sha256(Path(output["path"]).read_bytes()).hexdigest() == output["sha256"]
     assert manifest["thread_env"] == {name: os.environ.get(name) for name in THREAD_VARIABLES}
     peak = manifest["peak_rss_mb"]
     assert peak is None or peak > 0
@@ -816,6 +818,46 @@ class TestConfigPrecedence:
         assert run(args + ["--outdir", str(tmp_path / "b")]) == 2
 
 
+class TestFileEncoding:
+    """Config and state files are read as UTF-8, with or without the byte-order
+    mark some editors write; every file is written as UTF-8."""
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # with the mark kept, the first key would be "\ufeffbeta", and ignored
+        text = "beta = -0.4\nalpha-over-pi = 0.3\nn = 50\n"
+        (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
+        outputs, parameters = [], []
+        for name in ("plain", "bom"):
+            out = tmp_path / name
+            assert run(["eigen", "--config", str(tmp_path / f"{name}.cfg"), "--outdir", str(out)]) == 0
+            outputs.append((out / "eigen.json").read_bytes())
+            manifest = json.loads((out / "eigen.manifest.json").read_text(encoding="utf-8"))
+            assert manifest["parameters"].pop("outdir") == str(out)
+            parameters.append(manifest["parameters"])
+        assert outputs[0] == outputs[1]
+        assert parameters[0] == parameters[1] and parameters[0]["beta"] == -0.4
+
+    def test_state_file_with_byte_order_mark(self, tmp_path):
+        state = Path(write_state(tmp_path / "state", "--alpha", "1.0", "--n", "20"))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + state.read_bytes())
+        for path, out in ((state, "plain"), (bom, "bom")):
+            argv = ["current", "--state-file", str(path), "--samples", "11"]
+            assert run(argv + ["--outdir", str(tmp_path / out)]) == 0
+        assert (tmp_path / "plain" / "current.csv").read_bytes() == \
+            (tmp_path / "bom" / "current.csv").read_bytes()
+
+    @pytest.mark.parametrize("option, kind", [("--config", "config"), ("--state-file", "state")])
+    def test_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys, option, kind):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"# alpha=1 beta=-0.4\xe9\n")
+        argv = ["current", "--samples", "11", option, str(bad), "--outdir", str(tmp_path / "out")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {kind} file {bad} is not UTF-8: byte 19\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigBooleans:
     @pytest.mark.parametrize(
         "raw,code,schedule",
@@ -908,6 +950,14 @@ class TestVerifyCommand:
         assert run(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_draws_stand_in_for_a_generator(self):
+        # the checks' stdlib draw source, with the Generator calls the oracles make
+        rng = verify._Draws(1)
+        assert all(isinstance(rng.integers(3, 5), int) and 3 <= rng.integers(3, 5) < 5
+                   for _ in range(20))
+        assert rng.standard_normal(4).shape == (4,)
+        assert all(len(set(rng.choice(3, 2, replace=False))) == 2 for _ in range(20))
 
     def test_broken_kernel_caught_under_optimize(self):
         # python -O strips assert statements; the checks must still fail

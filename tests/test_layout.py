@@ -1,6 +1,7 @@
 """Source-layout guards, checked on the syntax trees of src/ringflow and tests."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringflow"
@@ -46,6 +47,22 @@ def test_package_does_not_import_scipy():
         )
     ]
     assert [m for m in modules if m[2].split(".")[0] == "scipy"] == []
+
+
+def test_package_does_not_name_numpy_random():
+    # verify's checks draw from the stdlib's Mersenne Twister: importing
+    # numpy.random would add about 2 MB and 15 ms to every run that did
+    named = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                named.append((name, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.Import):
+                named += [(name, node.lineno, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                named += [(name, node.lineno, f"{node.module}.{a.name}") for a in node.names]
+    found = [n for n in named if re.match(r"(np|numpy)\.random\b", n[2])]
+    assert found == [], found
 
 
 def test_kernel_entries_read_only_by_dense_paths():

@@ -3,11 +3,13 @@
 Every command runs through cli.main in a fresh interpreter that cannot
 import scipy, mpmath or hypothesis: with sys.modules[name] = None set before
 ringflow.cli is imported, any import of them fails, and so does the command
-that makes it.  One interpreter, with OPENBLAS_NUM_THREADS unset, runs every
-command; a second, with it set to 1, runs only the large-N ladder, whose
-bytes must not depend on it.  Each prints every command's exit code, stdout
-and stderr as JSON, and the tests assert on that report and on the files the
-commands wrote.
+that makes it.  The interpreter also turns an EncodingWarning into an error,
+so a text file opened without naming its encoding fails the command.  One
+interpreter, with OPENBLAS_NUM_THREADS unset, runs every command; a second,
+with it set to 1, runs only the large-N ladder, whose bytes must not depend
+on it.  Each prints every command's exit code, stdout and stderr, and whether
+numpy.random has been imported by then, as JSON, and the tests assert on that
+report and on the files the commands wrote.
 """
 
 import json
@@ -33,7 +35,8 @@ for key, argv in json.loads(sys.argv[2]).items():
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    report[key] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    report[key] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                   "numpy_random": "numpy.random" in sys.modules}
 print(json.dumps(report))
 """
 
@@ -60,6 +63,7 @@ RUNS = {
     "eigen": ["eigen", *ALPHA_STAR, "--n", "800"],
     "infimum": README_BOX,
     "infimum-27": [*README_BOX, "--budget", "27"],
+    "verify": ["verify"],
 }
 HELP = {f"help-{name}": [name, "--help"] for name in cli._COMMANDS}
 
@@ -67,7 +71,8 @@ HELP = {f"help-{name}": [name, "--help"] for name in cli._COMMANDS}
 def run_commands(workdir, runs, openblas):
     argv = {key: [*args, "--outdir", key] for key, args in runs.items()}
     argv.update(HELP if openblas is None else {})
-    stdout = fresh_python("-c", SCRIPT, str(workdir), json.dumps(argv),
+    stdout = fresh_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-c", SCRIPT, str(workdir), json.dumps(argv),
                           env={"OPENBLAS_NUM_THREADS": openblas})
     return json.loads(stdout)
 
@@ -158,6 +163,17 @@ def test_infimum_on_the_readme_box(runs, key, points, counts, p_tol):
     assert (record["evaluations"], record["stages"], record["budget_exhausted"]) == counts
     assert abs(record["p"] + 0.116816) < p_tol, record
     assert abs(record["alpha_over_pi"] - 0.3704) < 1e-3, record
+
+
+def test_verify_passes_without_numpy_random(runs):
+    # the checks draw from the stdlib's Mersenne Twister, and no command
+    # imports numpy.random
+    _, report = runs
+    outdir(runs, "verify")
+    lines = report["verify"]["stdout"].splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 10 + ["0"], lines
+    assert lines[-1] == "0 failure(s)"
+    assert [key for key, run in report.items() if run["numpy_random"]] == []
 
 
 def test_help_for_every_command(runs):
