@@ -72,7 +72,8 @@ def canonicalize(beta_raw: float) -> tuple[float, int]:
         # the subtraction lands on the excluded endpoint; snap to the integer.
         shift -= 1
         beta = 0.0
-    return beta, shift
+    # + 0.0 turns a beta_raw of -0.0 into +0.0, so -0 and 0 write the same files
+    return beta + 0.0, shift
 
 
 def _check_alpha(alpha: float) -> None:

@@ -4,6 +4,7 @@ The infimum is non-increasing in beta on (-1, 0], so the global search runs
 in alpha alone, at the largest beta it covers.  The landscape in alpha has
 fine structure on scales below 1e-4 in alpha/pi, so that search uses dense
 staged grid refinement rather than derivative-based local descent.
+_staged_min is that refinement, and twomode.global_two_mode_min runs it too.
 """
 
 from __future__ import annotations
@@ -152,6 +153,39 @@ def sweep_alpha(
     return _pool_map(point, alpha_grid, workers)
 
 
+def _staged_min(evaluate, box, plan, budget):
+    """Minimize over the interval box by staged grid refinement.
+
+    Runs plan, one (grid points, arg) pair per stage: stage 0 grids the whole
+    box, each later stage the best point so far +- a span 10 times narrower
+    than the one before, clamped to the box.  evaluate(grid, arg) returns one
+    value per grid point, nan where the point failed, which is never chosen;
+    only a strictly lower value replaces the best, so the first minimum wins.
+    budget counts evaluated points: the grid that would pass it is cut short
+    and the search stops there.  Returns (x, value, evaluations,
+    budget_exhausted, stages), stages counting the refinement stages begun.
+    A coarse grid with no successful point raises RuntimeError.
+    """
+    used, best, best_value = 0, None, np.inf
+    for stage, (points, arg) in enumerate(plan):
+        lo, hi = box
+        if stage:
+            span = 2.0 * (box[1] - box[0]) / max(plan[0][0] - 1, 1) / 10 ** (stage - 1)
+            lo, hi = max(best - span, box[0]), min(best + span, box[1])
+        grid = np.linspace(lo, hi, points)[: budget - used]
+        if len(grid):
+            used += len(grid)
+            values = np.asarray(evaluate(grid, arg), dtype=float)
+            i = np.argmin(np.fmin(values, np.inf))  # a nan counts as +inf
+            if values[i] < best_value:
+                best, best_value = float(grid[i]), float(values[i])
+        if best is None:
+            raise RuntimeError("no successful evaluation in the coarse scan")
+        if len(grid) < points:
+            break
+    return best, best_value, used, len(grid) < points, stage
+
+
 def find_infimum(
     alpha_box: tuple[float, float],
     beta_max: float,
@@ -168,12 +202,13 @@ def find_infimum(
     inherits that ordering only up to fit error: about 1e-10, against
     dlambda/dbeta ~ -0.56 at the optimum.
 
-    Runs _SEARCH_PLAN, one sweep_alpha grid per stage on that stage's
-    schedule: stage 0 over the whole box, each later stage around the best
-    alpha so far, on a span 10 times narrower than the one before.  Budget
-    counts extrapolated-infimum evaluations; the grid that would pass it is
-    cut short, the search stops there with budget_exhausted set, and the best
-    point so far is returned.  stages counts the refinement stages begun.
+    _staged_min runs _SEARCH_PLAN, one sweep_alpha grid per stage on that
+    stage's schedule: stage 0 over the whole box, each later stage around the
+    best alpha so far, on a span 10 times narrower than the one before; a
+    failed point is never chosen.  Budget counts extrapolated-infimum
+    evaluations; the grid that would pass it is cut short, the search stops
+    there with budget_exhausted set, and the best point so far is returned.
+    stages counts the refinement stages begun.
     """
     a_lo, a_hi = alpha_box
     _check_alpha(a_lo)
@@ -184,33 +219,11 @@ def find_infimum(
     _check_count("budget", budget)
     _check_count("jobs", jobs)
 
-    used = 0
-    best = None  # SweepRecord
     scans = []
-    coarse = _SEARCH_PLAN[0][0]
-    for stage, (points, schedule) in enumerate(_SEARCH_PLAN):
-        lo, hi = a_lo, a_hi
-        if stage:
-            span = 2.0 * (a_hi - a_lo) / max(coarse - 1, 1) / 10 ** (stage - 1)
-            lo, hi = max(best.alpha - span, a_lo), min(best.alpha + span, a_hi)
-        alphas = np.linspace(lo, hi, points)[: budget - used]
-        if len(alphas):
-            used += len(alphas)
-            scans.append(scan_diagnostics(len(alphas), schedule, jobs))
-            for r in sweep_alpha(beta_max, alphas, schedule, jobs):
-                if r.error is None and (best is None or r.p_estimate < best.p_estimate):
-                    best = r
-        if best is None:
-            raise RuntimeError("no successful evaluation in the coarse scan")
-        if len(alphas) < points:
-            break
 
-    return InfimumResult(
-        alpha=best.alpha,
-        beta=best.beta,
-        p=best.p_estimate,
-        evaluations=used,
-        budget_exhausted=len(alphas) < points,
-        stages=stage,
-        scans=tuple(scans),
-    )
+    def evaluate(alphas, schedule):
+        scans.append(scan_diagnostics(len(alphas), schedule, jobs))
+        return [r.p_estimate for r in sweep_alpha(beta_max, alphas, schedule, jobs)]
+
+    alpha, p, used, exhausted, stages = _staged_min(evaluate, alpha_box, _SEARCH_PLAN, budget)
+    return InfimumResult(alpha, canonicalize(beta_max)[0], p, used, exhausted, stages, tuple(scans))

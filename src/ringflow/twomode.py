@@ -19,10 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _check_alpha, _check_beta_max, canonicalize, sinc
+from .sweep import _staged_min
 
 
 # the beta values of two_mode_curve, a plotting choice
 CURVE_BETAS = (0.0, -0.25, -0.5, -0.75, -0.999)
+
+# global_two_mode_min's stages, each (grid points, unused): a fine grid over
+# the y box, then grids 10 times narrower each around the best y so far
+_TWO_MODE_PLAN = ((4001, None),) + ((41, None),) * 7
 
 
 def _check_pair(m1: int, m2: int) -> None:
@@ -79,29 +84,25 @@ def global_two_mode_min(m1: int, m2: int, beta_max: float = 0.0) -> tuple[float,
     """Minimize the closed-form two-mode bound over alpha and beta in (-1, beta_max].
 
     The bound is non-increasing in beta, so beta_star is beta_max and only
-    alpha is searched: a coarse grid over alpha/pi in [1e-4, 2], then staged
-    local grid refinement.  Returns (alpha_star, beta_star, p_star) with
-    p_star resolved to well below 1e-6.  beta_max must lie in (-1, 0],
-    otherwise ValueError is raised.
+    alpha is searched, as y = alpha*A^2 with A = m1 + m2 - 2*beta_max: the
+    optimum lies at y between 1.00 and 1.23 for every pair tried, (0, 1) to
+    (999, 1000) at beta 0 to -0.999, so one box, y/pi in [1e-4, 2], holds
+    it.  sweep._staged_min runs _TWO_MODE_PLAN there: a 4001-point grid, then
+    seven 41-point grids, each 10 times narrower, around the best y so far.
+    Returns (alpha_star, beta_star, p_star) with p_star resolved to well
+    below 1e-6.  beta_max must lie in (-1, 0], otherwise ValueError is raised.
     """
     _check_pair(m1, m2)
     _check_beta_max(beta_max)
     beta = float(beta_max)
+    alpha_per_y_over_pi = np.pi / (m1 + m2 - 2.0 * beta) ** 2
 
-    def grid_min(ap_grid):
-        p = two_mode_p_min(m1, m2, ap_grid * np.pi, beta)
-        i = np.argmin(p)
-        return ap_grid[i], float(p[i])
+    def evaluate(y_over_pi, _):
+        return two_mode_p_min(m1, m2, y_over_pi * alpha_per_y_over_pi, beta)
 
-    ap = np.linspace(1e-4, 2.0, 4001)
-    da = ap[1] - ap[0]
-    a0, p0 = grid_min(ap)
-    for stage in range(7):
-        span = 2.0 * da / 10**stage
-        a0, p0 = grid_min(
-            np.linspace(max(a0 - span, 1e-9), min(a0 + span, 2.0), 41)
-        )
-    return a0 * np.pi, beta, p0
+    budget = sum(points for points, _ in _TWO_MODE_PLAN)
+    y_over_pi, p, *_ = _staged_min(evaluate, (1e-4, 2.0), _TWO_MODE_PLAN, budget)
+    return y_over_pi * alpha_per_y_over_pi, beta, p
 
 
 def two_mode_curve(m1, m2, alpha_over_pi_grid):

@@ -331,6 +331,18 @@ class TestCanonicalBeta:
         assert raw == (tmp_path / "canon" / "sweep.csv").read_bytes()
         assert all(line.split(",")[1] == "-0.5" for line in raw.decode().splitlines()[1:])
 
+    @pytest.mark.parametrize("command, options, data_file", [
+        ("eigen", ["--alpha-over-pi", "0.37", "--n", "50"], "eigen.json"),
+        ("sweep", ["--alpha-over-pi-min", "0.3", "--alpha-over-pi-max", "0.4", "--steps", "2",
+                   "--schedule", "50,60,70,80"], "sweep.csv"),
+        ("state", ["--alpha-over-pi", "0.37", "--n", "50"], "state.csv"),
+    ])
+    def test_negative_zero_beta_writes_the_files_of_zero(self, tmp_path, command, options,
+                                                         data_file):
+        for beta in ("-0", "0"):
+            assert run([command, *options, "--beta", beta, "--outdir", str(tmp_path / beta)]) == 0
+        assert (tmp_path / "-0" / data_file).read_bytes() == (tmp_path / "0" / data_file).read_bytes()
+
 
 class TestExtrapolateCommand:
     def test_record_fields(self, tmp_path):

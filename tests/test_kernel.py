@@ -106,12 +106,14 @@ class TestPhaseReduction:
 class TestCanonicalize:
     @pytest.mark.parametrize(
         "raw,expected_beta,expected_shift",
-        [(0.0, 0.0, 0), (-0.5, -0.5, 0), (1.75, -0.25, 2)],
+        [(0.0, 0.0, 0), (-0.5, -0.5, 0), (1.75, -0.25, 2), (-0.0, 0.0, 0), (-1.0, 0.0, -1)],
     )
     def test_examples(self, raw, expected_beta, expected_shift):
         beta, shift = canonicalize(raw)
         assert shift == expected_shift
         assert beta == pytest.approx(expected_beta, abs=1e-15)
+        # -0.0 == 0.0, so only the sign bit tells a written "-0" from "0"
+        assert math.copysign(1.0, beta) == math.copysign(1.0, expected_beta)
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     def test_result_in_interval(self, raw):

@@ -237,3 +237,17 @@ def test_one_reduction_mod_two_pi():
                 if isinstance(node, ast.Call) and _callee(node) == "_two_prod"
                 and any(isinstance(a, ast.Name) and a.id == "phase_rate" for a in node.args)]
     assert products == [], products
+
+
+def test_one_staged_grid_search():
+    # sweep._staged_min grids the box, then around the best point so far, for
+    # find_infimum and global_two_mode_min alike: no other code in those two
+    # modules makes a grid or picks a grid's smallest value
+    trees = dict(_trees())
+    calls = [(name, node) for name in ("sweep.py", "twomode.py") for node in ast.walk(trees[name])
+             if isinstance(node, ast.Call) and _callee(node) in ("linspace", "arange", "argmin")]
+    staged = [func for func in ast.walk(trees["sweep.py"])
+              if isinstance(func, ast.FunctionDef) and func.name == "_staged_min"]
+    inside = {node for func in staged for node in ast.walk(func)}
+    assert [(name, node.lineno) for name, node in calls if node not in inside] == []
+    assert sorted(_callee(node) for _, node in calls) == ["argmin", "linspace"]

@@ -281,3 +281,38 @@ class TestFindInfimum:
         )
         assert res.alpha / math.pi == pytest.approx(0.37040, abs=5e-4)
         assert res.p == pytest.approx(-0.116816, abs=1e-5)
+
+
+def staged(values_of, box=(0.0, 1.0), plan=((11, None), (4, None))):
+    """_staged_min on values_of(grid), with every grid it evaluated."""
+    grids = []
+
+    def evaluate(grid, arg):
+        grids.append(grid)
+        return values_of(grid)
+
+    return sw._staged_min(evaluate, box, plan, budget=100), grids
+
+
+class TestStagedMin:
+    def test_first_minimum_wins(self):
+        # zero on [0.35, 0.65]: the coarse grid finds it first at 0.4; the
+        # refinement grid 0.2, 0.467, ... ties with it and must not replace it
+        (x, value, used, exhausted, stages), grids = staged(
+            lambda g: np.where((g >= 0.35) & (g <= 0.65), 0.0, 1.0))
+        assert (x, value, used, exhausted, stages) == (np.linspace(0, 1, 11)[4], 0.0, 15, False, 1)
+        assert grids[1][2] != x and grids[1][2] >= 0.35
+
+    def test_failed_point_never_chosen(self):
+        # the true minimum sits on a coarse point that fails
+        def values_of(g):
+            return np.where(abs(g - 0.7) < 1e-9, np.nan, (g - 0.7) ** 2)
+
+        (x, value, *_), _ = staged(values_of)
+        assert not math.isnan(value) and abs(x - 0.7) > 1e-9
+        assert value == values_of(np.array([x]))[0]
+
+    def test_refinement_clamped_to_the_box(self):
+        (x, value, *_), grids = staged(lambda g: g, box=(1.0, 2.0))
+        assert (x, value) == (1.0, 1.0)
+        assert all(g.min() >= 1.0 and g.max() <= 2.0 for g in grids)

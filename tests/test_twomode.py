@@ -100,25 +100,32 @@ class TestGlobalTwoModeMin:
 
     def test_scaling_consequence_for_higher_m2(self):
         # with m1 = 0 the scaling map covers the optimum, so the (0, m2)
-        # optimum is exactly the (0, 1) one divided by m2
+        # optimum is exactly the (0, 1) one divided by m2; at m2 = 100 and
+        # 1000 it lies at alpha/pi below 1e-4, inside the box only in y
         _, _, p01 = global_two_mode_min(0, 1)
-        for m2 in (2, 3):
+        for m2 in (2, 3, 100, 1000):
             _, _, p = global_two_mode_min(0, m2)
-            assert p == pytest.approx(p01 / m2, abs=1e-6)
+            assert p == pytest.approx(p01 / m2, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "kwargs, beta",
-        [({"beta_max": -0.5}, -0.5), ({}, 0.0)],
-        ids=["pinned", "default"],
+        "m1, m2, kwargs, beta",
+        [(0, 1, {"beta_max": -0.5}, -0.5), (0, 1, {}, 0.0), (100, 101, {}, 0.0),
+         (100, 101, {"beta_max": -0.5}, -0.5), (0, 100, {"beta_max": -0.5}, -0.5),
+         (3, 7, {"beta_max": -0.5}, -0.5)],
+        ids=["pinned", "default", "100-101", "100-101-pinned", "0-100-pinned", "3-7-pinned"],
     )
-    def test_beta_slice_against_dense_scan(self, kwargs, beta):
-        # staged refinement vs brute-force alpha scan at beta_max
-        alpha_s, beta_s, p_s = global_two_mode_min(0, 1, **kwargs)
-        ap = np.arange(1e-4, 2.0 + 1e-9, 1e-4)
-        brute = float(np.min(two_mode_p_min(0, 1, ap * math.pi, beta)))
+    def test_beta_slice_against_dense_scan(self, m1, m2, kwargs, beta):
+        # staged refinement vs brute-force scan at beta_max, in y = alpha*A^2
+        # over the search's box y/pi in [1e-4, 2], twice as fine as its coarse grid
+        alpha_s, beta_s, p_s = global_two_mode_min(m1, m2, **kwargs)
+        a2 = (m1 + m2 - 2 * beta) ** 2
+        yp = np.arange(1e-4, 2.0 + 1e-9, 2.5e-4)
+        brute = float(np.min(two_mode_p_min(m1, m2, yp * math.pi / a2, beta)))
         assert beta_s == beta
-        assert p_s <= brute + 1e-12
-        assert brute - p_s <= 1e-6
+        assert 1e-4 <= alpha_s * a2 / math.pi <= 2.0
+        assert p_s == two_mode_p_min(m1, m2, alpha_s, beta)
+        assert p_s <= brute + 1e-12 * abs(brute)
+        assert brute - p_s <= 1e-6 * abs(brute)
 
     @pytest.mark.parametrize("beta_max", [0.5, -1.0, -1.5, float("nan")])
     def test_beta_outside_canonical_range_rejected(self, beta_max):
