@@ -84,11 +84,13 @@ def global_two_mode_min(m1: int, m2: int, beta_max: float = 0.0) -> tuple[float,
     """Minimize the closed-form two-mode bound over alpha and beta in (-1, beta_max].
 
     The bound is non-increasing in beta, so beta_star is beta_max and only
-    alpha is searched, as y = alpha*A^2 with A = m1 + m2 - 2*beta_max: the
-    optimum lies at y between 1.00 and 1.23 for every pair tried, (0, 1) to
-    (999, 1000) at beta 0 to -0.999, so one box, y/pi in [1e-4, 2], holds
-    it.  sweep._staged_min runs _TWO_MODE_PLAN there: a 4001-point grid, then
-    seven 41-point grids, each 10 times narrower, around the best y so far.
+    alpha is searched, as y = alpha*A^2 with A = m1 + m2 - 2*beta_max.  With
+    r = (m2 - m1)/A in (0, 1] the bound is
+    (y/(pi*A))*(1 - sqrt(r^2 + sinc(y*r)^2)), so the optimum y depends on r
+    alone: it rises from 1 as r -> 0 to 1.224 at r = 1, and one box, y/pi in
+    [1e-4, 2], holds it for every pair.  sweep._staged_min runs
+    _TWO_MODE_PLAN there: a 4001-point grid, then seven 41-point grids, each
+    10 times narrower, around the best y so far.
     Returns (alpha_star, beta_star, p_star) with p_star resolved to well
     below 1e-6.  beta_max must lie in (-1, 0], otherwise ValueError is raised.
     """

@@ -110,21 +110,28 @@ class TestGlobalTwoModeMin:
     @pytest.mark.parametrize(
         "m1, m2, kwargs, beta",
         [(0, 1, {"beta_max": -0.5}, -0.5), (0, 1, {}, 0.0), (100, 101, {}, 0.0),
-         (100, 101, {"beta_max": -0.5}, -0.5), (0, 100, {"beta_max": -0.5}, -0.5),
-         (3, 7, {"beta_max": -0.5}, -0.5)],
-        ids=["pinned", "default", "100-101", "100-101-pinned", "0-100-pinned", "3-7-pinned"],
+         (100, 101, {"beta_max": -0.5}, -0.5), (0, 100, {}, 0.0),
+         (0, 100, {"beta_max": -0.5}, -0.5), (3, 7, {"beta_max": -0.5}, -0.5)],
+        ids=["pinned", "default", "100-101", "100-101-pinned", "0-100", "0-100-pinned",
+             "3-7-pinned"],
     )
     def test_beta_slice_against_dense_scan(self, m1, m2, kwargs, beta):
         # staged refinement vs brute-force scan at beta_max, in y = alpha*A^2
-        # over the search's box y/pi in [1e-4, 2], twice as fine as its coarse grid
+        # with step 1e-4 in y/pi over [1e-6, 8], four times wider than the
+        # search's box y/pi in [1e-4, 2]; for (0, 1) that is alpha/pi in
+        # [1e-6, 8] at beta 0 and [2.5e-7, 2] at beta -0.5
         alpha_s, beta_s, p_s = global_two_mode_min(m1, m2, **kwargs)
-        a2 = (m1 + m2 - 2 * beta) ** 2
-        yp = np.arange(1e-4, 2.0 + 1e-9, 2.5e-4)
-        brute = float(np.min(two_mode_p_min(m1, m2, yp * math.pi / a2, beta)))
+        a = m1 + m2 - 2 * beta
+        yp = np.arange(1e-6, 8.0 + 1e-9, 1e-4)
+        brute = float(np.min(two_mode_p_min(m1, m2, yp * math.pi / a**2, beta)))
+        # the closed form subtracts two numbers near A, scaled by alpha/pi, so
+        # it is good to a few ulps of A*alpha/pi; one ulp is 9e-16 of p* for
+        # (0, 1) and 3e-11 of p* for (100, 101)
+        rounding = 8 * np.finfo(float).eps * a * alpha_s / math.pi
         assert beta_s == beta
-        assert 1e-4 <= alpha_s * a2 / math.pi <= 2.0
+        assert 1e-4 <= alpha_s * a**2 / math.pi <= 2.0
         assert p_s == two_mode_p_min(m1, m2, alpha_s, beta)
-        assert p_s <= brute + 1e-12 * abs(brute)
+        assert p_s <= brute + 1e-12 * abs(brute) + rounding
         assert brute - p_s <= 1e-6 * abs(brute)
 
     @pytest.mark.parametrize("beta_max", [0.5, -1.0, -1.5, float("nan")])
